@@ -25,6 +25,7 @@ from .evolution import (
 )
 from .fields import l2_norm
 from .io import (
+    ledger_columns,
     read_ledger_csv,
     save_checkpoint,
     write_ledger_csv,
@@ -46,51 +47,10 @@ def _build_forcing(cfg: RunConfig, grid, op):
     return ForcingSpec(grid, "mms", mms=make_manufactured(op, psi))
 
 
-def _split_series(ledger, forcing):
-    from .evolution import forcing_eval
-
-    out = []
-    n = len(ledger.times)
-    for i in range(n):
-        state = ledger.states[i]
-        if n >= 3 and 0 < i < n - 1:
-            dt_v = (1.0 / (ledger.times[i + 1] - ledger.times[i - 1])) * (
-                ledger.states[i + 1] - ledger.states[i - 1]
-            )
-        else:
-            dt_v = None
-        f_field = forcing_eval(forcing, ledger.times[i]) if forcing is not None else None
-        pi = diag.trajectory_pressure(state, f_field)
-        out.append(diag.split_residuals(state, pi, dt_v=dt_v, f_field=f_field))
-    return out
-
-
 def _emit_outputs(cfg, ledger, forcing, extra=None):
-    records = diag.build_records(ledger, forcing)
-    split = _split_series(ledger, forcing)
-    write_ledger_csv(cfg.out_ledger, ledger, records, split)
-    report = {
-        "samples": len(ledger.times),
-        "t_end": ledger.times[-1] if ledger.times else 0.0,
-        "e2_final": ledger.e2[-1] if ledger.e2 else 0.0,
-    }
-    budget = diag.energy_budget(ledger)
-    report["energy_residual_max"] = budget.max_residual
-    report["energy_residual_relative"] = budget.max_relative_residual
-    report["e2_monotone"] = budget.monotone
-    gron = diag.gronwall_monitor(ledger, forcing=forcing, records=records)
-    report["phi_max"] = gron.phi_max
-    report["gronwall_dominated"] = gron.dominated
-    report["split_residual_max"] = max(
-        (max(s.bar, s.tilde) for s in split[1:-1]), default=0.0
-    )
-    rates = {}
-    for q in ("e2", "d2"):
-        try:
-            rates[q] = diag.decay_fit(ledger, q).rate
-        except ConfigurationError:
-            rates[q] = None
-    report["decay_rates"] = rates
+    columns = ledger_columns(ledger, *diag.build_records(ledger, forcing))
+    write_ledger_csv(cfg.out_ledger, columns)
+    report = diag.summarize(columns)
     if extra:
         report.update(extra)
     write_report_json(cfg.out_report, report)
@@ -99,13 +59,12 @@ def _emit_outputs(cfg, ledger, forcing, extra=None):
     return report
 
 
-def _trim_overflowed(ledger):
+def _trim_overflowed(ledger, forcing):
     """Drop trailing samples whose diagnostics overflow (blow-up aborts only)."""
     while len(ledger.times) > 1:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                state = ledger.states[-1]
-                diag.record(state, ledger.times[-1], diag.trajectory_pressure(state))
+                diag.ledger_sample(ledger, len(ledger.times) - 1, forcing)
             break
         except ConfigurationError:
             for lst in (ledger.times, ledger.states, ledger.e2, ledger.d2,
@@ -121,21 +80,22 @@ def _load_config(path) -> RunConfig:
 
 def cmd_run(args):
     cfg = _load_config(args.config)
+    if cfg.scheme == "picard":
+        raise ConfigurationError("scheme = picard is the mild-solution iteration: "
+                                 "run it with `pe picard`")
     grid = cfg.grid()
     op = StokesOperator(grid)
     a = make_initial(cfg.ic, grid)
+    forcing = _build_forcing(cfg, grid, op)
     if cfg.ic.kind == "manufactured" and cfg.forcing == "mms":
-        forcing = _build_forcing(cfg, grid, op)
         a = forcing.mms.initial()
-    else:
-        forcing = _build_forcing(cfg, grid, op)
     icfg = ImexConfig(dt=cfg.dt, t_end=cfg.t_end,
                       order=1 if cfg.scheme == "imex1" else 2,
                       sample_every=cfg.sample_every, cfl_limit=cfg.cfl_limit)
     try:
         ledger = imex_run(a, forcing, icfg, op)
     except NanAbort as err:
-        _emit_outputs(cfg, _trim_overflowed(err.ledger), forcing,
+        _emit_outputs(cfg, _trim_overflowed(err.ledger, forcing), forcing,
                       extra={"status": "nan-abort"})
         print(f"aborted: {err}", file=sys.stderr)
         return 2
@@ -200,48 +160,11 @@ def cmd_resolvent_sweep(args):
 
 
 def cmd_diagnose(args):
-    cols = read_ledger_csv(args.ledger)
-    t = cols["t"]
-    e2 = cols["e2"]
-    resid = [
-        e2[i] + 2 * cols["d2_int"][i] - 2 * cols["fwork_int"][i] - e2[0]
-        for i in range(len(t))
-    ]
-    phi = [
-        8 * cols["grad_h_bar"][i] + cols["vz2"][i] + 0.25 * cols["tilde4"][i]
-        for i in range(len(t))
-    ]
-    rates = {}
-    for q in ("e2", "d2"):
-        rates[q] = _tail_rate(t, cols[q])
-    split_max = max(
-        (max(b, s) for b, s in zip(cols["bar_residual"][1:-1],
-                                   cols["tilde_residual"][1:-1])),
-        default=0.0,
-    )
-    report = {
-        "energy_residual_max": max(abs(r) for r in resid),
-        "phi_max": max(phi),
-        "decay_rates": rates,
-        "split_residual_max": split_max,
-    }
+    report = diag.summarize(read_ledger_csv(args.ledger))
     write_report_json(args.out, report)
     print(f"energy residual max = {report['energy_residual_max']:.3e}, "
           f"phi max = {report['phi_max']:.3e}")
     return 0
-
-
-def _tail_rate(t, q, tail_fraction=0.5):
-    start = int(len(t) * (1 - tail_fraction))
-    tt, qq = np.asarray(t[start:]), np.asarray(q[start:])
-    pos = qq > 0
-    if not pos.all():
-        stop = int(np.argmin(pos))
-        tt, qq = tt[:stop], qq[:stop]
-    if len(tt) < 10 or np.ptp(tt) == 0:
-        return None
-    coef = np.polynomial.polynomial.polyfit(tt, np.log(qq), 1)
-    return -float(coef[1])
 
 
 def cmd_mms(args):

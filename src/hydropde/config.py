@@ -72,7 +72,8 @@ _FLOAT_KEYS = {
     "forcing_amplitude", "forcing_rate", "picard_tolerance",
 }
 _STR_KEYS = {"scheme", "ic", "forcing", "out_ledger", "out_report", "out_checkpoint"}
-_POSITIVE = {"h", "dt", "t_end", "cfl_limit", "amplitude", "picard_tolerance"}
+_POSITIVE = {"h", "dt", "t_end", "cfl_limit", "amplitude", "picard_tolerance",
+             "sample_every"}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -95,12 +96,12 @@ def parse_config(text: str) -> RunConfig:
                 values[key] = float(val)
             except ValueError:
                 raise ConfigurationError(f"line {lineno}: {key} needs a number, got {val!r}")
-            if key in _POSITIVE and not values[key] > 0:
-                raise ConfigurationError(f"line {lineno}: {key} must be > 0, got {val}")
         elif key in _STR_KEYS:
             values[key] = val
         else:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if key in _POSITIVE and not values[key] > 0:
+            raise ConfigurationError(f"line {lineno}: {key} must be > 0, got {val}")
 
     ic_kw = {}
     for src, dst in (("ic", "kind"), ("amplitude", "amplitude"), ("ic_kx", "kx"),

@@ -1,21 +1,24 @@
 """Trajectory diagnostics: the a priori estimate ledger made executable.
 
-Every monitored quantity is a norm the fields module can compute; the
-monitors check the discrete counterparts of the energy identity, the
-Gronwall-type bound on the barotropic/baroclinic split, and exponential
-decay.  Multiplicative constants in the continuous estimates are not
-computable, so all pass criteria are identities, boundedness, or
-stability-under-refinement, never absolute constants.
+Every monitored quantity is a norm the fields module can compute.
+build_records samples a trajectory once: per sample it evaluates the
+forcing and the transport term once and returns the estimate record and the
+barotropic/baroclinic split residuals.  summarize turns the ledger columns
+into the report summary; the monitors it runs check the discrete
+counterparts of the energy identity, the Gronwall-type bound on the split
+energy Phi, and exponential decay.  Multiplicative constants in the
+continuous estimates are not computable, so all pass criteria are
+identities, boundedness, or stability-under-refinement, never absolute
+constants.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .fields import (
-    AveragedField,
     PhysicalField,
     SpectralField,
     averaged_to_physical,
@@ -24,10 +27,11 @@ from .fields import (
     l2_norm,
     lp_norm,
     sobolev_norm,
+    synthesize,
     to_physical,
     vertical_average,
 )
-from .nonlinear import F, NonlinearWorkspace, advect
+from .nonlinear import advect
 from .projection import constrain, solve_surface_poisson
 from .evolution import ForcingSpec, TrajectoryLedger, forcing_eval, zeros_spectral
 
@@ -54,21 +58,18 @@ class EstimateRecord:
                 raise ConfigurationError(f"estimate record entry {name} = {val}")
 
 
-def trajectory_pressure(state: SpectralField, f_field: SpectralField | None = None):
-    """Surface pressure balancing the averaged momentum equation at this state."""
+def trajectory_pressure(state: SpectralField, f_field: SpectralField | None = None,
+                        adv: SpectralField | None = None):
+    """Surface pressure balancing the averaged momentum equation at this state.
+
+    adv is advect(state, state) when the caller has it already.
+    """
     g = state.grid
     lapv = SpectralField(g, -g.laplace_symbol[None] * state.coeffs)
-    rhs = lapv - advect(state, state)
+    rhs = lapv - (advect(state, state) if adv is None else adv)
     if f_field is not None:
         rhs = rhs + f_field
     return solve_surface_poisson(vertical_average(rhs))
-
-
-def _dz_field(state: SpectralField) -> PhysicalField:
-    g = state.grid
-    node = state.coeffs @ (-g.lam[:, None] * g.sin_table)
-    vals = np.fft.ifft2(node, axes=(1, 2), norm="forward").real
-    return PhysicalField(g, vals)
 
 
 def tilde_values(state: SpectralField):
@@ -90,7 +91,7 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> EstimateRecord:
     vz2 = float(g.h / 2 * np.sum((g.lam**2)[None, None, None] * np.abs(state.coeffs) ** 2))
     tilde4 = lp_norm(PhysicalField(g, tilde_values(state)), 4) ** 4
     grad_pi = float(np.sum(g.k2 * np.abs(pi.coeffs) ** 2)) if pi is not None else 0.0
-    vz3 = lp_norm(_dz_field(state), 3) ** 3
+    vz3 = lp_norm(synthesize(g, state.coeffs, -g.lam[:, None] * g.sin_table), 3) ** 3
     return EstimateRecord(
         t=float(t),
         e2=l2_norm(state) ** 2,
@@ -106,26 +107,39 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> EstimateRecord:
     )
 
 
-def build_records(ledger: TrajectoryLedger, forcing: ForcingSpec | None = None):
-    """EstimateRecords along a sampled trajectory, with centered-difference dt v."""
+def ledger_sample(ledger: TrajectoryLedger, i, forcing: ForcingSpec | None = None):
+    """(EstimateRecord, SplitResiduals) of sample i, from one advect evaluation.
+
+    dt v is the centered difference of the neighbouring samples; the end
+    samples of a trajectory with >= 2 samples take the one-sided difference
+    for dtv2 and the semi-discrete right-hand side for the split residuals.
+    """
     n = len(ledger.times)
-    recs = []
-    for i in range(n):
-        t = ledger.times[i]
-        state = ledger.states[i]
-        if n >= 3 and 0 < i < n - 1:
-            dv = ledger.states[i + 1] - ledger.states[i - 1]
-            dtv2 = (l2_norm(dv) / (ledger.times[i + 1] - ledger.times[i - 1])) ** 2
-        elif n >= 2:
-            j = 1 if i == 0 else i
-            dv = ledger.states[j] - ledger.states[j - 1]
-            dtv2 = (l2_norm(dv) / (ledger.times[j] - ledger.times[j - 1])) ** 2
-        else:
-            dtv2 = 0.0
-        f_field = forcing_eval(forcing, t) if forcing is not None else None
-        pi = trajectory_pressure(state, f_field)
-        recs.append(record(state, t, pi, dtv2))
-    return recs
+    t = ledger.times[i]
+    state = ledger.states[i]
+    dt_v = None
+    if n >= 3 and 0 < i < n - 1:
+        dv = ledger.states[i + 1] - ledger.states[i - 1]
+        span = ledger.times[i + 1] - ledger.times[i - 1]
+        dtv2 = (l2_norm(dv) / span) ** 2
+        dt_v = (1.0 / span) * dv
+    elif n >= 2:
+        j = 1 if i == 0 else i
+        dv = ledger.states[j] - ledger.states[j - 1]
+        dtv2 = (l2_norm(dv) / (ledger.times[j] - ledger.times[j - 1])) ** 2
+    else:
+        dtv2 = 0.0
+    f_field = forcing_eval(forcing, t) if forcing is not None else None
+    adv = advect(state, state)
+    pi = trajectory_pressure(state, f_field, adv)
+    return (record(state, t, pi, dtv2),
+            split_residuals(state, pi, dt_v=dt_v, f_field=f_field, adv=adv))
+
+
+def build_records(ledger: TrajectoryLedger, forcing: ForcingSpec | None = None):
+    """One pass over a sampled trajectory: (records, split residuals) lists."""
+    rows = [ledger_sample(ledger, i, forcing) for i in range(len(ledger.times))]
+    return [r for r, _ in rows], [s for _, s in rows]
 
 
 # -- energy budget --------------------------------------------------------
@@ -165,7 +179,6 @@ class GronwallReport:
     phi_max: float
     bound: tuple          # Phi(0) * exp(int K1_hat), per sample
     dominated: bool       # Phi(t) <= bound(t) everywhere
-    dissipation_integral: float
     max_jump_ratio: float
 
 
@@ -177,38 +190,21 @@ def _k1_surrogate(rec: EstimateRecord) -> float:
     return (1 + e + e * e) * (h1 ** (2.0 / 3.0) + h1 + h1 * h1)
 
 
-def gronwall_monitor(ledger: TrajectoryLedger, c3=1.0,
-                     forcing: ForcingSpec | None = None,
-                     records=None) -> GronwallReport:
-    recs = build_records(ledger, forcing) if records is None else records
-    phi = [8 * r.grad_h_bar + r.vz2 + (c3 / 4) * r.tilde4 for r in recs]
-    k1 = [_k1_surrogate(r) for r in recs]
-    times = ledger.times
+def gronwall_monitor(records, c3=1.0) -> GronwallReport:
+    """Check Phi(t) <= Phi(0) exp(int_0^t K1_hat) along a list of records.
+
+    Phi = 8 ||grad_H vbar||^2 + ||dz v||^2 + (c3/4) ||v - vbar||^4_{L^4}.
+    The non-negative dissipation on the left of the continuous estimate
+    only strengthens it, so the check leaves it out.
+    """
+    phi = [8 * r.grad_h_bar + r.vz2 + (c3 / 4) * r.tilde4 for r in records]
+    k1 = [_k1_surrogate(r) for r in records]
     bound = [phi[0]]
     acc = 0.0
-    for i in range(1, len(recs)):
-        acc += 0.5 * (times[i] - times[i - 1]) * (k1[i] + k1[i - 1])
+    for i in range(1, len(records)):
+        acc += 0.5 * (records[i].t - records[i - 1].t) * (k1[i] + k1[i - 1])
         bound.append(phi[0] * math.exp(min(acc, 700.0)))
     dominated = all(p <= b * (1 + 1e-9) + 1e-300 for p, b in zip(phi, bound))
-
-    diss = 0.0
-    prev = None
-    for i, (t, state) in enumerate(zip(times, ledger.states)):
-        g = state.grid
-        grad_vz2 = float(
-            g.h / 2 * np.sum(
-                (g.lam**2)[None, None, None] * g.laplace_symbol[None]
-                * np.abs(state.coeffs) ** 2
-            )
-        )
-        mag2 = np.sum(tilde_values(state) ** 2, axis=0)
-        gmag2 = _tilde_grad_magnitude_squared(state)
-        mixed = float(np.sum((mag2 * gmag2) @ g.wq) / (g.nx * g.ny))
-        integrand = recs[i].grad_pi + grad_vz2 + c3 * mixed
-        if prev is not None:
-            diss += 0.5 * (times[i] - times[i - 1]) * (prev + integrand)
-        prev = integrand
-
     jumps = [
         max(p1, p0) / max(min(p1, p0), 1e-300)
         for p0, p1 in zip(phi, phi[1:])
@@ -219,32 +215,8 @@ def gronwall_monitor(ledger: TrajectoryLedger, c3=1.0,
         phi_max=max(phi),
         bound=tuple(bound),
         dominated=dominated,
-        dissipation_integral=diss,
         max_jump_ratio=max(jumps) if jumps else 1.0,
     )
-
-
-def _tilde_grad_magnitude_squared(state: SpectralField):
-    """Pointwise |grad (v - vbar)|^2; the average contributes only to the
-    horizontal derivatives and is subtracted as an exact z-constant."""
-    g = state.grid
-    kx = g.kx[:, None, None]
-    ky = g.ky[None, :, None]
-    vb = vertical_average(state)
-    total = None
-    for deriv, avg_deriv, table in (
-        (2j * np.pi * kx * state.coeffs,
-         2j * np.pi * g.kx[None, :, None] * vb.coeffs, g.cos_table),
-        (2j * np.pi * ky * state.coeffs,
-         2j * np.pi * g.ky[None, None, :] * vb.coeffs, g.cos_table),
-        (state.coeffs, None, -g.lam[:, None] * g.sin_table),
-    ):
-        vals = np.fft.ifft2(deriv @ table, axes=(1, 2), norm="forward").real
-        if avg_deriv is not None:
-            vals = vals - averaged_to_physical(AveragedField(g, avg_deriv)).values
-        part = np.sum(vals**2, axis=0)
-        total = part if total is None else total + part
-    return total
 
 
 # -- decay fit ------------------------------------------------------------
@@ -291,16 +263,17 @@ class SplitResiduals:
 
 
 def split_residuals(state: SpectralField, pi, dt_v: SpectralField | None = None,
-                    f_field: SpectralField | None = None) -> SplitResiduals:
+                    f_field: SpectralField | None = None,
+                    adv: SpectralField | None = None) -> SplitResiduals:
     """Residuals of the averaged and fluctuation momentum equations.
 
     With dt_v omitted, the semi-discrete right-hand side -Av + F(v) + Pf is
     used and both residuals vanish to rounding; along a marched trajectory
-    pass dt_v from finite differences to test the integrator.
+    pass dt_v from finite differences to test the integrator.  adv is
+    advect(state, state) when the caller has it already.
     """
     g = state.grid
-    ws = NonlinearWorkspace(g)
-    adv = advect(state, state, ws)
+    adv = advect(state, state) if adv is None else adv
     lap = SpectralField(g, -g.laplace_symbol[None] * state.coeffs)
     f_field = f_field if f_field is not None else zeros_spectral(g)
     if dt_v is None:
@@ -328,3 +301,43 @@ def poincare_slack(ledger: TrajectoryLedger) -> float:
     """max over samples of lam_0^2 E2 - D2 (should be <= ~0)."""
     lam0sq = (0.5 * math.pi / ledger.grid.h) ** 2
     return max(lam0sq * e - d for e, d in zip(ledger.e2, ledger.d2))
+
+
+# -- report summary -------------------------------------------------------
+
+
+def summarize(columns) -> dict:
+    """Report summary of ledger columns ({name: list of floats}).
+
+    The run report and `pe diagnose` both come from here, the latter from
+    the columns of the CSV alone, so the two agree exactly: the CSV stores
+    floats with repr.  The EstimateRecords are rebuilt from the columns,
+    with the integrator's e2 and d2.
+    """
+    t = columns["t"]
+    # no grid and no states: the budget and the decay fit read only these series
+    ledger = TrajectoryLedger(None, times=t, e2=columns["e2"], d2=columns["d2"],
+                              d2_int=columns["d2_int"], fwork_int=columns["fwork_int"])
+    names = [f.name for f in dataclass_fields(EstimateRecord)]
+    records = [EstimateRecord(**{n: columns[n][i] for n in names}) for i in range(len(t))]
+    budget = energy_budget(ledger)
+    gron = gronwall_monitor(records)
+    rates = {}
+    for q in ("e2", "d2"):
+        try:
+            rates[q] = decay_fit(ledger, q).rate
+        except ConfigurationError:
+            rates[q] = None
+    interior = zip(columns["bar_residual"][1:-1], columns["tilde_residual"][1:-1])
+    return {
+        "samples": len(t),
+        "t_end": t[-1],
+        "e2_final": ledger.e2[-1],
+        "energy_residual_max": budget.max_residual,
+        "energy_residual_relative": budget.max_relative_residual,
+        "e2_monotone": budget.monotone,
+        "phi_max": gron.phi_max,
+        "gronwall_dominated": gron.dominated,
+        "split_residual_max": max((max(b, s) for b, s in interior), default=0.0),
+        "decay_rates": rates,
+    }

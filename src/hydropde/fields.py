@@ -156,10 +156,19 @@ def zeros_spectral(grid, components=2):
 # -- transforms ----------------------------------------------------------
 
 
+def synthesize(grid, coeffs, table) -> PhysicalField:
+    """Values at the collocation nodes of coefficients (comp, kx, ky, m).
+
+    table maps the modes to the nodes, shape (nz, nzq): cos_table for the
+    field itself, a sine table for its z-derivative or antiderivative.  The
+    vertical table is applied first, then the inverse horizontal FFT.
+    """
+    vals = np.fft.ifft2(coeffs @ table, axes=(1, 2), norm="forward")
+    return PhysicalField(grid, np.ascontiguousarray(vals.real))
+
+
 def to_physical(f: SpectralField) -> PhysicalField:
-    node_coeffs = f.grid.vertical_to_nodes(f.coeffs)
-    vals = np.fft.ifft2(node_coeffs, axes=(1, 2), norm="forward")
-    return PhysicalField(f.grid, np.ascontiguousarray(vals.real))
+    return synthesize(f.grid, f.coeffs, f.grid.cos_table)
 
 
 def to_spectral(g: PhysicalField) -> SpectralField:
@@ -237,9 +246,7 @@ def diagnostic_w(v: SpectralField) -> PhysicalField:
     if v.components != 2:
         raise ConfigurationError("diagnostic_w needs a 2-component velocity")
     divc = _horizontal_divergence_coeffs(v)
-    node = -divc @ (g.sin_table / g.lam[:, None])
-    vals = np.fft.ifft2(node, axes=(0, 1), norm="forward").real
-    return PhysicalField(g, vals[None, :, :, :])
+    return synthesize(g, -divc[None], g.sin_table / g.lam[:, None])
 
 
 def diagnostic_w_bottom(v: SpectralField) -> AveragedField:

@@ -116,10 +116,6 @@ class Grid:
         out = cho_solve(self._gram_cho, flat.T).T
         return out.reshape(b.shape)
 
-    def vertical_to_nodes(self, coeffs):
-        """Evaluate cosine coefficients (..., nz) at the quadrature nodes."""
-        return coeffs @ self.cos_table
-
     # -- horizontal wavenumbers -----------------------------------------
 
     @cached_property

@@ -11,7 +11,8 @@ written with repr so a save/load round trip is bit-exact.
 
 Ledger CSV: a version comment `# hydropde-ledger v1`, a column-header row,
 then one row per sample time with full-precision (repr) floats, so
-identical runs produce byte-identical files.
+identical runs produce byte-identical files and the floats read back are
+exactly the floats written.
 """
 
 import csv
@@ -86,40 +87,62 @@ def load_checkpoint(path, grid: Grid | None = None):
     return SpectralField(grid, coeffs.reshape(comp, nx, ny, nz))
 
 
-def write_ledger_csv(path, ledger, records, split=None):
-    """One row per sample; records from diagnostics.build_records.
+def ledger_columns(ledger, records, split):
+    """Ledger CSV columns {name: list of floats} of a sampled trajectory.
 
-    split is an optional list of per-sample SplitResiduals; missing entries
-    are written as 0.
+    records and split are the two lists diagnostics.build_records returns;
+    t, e2, d2 and the budget integrals come from the integrator's ledger.
     """
+    rows = [
+        (ledger.times[i], ledger.e2[i], ledger.d2[i],
+         ledger.d2_int[i], ledger.fwork_int[i],
+         rec.grad_h_bar, rec.vz2, rec.tilde4, rec.grad_pi,
+         rec.vz3, rec.dtv2, rec.h1, rec.h2, sr.bar, sr.tilde)
+        for i, (rec, sr) in enumerate(zip(records, split))
+    ]
+    return {name: [row[j] for row in rows] for j, name in enumerate(LEDGER_COLUMNS)}
+
+
+def write_ledger_csv(path, columns):
+    """Write ledger columns (as ledger_columns returns them), one row per sample."""
     with open(path, "w", newline="") as fh:
         fh.write(LEDGER_VERSION_LINE + "\n")
         writer = csv.writer(fh)
         writer.writerow(LEDGER_COLUMNS)
-        for i, rec in enumerate(records):
-            sr = split[i] if split is not None else None
-            row = [
-                ledger.times[i], ledger.e2[i], ledger.d2[i],
-                ledger.d2_int[i], ledger.fwork_int[i],
-                rec.grad_h_bar, rec.vz2, rec.tilde4, rec.grad_pi,
-                rec.vz3, rec.dtv2, rec.h1, rec.h2,
-                sr.bar if sr else 0.0, sr.tilde if sr else 0.0,
-            ]
+        for row in zip(*(columns[name] for name in LEDGER_COLUMNS)):
             writer.writerow([repr(float(x)) for x in row])
 
 
 def read_ledger_csv(path):
-    """Columns of a ledger CSV as {name: list of floats}."""
+    """Columns of a ledger CSV as {name: list of floats}.
+
+    The reader is name-based: every column of LEDGER_COLUMNS must be
+    present, others are kept.  A malformed file raises ConfigurationError
+    naming the file and the line.
+    """
     with open(path, newline="") as fh:
         first = fh.readline().rstrip("\n")
         if first != LEDGER_VERSION_LINE:
             raise ConfigurationError(f"{path}: missing ledger version line")
         reader = csv.reader(fh)
-        names = next(reader)
+        names = next(reader, [])
+        missing = [n for n in LEDGER_COLUMNS if n not in names]
+        if missing:
+            raise ConfigurationError(
+                f"{path}: line 2: header lacks column(s) {', '.join(missing)}")
         cols = {n: [] for n in names}
-        for row in reader:
+        for lineno, row in enumerate(reader, start=3):
+            if len(row) != len(names):
+                raise ConfigurationError(
+                    f"{path}: line {lineno}: {len(row)} cells, header has {len(names)}")
             for n, x in zip(names, row):
-                cols[n].append(float(x))
+                try:
+                    cols[n].append(float(x))
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{path}: line {lineno}: column {n} is not a number: {x!r}")
+    if not cols["t"]:
+        raise ConfigurationError(f"{path}: no sample rows after the header")
     return cols
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hydropde.cli import main as cli_main
-from hydropde.diagnostics import decay_fit, energy_budget, gronwall_monitor
+from hydropde.diagnostics import build_records, decay_fit, energy_budget, gronwall_monitor
 from hydropde.evolution import (
     ForcingSpec,
     ImexConfig,
@@ -215,7 +215,7 @@ def test_criterion_08_energy_budget(long_run):
 def test_criterion_09_decay_and_gronwall(long_run, op):
     fit = decay_fit(long_run, "e2")
     target = 0.9 * 2 * op.beta
-    gron = gronwall_monitor(long_run)
+    gron = gronwall_monitor(build_records(long_run)[0])
     _check(9, "fitted decay rate >= 0.9 * 2 beta and Gronwall bound dominates",
            fit.rate >= target and gron.dominated,
            f"rate {fit.rate:.4f} vs {target:.4f}, dominated {gron.dominated}")

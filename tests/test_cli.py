@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hydropde.cli import main
-from hydropde.io import load_checkpoint, read_ledger_csv
+from hydropde.io import LEDGER_COLUMNS, LEDGER_VERSION_LINE, load_checkpoint, read_ledger_csv
 
 SMALL_GRID = "nx = 8\nny = 8\nnz = 4\n"
 
@@ -63,6 +63,24 @@ class TestRun:
         cfg = write_config(tmp_path, "dt = -5\n")
         assert main(["run", "--config", cfg]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_sample_every_exits_one(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, SMALL_GRID + f"sample_every = {value}\n")
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "line 4" in err and "sample_every" in err
+
+    def test_picard_scheme_exits_one(self, tmp_path, capsys):
+        ledger = tmp_path / "run.csv"
+        cfg = write_config(
+            tmp_path,
+            SMALL_GRID + "t_end = 0.01\nscheme = picard\n"
+            + f"out_ledger = {ledger}\nout_report = {tmp_path/'r.json'}\n",
+        )
+        assert main(["run", "--config", cfg]) == 1
+        assert "pe picard" in capsys.readouterr().err
+        assert not ledger.exists()
 
     def test_blow_up_exits_two_with_partial_ledger(self, tmp_path, capsys):
         ledger = tmp_path / "partial.csv"
@@ -161,6 +179,58 @@ class TestDiagnose:
         assert np.isfinite(data["phi_max"])
         assert data["decay_rates"]["e2"] == pytest.approx(np.pi**2 / 2, rel=0.05)
         assert data["split_residual_max"] >= 0.0
+
+    def test_diagnose_reproduces_run_summary(self, tmp_path):
+        ledger = tmp_path / "run.csv"
+        run_report = tmp_path / "run.json"
+        report = tmp_path / "report.json"
+        cfg = write_config(
+            tmp_path,
+            SMALL_GRID
+            + "dt = 1e-3\nt_end = 0.05\nsample_every = 2\n"
+            + "ic = random-band\namplitude = 1e-2\nseed = 5\n"
+            + "forcing = single-mode\nforcing_amplitude = 1e-2\n"
+            + f"out_ledger = {ledger}\nout_report = {run_report}\n",
+        )
+        assert main(["run", "--config", cfg]) == 0
+        assert main(["diagnose", "--ledger", str(ledger), "--out", str(report)]) == 0
+        ran = json.loads(run_report.read_text())
+        data = json.loads(report.read_text())
+        assert set(data) == {
+            "samples", "t_end", "e2_final", "energy_residual_max",
+            "energy_residual_relative", "e2_monotone", "phi_max",
+            "gronwall_dominated", "split_residual_max", "decay_rates",
+        }
+        assert data["samples"] == 26
+        assert data["decay_rates"]["e2"] is not None
+        for key, value in data.items():
+            assert ran[key] == value, key
+
+    @pytest.mark.parametrize("case, line", [
+        ("header-only", None), ("missing-column", "line 2"), ("non-numeric", "line 3"),
+        ("short-row", "line 3"),
+    ])
+    def test_bad_ledger_exits_one(self, tmp_path, capsys, case, line):
+        names = list(LEDGER_COLUMNS)
+        cells = ["0.5"] * len(names)
+        if case == "missing-column":
+            names.remove("d2_int")
+            cells.pop()
+        elif case == "non-numeric":
+            cells[3] = "n/a"
+        elif case == "short-row":
+            cells.pop()
+        rows = [LEDGER_VERSION_LINE, ",".join(names)]
+        if case != "header-only":
+            rows.append(",".join(cells))
+        ledger = tmp_path / "bad.csv"
+        ledger.write_text("\n".join(rows) + "\n")
+        assert main(["diagnose", "--ledger", str(ledger),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(ledger) in err and "Traceback" not in err
+        if line:
+            assert line in err
 
     def test_missing_ledger_exits_one(self, tmp_path):
         assert main(["diagnose", "--ledger", str(tmp_path / "no.csv"),

@@ -20,6 +20,7 @@ from hydropde.grid import Grid
 from hydropde.io import (
     LEDGER_COLUMNS,
     LEDGER_VERSION_LINE,
+    ledger_columns,
     load_checkpoint,
     read_ledger_csv,
     save_checkpoint,
@@ -94,7 +95,7 @@ def short_ledger():
     g = Grid(8, 8, 4)
     a = eigenmode(g, (1, 0), 0, amplitude=1e-2)
     led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=0.05, sample_every=10))
-    recs = build_records(led)
+    recs, _ = build_records(led)
     split = [split_residuals(s, trajectory_pressure(s)) for s in led.states]
     return led, recs, split
 
@@ -103,7 +104,7 @@ class TestLedgerCsv:
     def test_round_trip(self, short_ledger, tmp_path):
         led, recs, split = short_ledger
         p = tmp_path / "run.csv"
-        write_ledger_csv(p, led, recs, split)
+        write_ledger_csv(p, ledger_columns(led, recs, split))
         text = p.read_text().splitlines()
         assert text[0] == LEDGER_VERSION_LINE
         assert text[1].split(",") == list(LEDGER_COLUMNS)
@@ -116,8 +117,8 @@ class TestLedgerCsv:
     def test_byte_determinism(self, short_ledger, tmp_path):
         led, recs, split = short_ledger
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_ledger_csv(p1, led, recs, split)
-        write_ledger_csv(p2, led, recs, split)
+        write_ledger_csv(p1, ledger_columns(led, recs, split))
+        write_ledger_csv(p2, ledger_columns(led, recs, split))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_missing_version_line(self, tmp_path):
