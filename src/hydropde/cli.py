@@ -2,8 +2,9 @@
 
 Verbs: run, picard, spectrum, resolvent-sweep, diagnose, mms.
 Exit codes: 0 success, 1 I/O or configuration failure, 2 blow-up (non-finite
-state) abort, 3 Picard non-convergence.  PE_THREADS caps internal
-parallelism.
+state) abort, 3 Picard non-convergence.  For `pe run`, dt must divide t_end
+and sample_every must be >= 1; other values exit 1.  numpy is the only
+runtime dependency.
 """
 
 import argparse

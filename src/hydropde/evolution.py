@@ -68,6 +68,13 @@ class ImexConfig:
             raise ConfigurationError(f"end time must be > 0, got {self.t_end}")
         if self.order not in (1, 2):
             raise ConfigurationError(f"scheme order must be 1 or 2, got {self.order}")
+        if self.sample_every < 1:
+            raise ConfigurationError(f"sample_every must be >= 1, got {self.sample_every}")
+        steps = self.t_end / self.dt
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigurationError(
+                f"step size {self.dt} does not divide end time {self.t_end}"
+            )
 
 
 @dataclass
@@ -324,7 +331,7 @@ def imex_run(a: SpectralField, f_ext: ForcingSpec | None, cfg: ImexConfig,
     """March from t = 0 to t_end; raises NanAbort (with .ledger) on blow-up."""
     op = op or StokesOperator(a.grid)
     g = a.grid
-    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
+    nsteps = round(cfg.t_end / cfg.dt)
     v = op.constrain(a)
 
     vmax = float(np.max(np.abs(to_physical(v).values), initial=0.0))

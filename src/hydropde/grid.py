@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError
 
@@ -102,19 +101,17 @@ class Grid:
         return signs / (self.lam * self.h)
 
     @cached_property
-    def _gram_cho(self):
-        # Quadrature Gram matrix of the normalized basis; ~identity, but the
-        # Cholesky solve makes to_spectral(to_physical(.)) exact regardless.
+    def _node_to_mode(self):
+        # Quadrature projection times the inverse of the quadrature Gram
+        # matrix of the normalized basis: the Gram matrix is ~identity, but
+        # the solve makes to_spectral(to_physical(.)) exact regardless.
         C = self.cos_table
-        G = (2.0 / self.h) * (C * self.wq) @ C.T
-        return cho_factor(G)
+        B = (2.0 / self.h) * C * self.wq
+        return np.linalg.solve(B @ C.T, B).T
 
     def vertical_to_modes(self, values):
         """Project node values (..., nzq) onto cosine coefficients (..., nz)."""
-        b = (2.0 / self.h) * (values * self.wq) @ self.cos_table.T
-        flat = b.reshape(-1, self.nz)
-        out = cho_solve(self._gram_cho, flat.T).T
-        return out.reshape(b.shape)
+        return values @ self._node_to_mode
 
     # -- horizontal wavenumbers -----------------------------------------
 

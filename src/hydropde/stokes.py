@@ -1,24 +1,27 @@
-"""Per-wavenumber realization of the constrained viscous operator.
+"""Hydrostatic Stokes operator A = P(-Delta) in one shared vertical eigenbasis.
 
 At horizontal wavenumber k the negative Laplacian acts diagonally on the
-stacked vertical-mode coefficients of both velocity components,
+vertical-mode coefficients c_m = (u_m, v_m) of the velocity,
 
-    Lambda = diag(4 pi^2 |k|^2 + lam_m^2)        (size 2 nz),
+    Lambda = diag(4 pi^2 |k|^2 + lam_m^2),
 
-while the constraint div_H vbar = 0 reads n . c = 0 with the real vector
-n = (kx a_0..a_{nz-1}, ky a_0..a_{nz-1}), a_m the vertical-average factors.
-For k != 0 the constraint removes one degree of freedom; eliminating it with
-an orthonormal basis Q of the hyperplane n-perp gives the reduced symmetric
-positive definite block Q^T Lambda Q.  For k = 0 the constraint is vacuous
-and the block is already diagonal.
+while the constraint div_H vbar = 0 reads sum_m a_m (k . c_m) = 0: its normal
+is k (x) a, with a_m the vertical-average factors, and a is the same vector
+at every k.  Rotating each c_m into its parts across k and along k splits a
+block k != 0 in two:
 
-Semigroup and resolvent applications use the cached eigendecompositions of
-the reduced blocks, so the semigroup law and decay bounds hold at rounding
-accuracy on the discrete operator.
+- the across-k part is unconstrained and already diagonal, with eigenvalues
+  4 pi^2 |k|^2 + lam_m^2;
+- the along-k part is diag(lam^2) compressed to a-perp, shifted by
+  4 pi^2 |k|^2, so one (nz - 1)-sized eigendecomposition serves every k.
+
+For k = 0 the constraint is vacuous and the block is already diagonal.
+Semigroup, shifted solves and resolvent are scalar functions of A, diagonal
+in these coordinates, so the semigroup law and decay bounds hold at rounding
+accuracy on the discrete operator.  The dense per-wavenumber assembly
+(assemble_block) is kept as the reference the tests compare against.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,28 +31,6 @@ from .errors import ConfigurationError, DomainError, SingularResolventError
 from .fields import SpectralField, sobolev_norm
 from .grid import Grid
 from .projection import SurfacePressure, constrain
-
-
-def thread_limit():
-    """Parallelism cap from the PE_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("PE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _batched_eigh(mats):
-    workers = thread_limit()
-    if workers <= 1 or mats.shape[0] < 4 * workers:
-        return np.linalg.eigh(mats)
-    idx = np.array_split(np.arange(mats.shape[0]), workers)
-    w = np.empty(mats.shape[:2])
-    u = np.empty_like(mats)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        def job(ix):
-            w[ix], u[ix] = np.linalg.eigh(mats[ix])
-        list(pool.map(job, idx))
-    return w, u
 
 
 @dataclass(frozen=True)
@@ -155,61 +136,44 @@ class SmoothingReport:
 
 
 class StokesOperator:
-    """Cached block eigenstructure for a grid, with vectorized applications."""
+    """A on one grid, applied through the shared vertical eigenbasis.
+
+    Flat wavenumber index 0 is k = (0, 0), whose eigen-coordinates are the
+    stacked (u, v) coefficients.  At k != 0 they are [across k (nz) | along k
+    in the columns of W (nz - 1)].
+    """
 
     def __init__(self, grid: Grid):
         self.grid = grid
 
-    # -- layout helpers: flat wavenumber index 0 is k = (0, 0) -----------
-
-    def _vecs(self, coeffs):
+    @cached_property
+    def _khat(self):
+        """Unit wavenumber components kx/|k|, ky/|k| at k != 0, each (nx ny - 1, 1)."""
         g = self.grid
-        return coeffs.transpose(1, 2, 0, 3).reshape(g.nx * g.ny, 2 * g.nz)
-
-    def _unvecs(self, vecs):
-        g = self.grid
-        return np.ascontiguousarray(
-            vecs.reshape(g.nx, g.ny, 2, g.nz).transpose(2, 0, 1, 3)
-        )
+        kx = np.repeat(g.kx.astype(float), g.ny)[1:, None]
+        ky = np.tile(g.ky.astype(float), g.nx)[1:, None]
+        norm = np.hypot(kx, ky)
+        return kx / norm, ky / norm
 
     @cached_property
-    def _lam_flat(self):
-        g = self.grid
-        lam2 = np.tile(g.lam**2, 2)
-        k2 = g.k2.reshape(-1)
-        return k2[:, None] + lam2[None, :]
+    def _along_basis(self):
+        """(nu, W): eigenpairs of diag(lam^2) compressed to a-perp; W is nz x (nz - 1)."""
+        Q = _householder_basis(self.grid.avg_factor)
+        R = (Q.T * self.grid.lam**2) @ Q
+        nu, U = np.linalg.eigh(0.5 * (R + R.T))
+        return nu, Q @ U
 
     @cached_property
-    def _nvecs(self):
+    def _eigenvalues(self):
         g = self.grid
-        a = g.avg_factor
-        kxg = np.repeat(g.kx.astype(float), g.ny)
-        kyg = np.tile(g.ky.astype(float), g.nx)
-        n = np.concatenate([kxg[:, None] * a, kyg[:, None] * a], axis=1)
-        return n[1:]
-
-    @cached_property
-    def _decomposition(self):
-        """Per-block (k != 0) orthonormal bases V with A V = V diag(mu)."""
-        n = self._nvecs
-        nhat = n / np.linalg.norm(n, axis=1, keepdims=True)
-        u = nhat.copy()
-        u[:, 0] += np.where(nhat[:, 0] >= 0, 1.0, -1.0)
-        scale = 2.0 / np.einsum("ki,ki->k", u, u)
-        dim = n.shape[1]
-        Q = -scale[:, None, None] * u[:, :, None] * u[:, None, 1:]
-        Q[:, 1:, :] += np.eye(dim - 1)[None, :, :]
-        lam = self._lam_flat[1:]
-        R = np.einsum("kiq,ki,kir->kqr", Q, lam, Q)
-        R = 0.5 * (R + np.swapaxes(R, 1, 2))
-        mu, U = _batched_eigh(R)
-        V = np.einsum("kiq,kqr->kir", Q, U)
-        return mu, V
+        lam2 = g.lam**2
+        mu = g.k2.reshape(-1)[1:, None] + np.concatenate([lam2, self._along_basis[0]])
+        return np.tile(lam2, 2), mu
 
     @cached_property
     def _all_eigenvalues(self):
-        mu, _ = self._decomposition
-        return np.concatenate([self._lam_flat[0], mu.reshape(-1)])
+        mu0, mu = self._eigenvalues
+        return np.concatenate([mu0, mu.reshape(-1)])
 
     @property
     def beta(self):
@@ -228,46 +192,59 @@ class StokesOperator:
         lam = self.grid.laplace_symbol
         return self.constrain(SpectralField(self.grid, lam[None] * vc.coeffs))
 
-    # -- semigroup ---------------------------------------------------------
+    # -- eigenbasis coordinates (for Duhamel integrals and implicit steps) --
+
+    def eigenvalues_split(self):
+        """(k=0 diagonal eigenvalues, stacked k != 0 eigenvalues) arrays."""
+        return self._eigenvalues
+
+    def to_eigen(self, f: SpectralField):
+        """Coordinates of the constrained part of f in the A-eigenbasis.
+
+        The basis is orthogonal to the constraint normal, so the normal
+        component of f drops out without a projection.
+        """
+        if f.components != 2:
+            raise ConfigurationError("the Stokes operator acts on 2-component velocities")
+        g = self.grid
+        nz = g.nz
+        c = f.coeffs.reshape(2, g.nx * g.ny, nz)
+        u, v = c[0, 1:], c[1, 1:]
+        kx, ky = self._khat
+        y = np.empty((g.nx * g.ny - 1, 2 * nz - 1), complex)
+        y[:, :nz] = kx * v - ky * u
+        y[:, nz:] = (kx * u + ky * v) @ self._along_basis[1]
+        return c[:, 0].flatten(), y
+
+    def from_eigen(self, y0, y) -> SpectralField:
+        g = self.grid
+        nz = g.nz
+        kx, ky = self._khat
+        across = y[:, :nz]
+        along = y[:, nz:] @ self._along_basis[1].T
+        c = np.empty((2, g.nx * g.ny, nz), complex)
+        c[:, 0] = np.reshape(y0, (2, nz))
+        c[0, 1:] = kx * along - ky * across
+        c[1, 1:] = ky * along + kx * across
+        return SpectralField(g, c.reshape(2, g.nx, g.ny, nz))
+
+    def _spectral_map(self, fn, f: SpectralField) -> SpectralField:
+        """fn(A) applied to the constrained part of f, for a scalar function fn."""
+        mu0, mu = self._eigenvalues
+        y0, y = self.to_eigen(f)
+        return self.from_eigen(fn(mu0) * y0, fn(mu) * y)
+
+    # -- semigroup and shifted solves --------------------------------------
 
     def semigroup_apply(self, t, f: SpectralField) -> SpectralField:
         """exp(-tA) applied to the constrained part of f."""
         if t < 0:
             raise DomainError(f"semigroup time must be >= 0, got {t}")
-        vec = self._vecs(self.constrain(f).coeffs)
-        mu, V = self._decomposition
-        out = np.empty_like(vec)
-        out[0] = np.exp(-t * self._lam_flat[0]) * vec[0]
-        y = np.einsum("kir,ki->kr", V, vec[1:])
-        y *= np.exp(-t * mu)
-        out[1:] = np.einsum("kir,kr->ki", V, y)
-        return SpectralField(self.grid, self._unvecs(out))
-
-    # -- eigenbasis coordinates (for Duhamel integrals and implicit steps) --
-
-    def eigenvalues_split(self):
-        """(k=0 diagonal eigenvalues, stacked k != 0 eigenvalues) arrays."""
-        mu, _ = self._decomposition
-        return self._lam_flat[0], mu
-
-    def to_eigen(self, f: SpectralField):
-        """Coordinates of the constrained part of f in the A-eigenbasis."""
-        vec = self._vecs(self.constrain(f).coeffs)
-        _, V = self._decomposition
-        return vec[0].copy(), np.einsum("kir,ki->kr", V, vec[1:])
-
-    def from_eigen(self, y0, y) -> SpectralField:
-        _, V = self._decomposition
-        vec = np.empty((self.grid.nx * self.grid.ny, 2 * self.grid.nz), complex)
-        vec[0] = y0
-        vec[1:] = np.einsum("kir,kr->ki", V, y)
-        return SpectralField(self.grid, self._unvecs(vec))
+        return self._spectral_map(lambda mu: np.exp(-t * mu), f)
 
     def solve_shifted(self, c, f: SpectralField) -> SpectralField:
         """(I + c A)^{-1} f for c > -1/max eigenvalue (f projected internally)."""
-        mu0, mu = self.eigenvalues_split()
-        y0, y = self.to_eigen(f)
-        return self.from_eigen(y0 / (1 + c * mu0), y / (1 + c * mu))
+        return self._spectral_map(lambda mu: 1 / (1 + c * mu), f)
 
     # -- resolvent ---------------------------------------------------------
 
@@ -284,34 +261,30 @@ class StokesOperator:
             raise SingularResolventError(
                 f"lambda = {lam} lies in (or within rounding of) the spectrum"
             )
-        fc = self.constrain(f)
-        vec = self._vecs(fc.coeffs)
-        mu, V = self._decomposition
-        out = np.empty_like(vec)
-        out[0] = vec[0] / (lam + self._lam_flat[0])
-        y = np.einsum("kir,ki->kr", V, vec[1:])
-        y /= lam + mu
-        out[1:] = np.einsum("kir,kr->ki", V, y)
+        v = self._spectral_map(lambda mu: 1 / (lam + mu), f)
         # pressure from the momentum residual: r = P f - (lam + Lambda) v is
-        # parallel to the constraint normal, whose fold has column 4 pi i n
-        resid = vec[1:] - (lam + self._lam_flat[1:]) * out[1:]
-        n = self._nvecs
-        n2 = np.einsum("ki,ki->k", n, n)
-        pihat_flat = np.zeros(g.nx * g.ny, complex)
-        pihat_flat[1:] = np.einsum("ki,ki->k", n, resid) / (4j * np.pi * n2)
-        pi = SurfacePressure(g, pihat_flat.reshape(g.nx, g.ny))
-        return SpectralField(g, self._unvecs(out)), pi
+        # parallel to the constraint normal n = k (x) a, whose fold has
+        # column 4 pi i n
+        r = self.constrain(f).coeffs - (lam + g.laplace_symbol) * v.coeffs
+        a = g.avg_factor
+        kx = g.kx[:, None].astype(float)
+        ky = g.ky[None, :].astype(float)
+        n2 = (kx**2 + ky**2) * (a @ a)
+        n2[0, 0] = 1.0  # k = 0 carries no pressure
+        pihat = (kx * (r[0] @ a) + ky * (r[1] @ a)) / (4j * np.pi * n2)
+        return v, SurfacePressure(g, pihat)
 
     # -- reports -----------------------------------------------------------
 
     def spectrum(self) -> SpectrumReport:
+        """Eigenvalues per wavenumber, ascending at each k != 0."""
         g = self.grid
-        mu, _ = self._decomposition
-        entries = [((0, 0), self._lam_flat[0].copy())]
-        kxg = np.repeat(g.kx, g.ny)
-        kyg = np.tile(g.ky, g.nx)
-        for row in range(mu.shape[0]):
-            entries.append(((int(kxg[row + 1]), int(kyg[row + 1])), mu[row].copy()))
+        mu0, mu = self._eigenvalues
+        kxg = np.repeat(g.kx, g.ny)[1:]
+        kyg = np.tile(g.ky, g.nx)[1:]
+        entries = [((0, 0), mu0.copy())]
+        entries += [((int(kx), int(ky)), row)
+                    for kx, ky, row in zip(kxg, kyg, np.sort(mu, axis=1))]
         return SpectrumReport(beta=self.beta, entries=tuple(entries))
 
     def sector_sweep(self, eps, lambdas=None) -> SectorSweepReport:

@@ -71,6 +71,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "line 4" in err and "sample_every" in err
 
+    @pytest.mark.parametrize("dt, t_end", [("0.3", "1"), ("0.5", "0.1")])
+    def test_step_not_dividing_end_time_exits_one(self, tmp_path, capsys, dt, t_end):
+        ledger = tmp_path / "run.csv"
+        cfg = write_config(
+            tmp_path,
+            SMALL_GRID + f"dt = {dt}\nt_end = {t_end}\n"
+            + f"out_ledger = {ledger}\nout_report = {tmp_path/'r.json'}\n",
+        )
+        assert main(["run", "--config", cfg]) == 1
+        assert "does not divide" in capsys.readouterr().err
+        assert not ledger.exists()
+
     def test_picard_scheme_exits_one(self, tmp_path, capsys):
         ledger = tmp_path / "run.csv"
         cfg = write_config(

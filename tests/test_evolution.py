@@ -53,6 +53,16 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             ImexConfig(dt=1e-3, t_end=1.0, order=3)
 
+    def test_sample_every_below_one_rejected(self, grid8, op8):
+        a = eigenmode(grid8, (1, 0), 0, amplitude=1e-3)
+        with pytest.raises(ConfigurationError, match="sample_every"):
+            imex_run(a, None, ImexConfig(dt=1e-3, t_end=0.01, sample_every=0), op8)
+
+    @pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (0.5, 0.1)])
+    def test_step_must_divide_end_time(self, dt, t_end):
+        with pytest.raises(ConfigurationError, match="does not divide"):
+            ImexConfig(dt=dt, t_end=t_end)
+
     def test_ledger_requires_increasing_times(self, grid8):
         led = TrajectoryLedger(grid8)
         led.append(0.0, None, 1.0, 1.0, 0.0, 0.0)

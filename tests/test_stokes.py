@@ -5,8 +5,6 @@ oracle built from scratch with scipy (quadrature for the average factors,
 null_space for the constraint manifold, eigvalsh for the reduced block).
 """
 
-import os
-
 import numpy as np
 import pytest
 import scipy.integrate
@@ -26,7 +24,6 @@ from hydropde.stokes import (
     assemble_block,
     eigenmode,
     eigenmode_eigenvalue,
-    thread_limit,
 )
 
 
@@ -74,20 +71,28 @@ class TestBlocks:
         g = grid16
         kxg = np.repeat(g.kx, g.ny)
         kyg = np.tile(g.ky, g.nx)
-        mu, V = op16._decomposition
+        _, mu = op16.eigenvalues_split()
         for row in (0, 5, 100, mu.shape[0] - 1):
+            ix, iy = divmod(row + 1, g.ny)
             k = (int(kxg[row + 1]), int(kyg[row + 1]))
             ref = assemble_block(g, k)
             assert np.max(np.abs(np.sort(mu[row]) - np.sort(ref.eigenvalues))) < 1e-10
-            # V columns are orthonormal eigenvectors of the constrained
-            # operator Pi Lambda Pi, with Pi the projection off the normal n
+            # the images of unit eigen-coordinates are orthonormal
+            # eigenvectors of the constrained operator Pi Lambda Pi, with Pi
+            # the projection off the normal n
+            V = np.empty((2 * g.nz, mu.shape[1]))
+            for j in range(mu.shape[1]):
+                y = np.zeros(mu.shape, complex)
+                y[row, j] = 1.0
+                c = op16.from_eigen(np.zeros(2 * g.nz), y).coeffs
+                V[:, j] = c[:, ix, iy, :].reshape(-1).real
             lam = np.tile(4 * np.pi**2 * (k[0] ** 2 + k[1] ** 2) + g.lam**2, 2)
-            n = op16._nvecs[row]
-            av = lam[:, None] * V[row]
+            n = np.concatenate([k[0] * g.avg_factor, k[1] * g.avg_factor])
+            av = lam[:, None] * V
             av -= np.outer(n, (n @ av) / (n @ n))
-            res = av - V[row] * mu[row][None, :]
+            res = av - V * mu[row][None, :]
             assert np.max(np.abs(res)) < 1e-8 * lam.max()
-            gram = V[row].T @ V[row]
+            gram = V.T @ V
             assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
 
 
@@ -301,21 +306,9 @@ class TestSmoothing:
 
 
 class TestThreading:
-    def test_thread_limit_parsing(self, monkeypatch):
-        monkeypatch.delenv("PE_THREADS", raising=False)
-        assert thread_limit() == 1
-        monkeypatch.setenv("PE_THREADS", "4")
-        assert thread_limit() == 4
-        monkeypatch.setenv("PE_THREADS", "garbage")
-        assert thread_limit() == 1
-        monkeypatch.setenv("PE_THREADS", "0")
-        assert thread_limit() == 1
-
     def test_results_independent_of_thread_count(self, grid16, monkeypatch):
         monkeypatch.setenv("PE_THREADS", "2")
-        op2 = StokesOperator(grid16)
-        mu2, _ = op2._decomposition
+        _, mu2 = StokesOperator(grid16).eigenvalues_split()
         monkeypatch.setenv("PE_THREADS", "1")
-        op1 = StokesOperator(grid16)
-        mu1, _ = op1._decomposition
+        _, mu1 = StokesOperator(grid16).eigenvalues_split()
         assert np.max(np.abs(np.sort(mu1, axis=1) - np.sort(mu2, axis=1))) < 1e-10
