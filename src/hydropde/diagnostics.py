@@ -91,7 +91,7 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> EstimateRecord:
     vz2 = float(g.h / 2 * np.sum((g.lam**2)[None, None, None] * np.abs(state.coeffs) ** 2))
     tilde4 = lp_norm(PhysicalField(g, tilde_values(state)), 4) ** 4
     grad_pi = float(np.sum(g.k2 * np.abs(pi.coeffs) ** 2)) if pi is not None else 0.0
-    vz3 = lp_norm(synthesize(g, state.coeffs, -g.lam[:, None] * g.sin_table), 3) ** 3
+    vz3 = lp_norm(synthesize(g, state.coeffs, g.dz_table), 3) ** 3
     return EstimateRecord(
         t=float(t),
         e2=l2_norm(state) ** 2,

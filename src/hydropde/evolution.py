@@ -28,7 +28,7 @@ from .fields import (
     zeros_spectral,
 )
 from .grid import Grid
-from .nonlinear import F, NonlinearWorkspace
+from .nonlinear import F
 from .stokes import StokesOperator, eigenmode
 
 
@@ -251,7 +251,6 @@ def picard_solve(a: SpectralField, f_ext: ForcingSpec | None, cfg: PicardConfig,
     for i in range(cfg.nodes - 1):
         v0.append(decay * v0[-1] + dt * (pa * fcat[i] + pb * fcat[i + 1]))
 
-    ws = NonlinearWorkspace(g)
     s = 2 * cfg.gamma
 
     def k_of(traj):
@@ -269,7 +268,7 @@ def picard_solve(a: SpectralField, f_ext: ForcingSpec | None, cfg: PicardConfig,
         if converged or diverged:
             break
         iterations += 1
-        G = [_eig_flat(op, F(_uneig_flat(op, y), ws)) for y in vm]
+        G = [_eig_flat(op, F(_uneig_flat(op, y))) for y in vm]
         integral = np.zeros_like(acat)
         vnew = [v0[0]]
         for i in range(cfg.nodes - 1):
@@ -290,15 +289,18 @@ def picard_solve(a: SpectralField, f_ext: ForcingSpec | None, cfg: PicardConfig,
 
     ledger = TrajectoryLedger(g)
     d2_int = 0.0
-    prev_d2 = None
-    for t, y in zip(times, vm):
+    fwork_int = 0.0
+    prev = None
+    for t, y, f in zip(times, vm, fcat):
         state = _uneig_flat(op, y)
         e2 = l2_norm(state) ** 2
         d2 = grad_norm(state) ** 2
-        if prev_d2 is not None:
-            d2_int += dt * 0.5 * (prev_d2 + d2)
-        ledger.append(t, state, e2, d2, d2_int, 0.0)
-        prev_d2 = d2
+        fw = h2 * float(np.sum((np.conj(f) * y).real))
+        if prev is not None:
+            d2_int += dt * 0.5 * (prev[0] + d2)
+            fwork_int += dt * 0.5 * (prev[1] + fw)
+        ledger.append(t, state, e2, d2, d2_int, fwork_int)
+        prev = d2, fw
     report = PicardReport(converged, diverged, iterations,
                           tuple(k_hist), tuple(change_hist), cfg.gamma)
     return ledger, report
@@ -308,10 +310,10 @@ def picard_solve(a: SpectralField, f_ext: ForcingSpec | None, cfg: PicardConfig,
 
 
 def imex_step(v, f_prev, t, cfg: ImexConfig, op: StokesOperator,
-              ws: NonlinearWorkspace, forcing: ForcingSpec | None, first: bool):
+              forcing: ForcingSpec | None, first: bool):
     """One IMEX step from time t; returns (v_next, F(v)) for reuse."""
     dt = cfg.dt
-    fn = F(v, ws) if cfg.nonlinear else zeros_spectral(v.grid)
+    fn = F(v) if cfg.nonlinear else zeros_spectral(v.grid)
     have_f = not _is_zero_forcing(forcing)
     if cfg.order == 1 or first:
         rhs = v + dt * fn
@@ -342,7 +344,6 @@ def imex_run(a: SpectralField, f_ext: ForcingSpec | None, cfg: ImexConfig,
 
     # march in the A-eigenbasis: the implicit solve is a diagonal division
     # and the energy norms are plain weighted sums of the coordinates
-    ws = NonlinearWorkspace(g)
     ledger = TrajectoryLedger(g)
     h2 = g.h / 2
     dt = cfg.dt
@@ -369,7 +370,7 @@ def imex_run(a: SpectralField, f_ext: ForcingSpec | None, cfg: ImexConfig,
         for n in range(nsteps):
             t = n * dt
             fn, fnext = fnext, f_eig(t + dt)
-            gn = _eig_flat(op, F(_uneig_flat(op, y), ws)) if cfg.nonlinear else 0.0
+            gn = _eig_flat(op, F(_uneig_flat(op, y))) if cfg.nonlinear else 0.0
             if cfg.order == 1 or n == 0:
                 y = (y + dt * gn + dt * fnext) / (1 + dt * mu)
             else:

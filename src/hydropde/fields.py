@@ -25,7 +25,7 @@ from .errors import ConfigurationError, DomainError
 from .grid import Grid
 
 
-def _check_shape(grid, array, tail, what):
+def _check_shape(array, tail, what):
     expected = array.shape[1:] if array.ndim == len(tail) + 1 else None
     if array.ndim != len(tail) + 1 or expected != tail:
         raise ConfigurationError(
@@ -35,7 +35,6 @@ def _check_shape(grid, array, tail, what):
         raise ConfigurationError(
             f"{what}: component count must be 1 or 2, got {array.shape[0]}"
         )
-    _ = grid
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class SpectralField:
 
     def __post_init__(self):
         g = self.grid
-        _check_shape(g, self.coeffs, (g.nx, g.ny, g.nz), "SpectralField")
+        _check_shape(self.coeffs, (g.nx, g.ny, g.nz), "SpectralField")
         if not np.iscomplexobj(self.coeffs):
             object.__setattr__(self, "coeffs", self.coeffs.astype(complex))
 
@@ -84,7 +83,7 @@ class PhysicalField:
 
     def __post_init__(self):
         g = self.grid
-        _check_shape(g, self.values, (g.nx, g.ny, g.nzq), "PhysicalField")
+        _check_shape(self.values, (g.nx, g.ny, g.nzq), "PhysicalField")
 
     @property
     def components(self):
@@ -113,7 +112,7 @@ class AveragedField:
 
     def __post_init__(self):
         g = self.grid
-        _check_shape(g, self.coeffs, (g.nx, g.ny), "AveragedField")
+        _check_shape(self.coeffs, (g.nx, g.ny), "AveragedField")
         if not np.iscomplexobj(self.coeffs):
             object.__setattr__(self, "coeffs", self.coeffs.astype(complex))
 
@@ -160,11 +159,14 @@ def synthesize(grid, coeffs, table) -> PhysicalField:
     """Values at the collocation nodes of coefficients (comp, kx, ky, m).
 
     table maps the modes to the nodes, shape (nz, nzq): cos_table for the
-    field itself, a sine table for its z-derivative or antiderivative.  The
-    vertical table is applied first, then the inverse horizontal FFT.
+    field itself, dz_table for its z-derivative, w_table for its integral
+    from z to 0.  The inverse horizontal FFT runs first, on the nz mode
+    planes, and the real table is applied to its real part; applying the
+    table first would transform all nzq node planes in complex arithmetic.
+    This is the only spectral-to-physical transform.
     """
-    vals = np.fft.ifft2(coeffs @ table, axes=(1, 2), norm="forward")
-    return PhysicalField(grid, np.ascontiguousarray(vals.real))
+    planes = np.fft.ifft2(coeffs, axes=(1, 2), norm="forward").real
+    return PhysicalField(grid, planes @ table)
 
 
 def to_physical(f: SpectralField) -> PhysicalField:
@@ -172,17 +174,15 @@ def to_physical(f: SpectralField) -> PhysicalField:
 
 
 def to_spectral(g: PhysicalField) -> SpectralField:
-    node_coeffs = np.fft.fft2(g.values, axes=(1, 2), norm="forward")
-    coeffs = _vertical_to_modes_complex(g.grid, node_coeffs)
-    return SpectralField(g.grid, coeffs)
+    """Cosine-Fourier coefficients of collocation values.
 
-
-def _vertical_to_modes_complex(grid, node_coeffs):
-    if np.iscomplexobj(node_coeffs):
-        re = grid.vertical_to_modes(node_coeffs.real)
-        im = grid.vertical_to_modes(node_coeffs.imag)
-        return re + 1j * im
-    return grid.vertical_to_modes(node_coeffs).astype(complex)
+    The inverse of synthesize with cos_table: the real node values are
+    projected onto the vertical modes first (Grid.vertical_to_modes), then
+    the forward horizontal FFT runs on the nz mode planes.  This is the only
+    physical-to-spectral transform.
+    """
+    modes = g.grid.vertical_to_modes(g.values)
+    return SpectralField(g.grid, np.fft.fft2(modes, axes=(1, 2), norm="forward"))
 
 
 def hermitize(f: SpectralField) -> SpectralField:
@@ -246,7 +246,7 @@ def diagnostic_w(v: SpectralField) -> PhysicalField:
     if v.components != 2:
         raise ConfigurationError("diagnostic_w needs a 2-component velocity")
     divc = _horizontal_divergence_coeffs(v)
-    return synthesize(g, -divc[None], g.sin_table / g.lam[:, None])
+    return synthesize(g, divc[None], g.w_table)
 
 
 def diagnostic_w_bottom(v: SpectralField) -> AveragedField:
@@ -261,8 +261,7 @@ def diagnostic_w_bottom(v: SpectralField) -> AveragedField:
 def averaged_to_physical(f: AveragedField) -> PhysicalField:
     """Broadcast a z-independent field onto the 3D collocation grid."""
     g = f.grid
-    vals = np.fft.ifft2(f.coeffs, axes=(1, 2), norm="forward").real
-    return PhysicalField(g, np.broadcast_to(vals[..., None], vals.shape + (g.nzq,)).copy())
+    return synthesize(g, f.coeffs[..., None], np.ones((1, g.nzq)))
 
 
 def _horizontal_divergence_coeffs(v):

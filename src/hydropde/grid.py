@@ -95,6 +95,16 @@ class Grid:
         return np.sin(np.outer(self.lam, self.zq))
 
     @cached_property
+    def dz_table(self):
+        """dz phi_m at the nodes, -lam_m sin(lam_m z_q), shape (nz, nzq)."""
+        return -self.lam[:, None] * self.sin_table
+
+    @cached_property
+    def w_table(self):
+        """int_z^0 phi_m at the nodes, -sin(lam_m z_q) / lam_m, shape (nz, nzq)."""
+        return -self.sin_table / self.lam[:, None]
+
+    @cached_property
     def avg_factor(self):
         """(1/h) * int_{-h}^0 phi_m dz = (-1)^m / (lam_m h), shape (nz,)."""
         signs = np.where(np.arange(self.nz) % 2 == 0, 1.0, -1.0)
@@ -134,10 +144,6 @@ class Grid:
     @cached_property
     def xg(self):
         return np.arange(self.nx) / self.nx
-
-    @cached_property
-    def yg(self):
-        return np.arange(self.ny) / self.ny
 
     # -- dealiasing ------------------------------------------------------
 

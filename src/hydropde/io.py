@@ -17,6 +17,7 @@ exactly the floats written.
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -117,8 +118,9 @@ def read_ledger_csv(path):
     """Columns of a ledger CSV as {name: list of floats}.
 
     The reader is name-based: every column of LEDGER_COLUMNS must be
-    present, others are kept.  A malformed file raises ConfigurationError
-    naming the file and the line.
+    present, others are kept.  A malformed file, or a NaN cell, raises
+    ConfigurationError naming the file and the line; inf is accepted, since
+    the ledger of a blow-up may hold overflowed values.
     """
     with open(path, newline="") as fh:
         first = fh.readline().rstrip("\n")
@@ -137,10 +139,13 @@ def read_ledger_csv(path):
                     f"{path}: line {lineno}: {len(row)} cells, header has {len(names)}")
             for n, x in zip(names, row):
                 try:
-                    cols[n].append(float(x))
+                    val = float(x)
                 except ValueError:
                     raise ConfigurationError(
                         f"{path}: line {lineno}: column {n} is not a number: {x!r}")
+                if math.isnan(val):
+                    raise ConfigurationError(f"{path}: line {lineno}: column {n} is NaN")
+                cols[n].append(val)
     if not cols["t"]:
         raise ConfigurationError(f"{path}: no sample rows after the header")
     return cols

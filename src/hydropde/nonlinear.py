@@ -13,81 +13,61 @@ the basis: dz cos(lam_m z) = -lam_m sin(lam_m z), tabulated at the nodes.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import SpectralField, l2_norm, random_spectral, sobolev_norm
+from .fields import (
+    PhysicalField,
+    SpectralField,
+    l2_norm,
+    random_spectral,
+    sobolev_norm,
+    synthesize,
+    to_spectral,
+)
 from .grid import Grid
 from .projection import constrain
 
 
 @dataclass(frozen=True)
 class NonlinearWorkspace:
-    """Per-grid tables for the pseudospectral product (not thread-shareable)."""
+    """Holds only the grid; advect and F accept one and ignore it.
+
+    The vertical tables are on Grid (cos_table, dz_table, w_table).  The
+    class is kept because perfbench/child.py's sweep builds one and calls
+    F(a, ws); it and the ws arguments go once that caller stops.
+    """
 
     grid: Grid
 
-    @cached_property
-    def mask(self):
-        return self.grid.dealias_mask
-
-    @cached_property
-    def dz_table(self):
-        # dz phi_m at nodes: -lam_m sin(lam_m z_q)
-        return -self.grid.lam[:, None] * self.grid.sin_table
-
-    @cached_property
-    def w_table(self):
-        # int_z^0 phi_m: -sin(lam_m z_q) / lam_m
-        return -self.grid.sin_table / self.grid.lam[:, None]
-
-
-def _phys(grid, node_coeffs):
-    return np.fft.ifft2(node_coeffs, axes=(-3, -2), norm="forward").real
-
 
 def advect(v: SpectralField, v_adv: SpectralField, ws: NonlinearWorkspace | None = None) -> SpectralField:
-    """Unprojected transport term v_adv . grad_H v + w(v_adv) dz v."""
+    """Unprojected transport term v_adv . grad_H v + w(v_adv) dz v (ws is ignored)."""
     g = v.grid
     if v.grid != v_adv.grid:
         raise ConfigurationError("advect operands live on different grids")
     if v.components != 2 or v_adv.components != 2:
         raise ConfigurationError("advect needs 2-component velocities")
-    ws = ws or NonlinearWorkspace(g)
-    cv = v.coeffs * ws.mask
-    ca = v_adv.coeffs * ws.mask
+    mask = g.dealias_mask
+    cv = v.coeffs * mask
+    ca = v_adv.coeffs * mask
 
     kx = g.kx[:, None, None]
     ky = g.ky[None, :, None]
     C = g.cos_table
-
-    # one batched inverse FFT over the (small) mode axis, then real matmuls
-    # to the quadrature nodes: advecting velocity (2), grad_H v (4),
-    # dz v (2), w antiderivative coefficients (1)
-    stack = np.empty((9, g.nx, g.ny, g.nz), complex)
-    stack[0:2] = ca
-    stack[2:4] = 2j * np.pi * kx * cv
-    stack[4:6] = 2j * np.pi * ky * cv
-    stack[6:8] = cv
-    stack[8] = 2j * np.pi * (kx * ca[0] + ky * ca[1])
-    ph = _phys(g, stack)
-
-    va = ph[0:2] @ C
-    dxv = ph[2:4] @ C
-    dyv = ph[4:6] @ C
-    dzv = ph[6:8] @ ws.dz_table
-    w = ph[8] @ ws.w_table
+    va = synthesize(g, ca, C).values
+    dxv = synthesize(g, 2j * np.pi * kx * cv, C).values
+    dyv = synthesize(g, 2j * np.pi * ky * cv, C).values
+    dzv = synthesize(g, cv, g.dz_table).values
+    w = synthesize(g, 2j * np.pi * (kx * ca[0] + ky * ca[1])[None], g.w_table).values[0]
     prod = va[0] * dxv + va[1] * dyv + w * dzv
-    modes = g.vertical_to_modes(prod)
-    out = np.fft.fft2(modes, axes=(1, 2), norm="forward")
-    return SpectralField(g, out * ws.mask)
+    return SpectralField(g, to_spectral(PhysicalField(g, prod)).coeffs * mask)
 
 
 def F(v: SpectralField, ws: NonlinearWorkspace | None = None) -> SpectralField:
-    """Constrained nonlinearity -P(v . grad_H v + w dz v)."""
-    return -constrain(advect(v, v, ws))
+    """Constrained nonlinearity -P(v . grad_H v + w dz v) (ws is ignored)."""
+    return -constrain(advect(v, v))
 
 
 @dataclass(frozen=True)
@@ -105,16 +85,15 @@ def bilinear_estimate_probe(grid: Grid, samples=20, seed=0, kmax=3, mmax=3) -> B
     refined grids probe the same family of fields and stay comparable.
     """
     rng = np.random.default_rng(seed)
-    ws = NonlinearWorkspace(grid)
     ratios = []
     lip = []
     prev = None
     for _ in range(samples):
         v = constrain(random_spectral(grid, 2, rng, kmax=kmax, mmax=mmax))
         nv = sobolev_norm(v, 1.5)
-        ratios.append(l2_norm(F(v, ws)) / nv**2)
+        ratios.append(l2_norm(F(v)) / nv**2)
         if prev is not None:
-            diff = l2_norm(F(v, ws) - F(prev, ws))
+            diff = l2_norm(F(v) - F(prev))
             denom = (sobolev_norm(v, 1.5) + sobolev_norm(prev, 1.5)) * sobolev_norm(v - prev, 1.5)
             lip.append(diff / denom)
         prev = v

@@ -45,10 +45,6 @@ class SurfacePressure:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
 
-def zero_mean_channel(grid, components=2) -> AveragedField:
-    return AveragedField(grid, np.zeros((components, grid.nx, grid.ny), complex))
-
-
 def solve_surface_poisson(f: AveragedField) -> SurfacePressure:
     """Solve Delta_H pi = div_H f on G with zero mean.
 

@@ -138,6 +138,21 @@ class TestPicard:
         assert main(["picard", "--config", cfg]) == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_forced_energy_ledger_closes(self, tmp_path):
+        # the forcing work <Pf, v> enters the budget: a forced run closes it
+        # about as well as its unforced twin
+        base = SMALL_GRID + "t_end = 0.05\nic = random-band\namplitude = 1e-3\n"
+        residual = {}
+        forced = "forcing = single-mode\nforcing_amplitude = 1\n"
+        for tag, forcing in (("free", ""), ("forced", forced)):
+            report = tmp_path / f"{tag}.json"
+            outputs = f"out_ledger = {tmp_path/tag}.csv\nout_report = {report}\n"
+            cfg = write_config(tmp_path, base + forcing + outputs, f"{tag}.cfg")
+            assert main(["picard", "--config", cfg]) == 0
+            residual[tag] = json.loads(report.read_text())["energy_residual_relative"]
+        assert read_ledger_csv(tmp_path / "forced.csv")["fwork_int"][-1] > 0
+        assert residual["forced"] <= 1.5 * residual["free"]
+
 
 class TestSpectrum:
     def test_prints_beta_and_writes_csv(self, tmp_path, capsys):
@@ -220,7 +235,7 @@ class TestDiagnose:
 
     @pytest.mark.parametrize("case, line", [
         ("header-only", None), ("missing-column", "line 2"), ("non-numeric", "line 3"),
-        ("short-row", "line 3"),
+        ("short-row", "line 3"), ("nan-cell", "line 3"),
     ])
     def test_bad_ledger_exits_one(self, tmp_path, capsys, case, line):
         names = list(LEDGER_COLUMNS)
@@ -230,6 +245,8 @@ class TestDiagnose:
             cells.pop()
         elif case == "non-numeric":
             cells[3] = "n/a"
+        elif case == "nan-cell":
+            cells[3] = "nan"
         elif case == "short-row":
             cells.pop()
         rows = [LEDGER_VERSION_LINE, ",".join(names)]

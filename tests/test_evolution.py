@@ -7,7 +7,6 @@ from hydropde.errors import ConfigurationError, NanAbort
 from hydropde.evolution import (
     ForcingSpec,
     ImexConfig,
-    NonlinearWorkspace,
     PicardConfig,
     TrajectoryLedger,
     forcing_eval,
@@ -198,11 +197,10 @@ class TestImex:
         a = small_data(grid8, amplitude=0.1)
         cfg = ImexConfig(dt=1e-3, t_end=5e-3, sample_every=1)
         led = imex_run(a, None, cfg, op8)
-        ws = NonlinearWorkspace(grid8)
         v = op8.constrain(a)
         f_prev = None
         for n in range(5):
-            v, f_prev = imex_step(v, f_prev, n * cfg.dt, cfg, op8, ws, None, n == 0)
+            v, f_prev = imex_step(v, f_prev, n * cfg.dt, cfg, op8, None, n == 0)
         assert l2_norm(v - led.states[-1]) < 1e-12 * l2_norm(v)
 
     def test_energy_dissipates_without_forcing(self, grid8, op8, rng):

@@ -121,6 +121,18 @@ class TestLedgerCsv:
         write_ledger_csv(p2, ledger_columns(led, recs, split))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_nan_cell_rejected_inf_accepted(self, short_ledger, tmp_path):
+        led, recs, split = short_ledger
+        columns = ledger_columns(led, recs, split)
+        columns["bar_residual"][-1] = float("inf")
+        p = tmp_path / "run.csv"
+        write_ledger_csv(p, columns)
+        assert read_ledger_csv(p)["bar_residual"][-1] == float("inf")
+        columns["d2_int"][0] = float("nan")
+        write_ledger_csv(p, columns)
+        with pytest.raises(ConfigurationError, match="line 3: column d2_int"):
+            read_ledger_csv(p)
+
     def test_missing_version_line(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("t,e2\n0.0,1.0\n")

@@ -2,14 +2,25 @@
 
 The eigen-coordinates of the Stokes operator and the vertical transform are
 checked against the projection, the operator's direct application, the dense
-per-wavenumber oracle and the vertical synthesis of to_physical.
+per-wavenumber oracle and the vertical synthesis of to_physical.  The
+transform pair (synthesize, to_spectral) is checked against the direct sum
+of the basis functions at the collocation nodes.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydropde.fields import l2_norm, random_spectral
+from hydropde.fields import (
+    AveragedField,
+    SpectralField,
+    averaged_to_physical,
+    l2_norm,
+    random_spectral,
+    synthesize,
+    to_physical,
+    to_spectral,
+)
 from hydropde.grid import Grid
 from hydropde.projection import constrain
 from hydropde.stokes import StokesOperator, assemble_block
@@ -23,6 +34,7 @@ grids = st.builds(
     dealias_fraction=st.just(1.0),
 )
 seeds = st.integers(0, 2**32 - 1)
+components = st.sampled_from([1, 2])
 few = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 
 
@@ -68,3 +80,46 @@ def test_vertical_to_modes_inverts_synthesis(grid, seed):
     c = np.random.default_rng(seed).standard_normal((3, grid.nz))
     back = grid.vertical_to_modes(c @ grid.cos_table)
     assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
+
+
+def random_coeffs(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def horizontal_sum(grid, c):
+    """Re sum_k c[..., kx, ky, :] exp(2 pi i k.x) at the nodes, by direct sums."""
+    ex = np.exp(2j * np.pi * np.outer(np.arange(grid.nx) / grid.nx, grid.kx))
+    ey = np.exp(2j * np.pi * np.outer(np.arange(grid.ny) / grid.ny, grid.ky))
+    return np.einsum("ik,jl,ckl...->cij...", ex, ey, c).real
+
+
+@few
+@given(grids, components, seeds)
+def test_synthesis_is_the_direct_sum(grid, comps, seed):
+    c = random_coeffs((comps, grid.nx, grid.ny, grid.nz), seed)
+    lz = np.outer(grid.lam, grid.zq)
+    tol = 1e-12 * np.sum(np.abs(c))
+    phi = horizontal_sum(grid, c @ np.cos(lz))
+    assert np.max(np.abs(to_physical(SpectralField(grid, c)).values - phi)) <= tol
+    dz_phi = horizontal_sum(grid, c @ (-grid.lam[:, None] * np.sin(lz)))
+    assert np.max(np.abs(synthesize(grid, c, grid.dz_table).values - dz_phi)) <= tol
+
+
+@few
+@given(grids, components, seeds)
+def test_averaged_synthesis_is_the_broadcast_sum(grid, comps, seed):
+    c = random_coeffs((comps, grid.nx, grid.ny), seed)
+    plane = horizontal_sum(grid, c)
+    got = averaged_to_physical(AveragedField(grid, c)).values
+    assert got.shape == plane.shape + (grid.nzq,)
+    assert np.max(np.abs(got - plane[..., None])) <= 1e-12 * np.sum(np.abs(c))
+
+
+@few
+@given(grids, components, seeds)
+def test_to_spectral_inverts_to_physical(grid, comps, seed):
+    f = random_spectral(grid, comps, np.random.default_rng(seed),
+                        kmax=grid.nx // 2, mmax=grid.nz)
+    back = to_spectral(to_physical(f))
+    assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
