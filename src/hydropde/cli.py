@@ -25,6 +25,7 @@ from .evolution import (
     picard_solve,
 )
 from .fields import l2_norm
+from .grid import Grid
 from .io import (
     ledger_columns,
     read_ledger_csv,
@@ -131,8 +132,6 @@ def cmd_picard(args):
 
 
 def _grid_from_args(args):
-    from .grid import Grid
-
     return Grid(args.nx, args.ny, args.nz, args.h)
 
 

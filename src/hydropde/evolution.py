@@ -205,10 +205,8 @@ def _eig_flat(op, f):
 
 
 def _uneig_flat(op, ycat):
-    g = op.grid
-    n0 = 2 * g.nz
-    nk = g.nx * g.ny - 1
-    return op.from_eigen(ycat[:n0], ycat[n0:].reshape(nk, 2 * g.nz - 1))
+    n0 = 2 * op.grid.nz
+    return op.from_eigen(ycat[:n0], ycat[n0:].reshape(-1, n0 - 1))
 
 
 def _mu_flat(op):

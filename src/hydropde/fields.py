@@ -6,10 +6,13 @@ Three containers share a Grid:
   PhysicalField  real values over (component, x_i, y_j, z_q)
   AveragedField  complex coefficients over (component, kx, ky), z-independent
 
-The horizontal transform is the standard FFT with forward normalization, so
-a coefficient c at wavenumber k multiplies exp(2*pi*i*k.x) directly.  The
-vertical transform evaluates or projects onto the cosine basis phi_m(z); the
-forward direction goes through a Gram solve so that round trips are exact to
+A coefficient c at wavenumber k multiplies exp(2*pi*i*k.x) directly
+(forward normalization), and the physical field of any c is the real part of
+that sum.  The horizontal transforms are real FFTs over the two contiguous
+last axes of mode-major planes (m, x, y), on the Hermitian ky >= 0 half of
+the spectrum; the ky < 0 half follows from conjugate symmetry.  The vertical
+transform evaluates or projects onto the cosine basis phi_m(z); the forward
+direction goes through a Gram solve so that round trips are exact to
 rounding regardless of quadrature resolution.
 
 Norm conventions: for vector fields the pointwise magnitude is the Euclidean
@@ -26,115 +29,79 @@ from .grid import Grid
 
 
 def _check_shape(array, tail, what):
-    expected = array.shape[1:] if array.ndim == len(tail) + 1 else None
-    if array.ndim != len(tail) + 1 or expected != tail:
+    if array.shape[1:] != tail or array.shape[0] not in (1, 2):
         raise ConfigurationError(
-            f"{what}: expected shape (components,) + {tail}, got {array.shape}"
-        )
-    if array.shape[0] not in (1, 2):
-        raise ConfigurationError(
-            f"{what}: component count must be 1 or 2, got {array.shape[0]}"
+            f"{what}: expected shape (1 or 2 components,) + {tail}, got {array.shape}"
         )
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Coefficient tensor c[comp, kx, ky, m] of sum c exp(2 pi i k.x) phi_m(z)."""
+class _Linear:
+    """Vector-space operations of a field on its one array, named by _array."""
 
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        g = self.grid
-        _check_shape(self.coeffs, (g.nx, g.ny, g.nz), "SpectralField")
-        if not np.iscomplexobj(self.coeffs):
-            object.__setattr__(self, "coeffs", self.coeffs.astype(complex))
+    def _other(self, other):
+        _require_same_grid(self, other, type(self))
+        return getattr(other, self._array)
 
     @property
     def components(self):
-        return self.coeffs.shape[0]
+        return getattr(self, self._array).shape[0]
 
     def __add__(self, other):
-        _require_same_grid(self, other, SpectralField)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return type(self)(self.grid, getattr(self, self._array) + self._other(other))
 
     def __sub__(self, other):
-        _require_same_grid(self, other, SpectralField)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return type(self)(self.grid, getattr(self, self._array) - self._other(other))
 
     def __mul__(self, scalar):
-        return SpectralField(self.grid, self.coeffs * scalar)
+        return type(self)(self.grid, getattr(self, self._array) * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpectralField(self.grid, -self.coeffs)
+        return type(self)(self.grid, -getattr(self, self._array))
+
+
+@dataclass(frozen=True)
+class SpectralField(_Linear):
+    """Coefficient tensor c[comp, kx, ky, m] of sum c exp(2 pi i k.x) phi_m(z)."""
+
+    grid: Grid
+    coeffs: np.ndarray
+    _array = "coeffs"
+
+    def __post_init__(self):
+        _check_shape(self.coeffs, (self.grid.nx, self.grid.ny, self.grid.nz), "SpectralField")
+        if not np.iscomplexobj(self.coeffs):
+            object.__setattr__(self, "coeffs", self.coeffs.astype(complex))
 
     def copy(self):
         return replace(self, coeffs=self.coeffs.copy())
 
 
 @dataclass(frozen=True)
-class PhysicalField:
+class PhysicalField(_Linear):
     """Collocation values f[comp, x_i, y_j, z_q] on the quadrature grid."""
 
     grid: Grid
     values: np.ndarray
+    _array = "values"
 
     def __post_init__(self):
-        g = self.grid
-        _check_shape(self.values, (g.nx, g.ny, g.nzq), "PhysicalField")
-
-    @property
-    def components(self):
-        return self.values.shape[0]
-
-    def __add__(self, other):
-        _require_same_grid(self, other, PhysicalField)
-        return PhysicalField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _require_same_grid(self, other, PhysicalField)
-        return PhysicalField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return PhysicalField(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
+        _check_shape(self.values, (self.grid.nx, self.grid.ny, self.grid.nzq), "PhysicalField")
 
 
 @dataclass(frozen=True)
-class AveragedField:
+class AveragedField(_Linear):
     """z-independent field on G as Fourier coefficients c[comp, kx, ky]."""
 
     grid: Grid
     coeffs: np.ndarray
+    _array = "coeffs"
 
     def __post_init__(self):
-        g = self.grid
-        _check_shape(self.coeffs, (g.nx, g.ny), "AveragedField")
+        _check_shape(self.coeffs, (self.grid.nx, self.grid.ny), "AveragedField")
         if not np.iscomplexobj(self.coeffs):
             object.__setattr__(self, "coeffs", self.coeffs.astype(complex))
-
-    @property
-    def components(self):
-        return self.coeffs.shape[0]
-
-    def __add__(self, other):
-        _require_same_grid(self, other, AveragedField)
-        return AveragedField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _require_same_grid(self, other, AveragedField)
-        return AveragedField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return AveragedField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return AveragedField(self.grid, -self.coeffs)
 
     def l2_norm(self):
         """L^2(G) norm (unit-area horizontal box)."""
@@ -155,18 +122,48 @@ def zeros_spectral(grid, components=2):
 # -- transforms ----------------------------------------------------------
 
 
+def hermitian_half(grid, coeffs, modes):
+    """Hermitian and anti-Hermitian parts of coeffs[..., :modes], ky >= 0 half.
+
+    coeffs is (..., kx, ky, m); the parts (c(k) +- conj(c(-k))) / 2 come back
+    mode-major, (..., m, kx, ky) with ky = 0 .. ny/2.  The Hermitian part is
+    the spectrum of the real field Re(sum c exp(2 pi i k.x)).
+    """
+    (ix, iy), nyh = grid.neg_k, grid.ny // 2 + 1
+    c = np.moveaxis(coeffs[..., :modes], -1, -3)
+    half, rev = c[..., :nyh], np.conj(c[..., ix, iy[:, :nyh]])
+    return 0.5 * (half + rev), 0.5 * (half - rev)
+
+
+def half_to_planes(grid, half):
+    """Real planes (..., m, x_i, y_j) of a Hermitian ky >= 0 half (..., m, kx, ky)."""
+    return np.fft.irfft2(half, s=(grid.nx, grid.ny), norm="forward")
+
+
+def planes_to_coeffs(grid, planes):
+    """Coefficients (..., kx, ky, nz) of real planes (..., m, x_i, y_j), m < nz.
+
+    One rfft2 gives the ky >= 0 half, c(-k) = conj(c(k)) the rest.
+    """
+    half = np.moveaxis(np.fft.rfft2(planes, norm="forward"), -3, -1)
+    (ix, iy), (nyh, m) = grid.neg_k, half.shape[-2:]
+    c = np.zeros(half.shape[:-3] + (grid.nx, grid.ny, grid.nz), complex)
+    c[..., :nyh, :m] = half
+    c[..., nyh:, :m] = np.conj(half[..., ix, iy[:, nyh:], :])
+    return c
+
+
 def synthesize(grid, coeffs, table) -> PhysicalField:
     """Values at the collocation nodes of coefficients (comp, kx, ky, m).
 
-    table maps the modes to the nodes, shape (nz, nzq): cos_table for the
+    table maps the modes to the nodes, shape (modes, nzq): cos_table for the
     field itself, dz_table for its z-derivative, w_table for its integral
-    from z to 0.  The inverse horizontal FFT runs first, on the nz mode
-    planes, and the real table is applied to its real part; applying the
-    table first would transform all nzq node planes in complex arithmetic.
-    This is the only spectral-to-physical transform.
+    from z to 0.  The Hermitian half of the mode planes goes through one
+    irfft2 and the real table is applied to the real planes, so the result
+    is Re(sum c exp(2 pi i k.x) phi_m) for any c.
     """
-    planes = np.fft.ifft2(coeffs, axes=(1, 2), norm="forward").real
-    return PhysicalField(grid, planes @ table)
+    herm, _ = hermitian_half(grid, coeffs, table.shape[0])
+    return PhysicalField(grid, np.tensordot(half_to_planes(grid, herm), table, (1, 0)))
 
 
 def to_physical(f: SpectralField) -> PhysicalField:
@@ -178,11 +175,10 @@ def to_spectral(g: PhysicalField) -> SpectralField:
 
     The inverse of synthesize with cos_table: the real node values are
     projected onto the vertical modes first (Grid.vertical_to_modes), then
-    the forward horizontal FFT runs on the nz mode planes.  This is the only
-    physical-to-spectral transform.
+    one rfft2 runs on the nz mode planes (planes_to_coeffs).
     """
     modes = g.grid.vertical_to_modes(g.values)
-    return SpectralField(g.grid, np.fft.fft2(modes, axes=(1, 2), norm="forward"))
+    return SpectralField(g.grid, planes_to_coeffs(g.grid, np.moveaxis(modes, -1, -3)))
 
 
 def hermitize(f: SpectralField) -> SpectralField:
@@ -191,9 +187,8 @@ def hermitize(f: SpectralField) -> SpectralField:
     Done in coefficient space, c(k) -> (c(k) + conj(c(-k))) / 2, so modes
     outside the support of f stay exactly zero.
     """
-    c = f.coeffs
-    rev = np.conj(np.roll(np.flip(c, axis=(1, 2)), 1, axis=(1, 2)))
-    return SpectralField(f.grid, 0.5 * (c + rev))
+    ix, iy = f.grid.neg_k
+    return SpectralField(f.grid, 0.5 * (f.coeffs + np.conj(f.coeffs[:, ix, iy])))
 
 
 def random_spectral(grid, components, rng, kmax=None, mmax=None, amplitude=1.0):
@@ -252,10 +247,7 @@ def diagnostic_w(v: SpectralField) -> PhysicalField:
 def diagnostic_w_bottom(v: SpectralField) -> AveragedField:
     """w evaluated at z = -h, as a scalar field on G (equals h div_H vbar)."""
     g = v.grid
-    divc = _horizontal_divergence_coeffs(v)
-    signs = np.where(np.arange(g.nz) % 2 == 0, 1.0, -1.0)
-    bottom = divc @ (signs / g.lam)
-    return AveragedField(g, bottom[None, :, :])
+    return AveragedField(g, g.h * (_horizontal_divergence_coeffs(v) @ g.avg_factor)[None])
 
 
 def averaged_to_physical(f: AveragedField) -> PhysicalField:

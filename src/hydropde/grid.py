@@ -90,19 +90,14 @@ class Grid:
         return np.cos(np.outer(self.lam, self.zq))
 
     @cached_property
-    def sin_table(self):
-        """sin(lam_m z_q), shape (nz, nzq)."""
-        return np.sin(np.outer(self.lam, self.zq))
-
-    @cached_property
     def dz_table(self):
         """dz phi_m at the nodes, -lam_m sin(lam_m z_q), shape (nz, nzq)."""
-        return -self.lam[:, None] * self.sin_table
+        return -self.lam[:, None] * np.sin(np.outer(self.lam, self.zq))
 
     @cached_property
     def w_table(self):
         """int_z^0 phi_m at the nodes, -sin(lam_m z_q) / lam_m, shape (nz, nzq)."""
-        return -self.sin_table / self.lam[:, None]
+        return -np.sin(np.outer(self.lam, self.zq)) / self.lam[:, None]
 
     @cached_property
     def avg_factor(self):
@@ -119,9 +114,14 @@ class Grid:
         B = (2.0 / self.h) * C * self.wq
         return np.linalg.solve(B @ C.T, B).T
 
-    def vertical_to_modes(self, values):
-        """Project node values (..., nzq) onto cosine coefficients (..., nz)."""
-        return values @ self._node_to_mode
+    def vertical_to_modes(self, values, modes=None, z_major=False):
+        """Project node values onto the cosine coefficients m < modes (all nz).
+
+        The nodes are the last axis, (..., nzq) -> (..., modes), or with
+        z_major the second to last, (..., nzq, n) -> (..., modes, n).
+        """
+        M = self._node_to_mode[:, :modes]
+        return M.T @ values if z_major else values @ M
 
     # -- horizontal wavenumbers -----------------------------------------
 
@@ -142,10 +142,30 @@ class Grid:
         )
 
     @cached_property
+    def neg_k(self):
+        """Index arrays (ix (nx, 1), iy (1, ny)) of -k: c[..., ix, iy] is c(-k)."""
+        return (-np.arange(self.nx))[:, None] % self.nx, (-np.arange(self.ny))[None, :] % self.ny
+
+    @cached_property
+    def half_ik(self):
+        """2 pi i (kx, ky) on the ky >= 0 half, each split (off, on) its Nyquist line.
+
+        On it k is its own negative: herm(i k c) = i k anti(c) there, i k herm(c) off it.
+        """
+        kx, ky = self.kx[:, None], self.ky[None, : self.ny // 2 + 1]
+        return tuple((2j * np.pi * k * (k != -n // 2), 2j * np.pi * k * (k == -n // 2))
+                     for k, n in ((kx, self.nx), (ky, self.ny)))
+
+    @cached_property
     def xg(self):
         return np.arange(self.nx) / self.nx
 
     # -- dealiasing ------------------------------------------------------
+
+    @cached_property
+    def dealias_modes(self):
+        """mk, the count of vertical modes m < dealias_fraction * nz kept."""
+        return int(np.count_nonzero(np.arange(self.nz) < self.dealias_fraction * self.nz))
 
     @cached_property
     def dealias_mask(self):
@@ -153,7 +173,7 @@ class Grid:
         f = self.dealias_fraction
         keep_x = np.abs(self.kx) <= f * self.nx / 2
         keep_y = np.abs(self.ky) <= f * self.ny / 2
-        keep_m = np.arange(self.nz) < f * self.nz
+        keep_m = np.arange(self.nz) < self.dealias_modes
         return keep_x[:, None, None] & keep_y[None, :, None] & keep_m[None, None, :]
 
     # -- convenience ------------------------------------------------------
@@ -167,17 +187,3 @@ class Grid:
     def sobolev_symbol(self):
         """1 + 4 pi^2 |k|^2 + lam_m^2 over (kx, ky, m)."""
         return 1.0 + self.laplace_symbol
-
-    def __eq__(self, other):
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return (
-            self.nx == other.nx
-            and self.ny == other.ny
-            and self.nz == other.nz
-            and self.h == other.h
-            and self.dealias_fraction == other.dealias_fraction
-        )
-
-    def __hash__(self):
-        return hash((self.nx, self.ny, self.nz, self.h, self.dealias_fraction))

@@ -6,10 +6,13 @@ returns the result as cosine-basis coefficients.  F(v) applies the
 constraint projection with a minus sign, matching the right-hand side of the
 evolution equation.
 
-The diagnostic vertical velocity w is evaluated directly on the physical
-grid from its sine-profile antiderivatives and is never re-expanded in the
-cosine basis (it satisfies different boundary conditions).  dz v is exact in
-the basis: dz cos(lam_m z) = -lam_m sin(lam_m z), tabulated at the nodes.
+Dealiasing zeroes the modes m >= mk, so only the planes m < mk are
+transformed: the nine input planes (v_adv, dx v, dy v, dz v, w) form one
+mode-major stack on the Hermitian ky >= 0 half, go through one irfft2, and
+meet the tables cos_table, dz_table and w_table as z-major matmuls; the
+product is projected onto m < mk before one rfft2.  w is evaluated from its
+sine-profile antiderivatives and never re-expanded in the cosine basis (it
+satisfies different boundary conditions); dz v is exact in the basis.
 """
 
 from dataclasses import dataclass
@@ -18,13 +21,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import (
-    PhysicalField,
     SpectralField,
+    half_to_planes,
+    hermitian_half,
     l2_norm,
+    planes_to_coeffs,
     random_spectral,
     sobolev_norm,
-    synthesize,
-    to_spectral,
 )
 from .grid import Grid
 from .projection import constrain
@@ -49,20 +52,24 @@ def advect(v: SpectralField, v_adv: SpectralField, ws: NonlinearWorkspace | None
         raise ConfigurationError("advect operands live on different grids")
     if v.components != 2 or v_adv.components != 2:
         raise ConfigurationError("advect needs 2-component velocities")
-    mask = g.dealias_mask
-    cv = v.coeffs * mask
-    ca = v_adv.coeffs * mask
-
-    kx = g.kx[:, None, None]
-    ky = g.ky[None, :, None]
-    C = g.cos_table
-    va = synthesize(g, ca, C).values
-    dxv = synthesize(g, 2j * np.pi * kx * cv, C).values
-    dyv = synthesize(g, 2j * np.pi * ky * cv, C).values
-    dzv = synthesize(g, cv, g.dz_table).values
-    w = synthesize(g, 2j * np.pi * (kx * ca[0] + ky * ca[1])[None], g.w_table).values[0]
-    prod = va[0] * dxv + va[1] * dyv + w * dzv
-    return SpectralField(g, to_spectral(PhysicalField(g, prod)).coeffs * mask)
+    mk = g.dealias_modes
+    hv, av = hermitian_half(g, v.coeffs * g.dealias_mask, mk)
+    ha, aa = hermitian_half(g, v_adv.coeffs * g.dealias_mask, mk)
+    (dx, dx_nyq), (dy, dy_nyq) = g.half_ik
+    w = dx * ha[0] + dx_nyq * aa[0] + dy * ha[1] + dy_nyq * aa[1]
+    stack = np.concatenate([ha, dx * hv + dx_nyq * av, dy * hv + dy_nyq * av, hv, w[None]])
+    planes = half_to_planes(g, stack).reshape(9, mk, g.nx * g.ny)
+    C, Dz, W = (t[:mk].T for t in (g.cos_table, g.dz_table, g.w_table))
+    va = C @ planes[:2]
+    prod = va[0] * (C @ planes[2:4])
+    term = C @ planes[4:6]
+    term *= va[1]
+    prod += term
+    np.matmul(Dz, planes[6:8], out=term)
+    term *= W @ planes[8]
+    prod += term
+    modes = g.vertical_to_modes(prod, mk, z_major=True).reshape(2, mk, g.nx, g.ny)
+    return SpectralField(g, planes_to_coeffs(g, modes) * g.dealias_mask)
 
 
 def F(v: SpectralField, ws: NonlinearWorkspace | None = None) -> SpectralField:

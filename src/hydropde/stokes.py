@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularResolventError
-from .fields import SpectralField, sobolev_norm
+from .fields import SpectralField, hermitize, sobolev_norm
 from .grid import Grid
 from .projection import SurfacePressure, constrain
 
@@ -97,14 +97,8 @@ def eigenmode(grid: Grid, k, m, amplitude=1.0, direction=None) -> SpectralField:
             raise ConfigurationError("eigenmode direction must be perpendicular to k")
     d = d / np.linalg.norm(d)
     c = np.zeros((2, grid.nx, grid.ny, grid.nz), complex)
-    ix, iy = list(grid.kx).index(kx), list(grid.ky).index(ky)
-    if kx == 0 and ky == 0:
-        c[:, ix, iy, m] = amplitude * d
-    else:
-        jx, jy = list(grid.kx).index(-kx), list(grid.ky).index(-ky)
-        c[:, ix, iy, m] = 0.5 * amplitude * d
-        c[:, jx, jy, m] = 0.5 * amplitude * d
-    return SpectralField(grid, c)
+    c[:, list(grid.kx).index(kx), list(grid.ky).index(ky), m] = amplitude * d
+    return hermitize(SpectralField(grid, c))
 
 
 def eigenmode_eigenvalue(grid: Grid, k, m) -> float:

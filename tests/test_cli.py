@@ -154,6 +154,25 @@ class TestPicard:
         assert residual["forced"] <= 1.5 * residual["free"]
 
 
+class TestEnergyResidual:
+    @pytest.mark.parametrize("verb", ["run", "picard"])
+    def test_forced_run_from_small_data_is_relative_to_largest_term(self, tmp_path, verb):
+        # e2 grows 400x from the eigenmode's 1e-3 amplitude: the budget closes
+        # to ~1e-3 of its largest term, although the residual is ~0.2-0.4 of e2(0)
+        report = tmp_path / "r.json"
+        cfg = write_config(
+            tmp_path,
+            SMALL_GRID
+            + "t_end = 0.05\ndt = 1e-3\nforcing = single-mode\nforcing_amplitude = 1\n"
+            + f"out_ledger = {tmp_path/'r.csv'}\nout_report = {report}\n",
+        )
+        assert main([verb, "--config", cfg]) == 0
+        data = json.loads(report.read_text())
+        cols = read_ledger_csv(tmp_path / "r.csv")
+        assert data["energy_residual_max"] > 0.1 * cols["e2"][0]
+        assert data["energy_residual_relative"] < 1e-2
+
+
 class TestSpectrum:
     def test_prints_beta_and_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"

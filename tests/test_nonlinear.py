@@ -1,4 +1,10 @@
-"""Transport nonlinearity: bilinearity, energy neutrality, hand examples."""
+"""Transport nonlinearity: bilinearity, energy neutrality, hand examples.
+
+reference_advect is the test oracle for advect, as stokes.assemble_block is
+for the Stokes operator: five full-spectrum syntheses and one complex FFT
+back, with none of advect's half-spectrum, mode truncation or Nyquist
+bookkeeping.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ import pytest
 from hydropde.errors import ConfigurationError
 from hydropde.fields import (
     SpectralField,
+    hermitize,
     l2_inner,
     l2_norm,
     random_spectral,
@@ -21,6 +28,23 @@ from hydropde.nonlinear import (
     F,
 )
 from hydropde.projection import constrain, divergence_of_average
+
+
+def reference_advect(v, v_adv):
+    """advect's coefficients from Re(ifft2) of each full (comp, kx, ky, m) input."""
+    g = v.grid
+    mask = g.dealias_mask
+    cv, ca = v.coeffs * mask, v_adv.coeffs * mask
+    ikx, iky = 2j * np.pi * g.kx[:, None, None], 2j * np.pi * g.ky[None, :, None]
+
+    def nodes(c, table):
+        return np.fft.ifft2(c, axes=(1, 2), norm="forward").real @ table
+
+    va = nodes(ca, g.cos_table)
+    w = nodes((ikx * ca[0] + iky * ca[1])[None], g.w_table)[0]
+    prod = (va[0] * nodes(ikx * cv, g.cos_table) + va[1] * nodes(iky * cv, g.cos_table)
+            + w * nodes(cv, g.dz_table))
+    return np.fft.fft2(g.vertical_to_modes(prod), axes=(1, 2), norm="forward") * mask
 
 
 def dealias(v):
@@ -109,6 +133,34 @@ class TestAdvect:
         bad = SpectralField(grid16, np.zeros((1, 16, 16, 8), complex))
         with pytest.raises(ConfigurationError):
             advect(bad, bad)
+
+
+ORACLE_GRIDS = [Grid(nx, ny, nz, h, f) for nx, ny, nz, h in ((8, 12, 5, 1.3), (12, 8, 4, 0.4))
+                for f in (2.0 / 3.0, 1.0)]
+
+
+def nyquist_velocity(grid, kind, rng):
+    """A velocity with content on the Nyquist row and column."""
+    if kind == "non-hermitian":
+        shape = (2, grid.nx, grid.ny, grid.nz)
+        return SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    v = random_spectral(grid, 2, rng, kmax=max(grid.nx, grid.ny) // 2, mmax=grid.nz)
+    return constrain(v) if kind == "constrained" else v
+
+
+class TestAdvectOracle:
+    @pytest.mark.parametrize("kind", ["hermitian", "non-hermitian", "constrained"])
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS,
+                             ids=lambda g: f"{g.nx}x{g.ny}x{g.nz}-f{g.dealias_fraction:.2f}")
+    def test_matches_reference(self, grid, kind):
+        rng = np.random.default_rng(7)
+        v, v_adv = nyquist_velocity(grid, kind, rng), nyquist_velocity(grid, kind, rng)
+        if kind != "hermitian":
+            # the Nyquist term acts only on a non-Hermitian part; constrain
+            # leaves one on the Nyquist lines
+            assert np.max(np.abs(hermitize(v).coeffs - v.coeffs)) > 0.1
+        ref = reference_advect(v, v_adv)
+        assert np.max(np.abs(advect(v, v_adv).coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestF:

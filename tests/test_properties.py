@@ -4,7 +4,8 @@ The eigen-coordinates of the Stokes operator and the vertical transform are
 checked against the projection, the operator's direct application, the dense
 per-wavenumber oracle and the vertical synthesis of to_physical.  The
 transform pair (synthesize, to_spectral) is checked against the direct sum
-of the basis functions at the collocation nodes.
+of the basis functions at the collocation nodes and against the complex
+FFT, and advect against its full-spectrum oracle, also with dealiasing.
 """
 
 import numpy as np
@@ -22,8 +23,10 @@ from hydropde.fields import (
     to_spectral,
 )
 from hydropde.grid import Grid
+from hydropde.nonlinear import advect
 from hydropde.projection import constrain
 from hydropde.stokes import StokesOperator, assemble_block
+from test_nonlinear import reference_advect
 
 grids = st.builds(
     Grid,
@@ -32,6 +35,14 @@ grids = st.builds(
     nz=st.integers(2, 6),
     h=st.sampled_from([0.4, 1.3, 2.7]),
     dealias_fraction=st.just(1.0),
+)
+dealiased_grids = st.builds(
+    Grid,
+    nx=st.sampled_from([4, 6, 8, 12]),
+    ny=st.sampled_from([4, 6, 8, 12]),
+    nz=st.integers(2, 6),
+    h=st.sampled_from([0.4, 1.3, 2.7]),
+    dealias_fraction=st.sampled_from([2.0 / 3.0, 1.0]),
 )
 seeds = st.integers(0, 2**32 - 1)
 components = st.sampled_from([1, 2])
@@ -123,3 +134,23 @@ def test_to_spectral_inverts_to_physical(grid, comps, seed):
                         kmax=grid.nx // 2, mmax=grid.nz)
     back = to_spectral(to_physical(f))
     assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
+
+
+@few
+@given(grids, components, seeds)
+def test_to_physical_is_the_real_part_of_ifft2(grid, comps, seed):
+    c = random_coeffs((comps, grid.nx, grid.ny, grid.nz), seed)
+    ref = np.fft.ifft2(c, axes=(1, 2), norm="forward").real @ grid.cos_table
+    got = to_physical(SpectralField(grid, c)).values
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@few
+@given(dealiased_grids, seeds)
+def test_advect_matches_reference(grid, seed):
+    raw = [SpectralField(grid, random_coeffs((2, grid.nx, grid.ny, grid.nz), seed + i))
+           for i in range(2)]
+    for v, v_adv in (raw, [constrain(random_velocity(grid, seed + i)) for i in range(2)]):
+        ref = reference_advect(v, v_adv)
+        got = advect(v, v_adv).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1e-300)

@@ -130,7 +130,9 @@ class TestSpectrum:
 
 class TestEigenmodes:
     def test_eigenmode_is_eigenfunction(self, grid16, op16):
-        for k, m in (((0, 0), 0), ((1, 0), 0), ((2, 1), 3), ((0, -2), 1)):
+        # (-8, .) and (., -8) are the Nyquist lines, where -k is k itself
+        for k, m in (((0, 0), 0), ((1, 0), 0), ((2, 1), 3), ((0, -2), 1),
+                     ((-8, 0), 0), ((-8, -8), 2)):
             v = eigenmode(grid16, k, m)
             mu = eigenmode_eigenvalue(grid16, k, m)
             av = op16.apply(v)
