@@ -73,7 +73,7 @@ _FLOAT_KEYS = {
 }
 _STR_KEYS = {"scheme", "ic", "forcing", "out_ledger", "out_report", "out_checkpoint"}
 _POSITIVE = {"h", "dt", "t_end", "cfl_limit", "amplitude", "picard_tolerance",
-             "sample_every"}
+             "sample_every", "picard_max_iterations"}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -102,6 +102,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         if key in _POSITIVE and not values[key] > 0:
             raise ConfigurationError(f"line {lineno}: {key} must be > 0, got {val}")
+        if key == "seed" and values[key] < 0:
+            raise ConfigurationError(f"line {lineno}: seed must be >= 0, got {val}")
 
     ic_kw = {}
     for src, dst in (("ic", "kind"), ("amplitude", "amplitude"), ("ic_kx", "kx"),
@@ -133,8 +135,11 @@ def make_initial(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
         # averaged divergence vanishes without projection
         if spec.m < 0 or spec.m >= grid.nz:
             raise ConfigurationError(f"vertical mode {spec.m} outside 0..{grid.nz - 1}")
-        if spec.kx not in grid.kx:
-            raise ConfigurationError(f"shear wavenumber {spec.kx} outside grid")
+        # the sine needs both +kx and -kx on the grid; at kx = 0 and at the
+        # Nyquist wavenumber -nx/2 it vanishes at every grid point
+        if not 0 < abs(spec.kx) < grid.nx // 2:
+            raise ConfigurationError(
+                f"ic_kx = {spec.kx}: a shear needs 0 < |ic_kx| < {grid.nx // 2}")
         c = np.zeros((2, grid.nx, grid.ny, grid.nz), complex)
         ix = list(grid.kx).index(spec.kx)
         jx = list(grid.kx).index(-spec.kx)

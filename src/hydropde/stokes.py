@@ -174,17 +174,13 @@ class StokesOperator:
         """Smallest eigenvalue: the exponential decay rate of the semigroup."""
         return float(self._all_eigenvalues.min())
 
-    # -- projections ------------------------------------------------------
-
-    def constrain(self, v: SpectralField) -> SpectralField:
-        """Orthogonal coefficient-space projection onto div_H vbar = 0."""
-        return constrain(v)
+    # -- action -----------------------------------------------------------
 
     def apply(self, v: SpectralField) -> SpectralField:
         """A v for v on the constraint manifold (projects input and output)."""
-        vc = self.constrain(v)
+        vc = constrain(v)
         lam = self.grid.laplace_symbol
-        return self.constrain(SpectralField(self.grid, lam[None] * vc.coeffs))
+        return constrain(SpectralField(self.grid, lam[None] * vc.coeffs))
 
     # -- eigenbasis coordinates (for Duhamel integrals and implicit steps) --
 
@@ -259,7 +255,7 @@ class StokesOperator:
         # pressure from the momentum residual: r = P f - (lam + Lambda) v is
         # parallel to the constraint normal n = k (x) a, whose fold has
         # column 4 pi i n
-        r = self.constrain(f).coeffs - (lam + g.laplace_symbol) * v.coeffs
+        r = constrain(f).coeffs - (lam + g.laplace_symbol) * v.coeffs
         a = g.avg_factor
         kx = g.kx[:, None].astype(float)
         ky = g.ky[None, :].astype(float)
@@ -300,7 +296,7 @@ class StokesOperator:
         """sup_t t^theta1 e^(beta t) ||exp(-tA) f||_{H^{2(theta1+theta2)}} / ||f||_{H^{2 theta2}}."""
         if theta1 < 0 or theta2 < 0 or theta1 + theta2 > 1:
             raise DomainError("need theta1, theta2 >= 0 with theta1 + theta2 <= 1")
-        fc = self.constrain(f)
+        fc = constrain(f)
         denom = sobolev_norm(fc, 2 * theta2)
         beta = self.beta
         rows = []

@@ -112,6 +112,31 @@ class TestRun:
         assert data["status"] == "nan-abort"
 
 
+class TestBadInput:
+    # each exits 1 naming its key, with its line where the parser knows it
+    @pytest.mark.parametrize("verb, body, key, line", [
+        ("run", "ic = random-band\nseed = -1\n", "seed", "line 5"),
+        ("run", "ic = manufactured\nseed = -2\n", "seed", "line 5"),
+        ("run", "ic = shear\nic_kx = -4\n", "ic_kx", None),
+        ("run", "ic = shear\nic_kx = 0\n", "ic_kx", None),
+        ("picard", "t_end = 0.01\npicard_max_iterations = 0\n",
+         "picard_max_iterations", "line 5"),
+    ], ids=["seed-random-band", "seed-manufactured", "shear-nyquist", "shear-zero",
+            "picard-max-iterations"])
+    def test_exits_one_naming_the_key(self, tmp_path, capsys, verb, body, key, line):
+        ledger = tmp_path / "run.csv"
+        cfg = write_config(
+            tmp_path,
+            SMALL_GRID + body + f"out_ledger = {ledger}\nout_report = {tmp_path/'r.json'}\n",
+        )
+        assert main([verb, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        if line:
+            assert line in err
+        assert not ledger.exists()
+
+
 class TestPicard:
     def test_converged_exits_zero(self, tmp_path, capsys):
         cfg = write_config(

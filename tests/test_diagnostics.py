@@ -157,12 +157,11 @@ class TestSplitResiduals:
         s = split_residuals(v, pi)
         assert s.bar < 1e-10
         assert s.tilde < 1e-10
-        assert s.recombination < 1e-12
 
     def test_zero_state(self, grid8):
         z = zeros_spectral(grid8)
         s = split_residuals(z, trajectory_pressure(z))
-        assert s.bar == s.tilde == s.recombination == 0.0
+        assert s.bar == s.tilde == 0.0
 
     def test_marched_trajectory_residuals_small(self, grid8, op8):
         a = eigenmode(grid8, (1, 0), 0, amplitude=1e-2) \
@@ -176,7 +175,6 @@ class TestSplitResiduals:
         s = split_residuals(led.states[i], pi, dt_v=dt_v)
         assert s.bar < 1e-4
         assert s.tilde < 1e-4
-        assert s.recombination < 1e-12
 
 
 class TestBuildRecords:

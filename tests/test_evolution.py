@@ -15,7 +15,7 @@ from hydropde.evolution import (
     make_manufactured,
     picard_solve,
 )
-from hydropde.fields import l2_norm, random_spectral, zeros_spectral
+from hydropde.fields import grad_norm, l2_inner, l2_norm, random_spectral, zeros_spectral
 from hydropde.grid import Grid
 from hydropde.nonlinear import F
 from hydropde.projection import constrain, divergence_of_average
@@ -141,6 +141,24 @@ class TestPicard:
             div = divergence_of_average(state)
             assert np.max(np.abs(div.coeffs)) < 1e-12
 
+    def test_forced_ledger_matches_field_norms(self, grid8, op8):
+        # the ledger's budget is read off eigen-coordinates; the field-form
+        # norms of the stored states and a trapezoid sum of <f, v> are the
+        # reference
+        spec = ForcingSpec(grid8, "single-mode", amplitude=0.05, mode=(1, 0, 0), rate=0.5)
+        a = small_data(grid8, amplitude=0.05)
+        ledger, report = picard_solve(a, spec, PicardConfig(horizon=0.1, nodes=9), op8)
+        assert report.converged
+        work = np.array([l2_inner(forcing_eval(spec, t), s)
+                         for t, s in zip(ledger.times, ledger.states)])
+        fwork = np.concatenate([[0.0], np.cumsum(
+            0.5 * np.diff(ledger.times) * (work[1:] + work[:-1]))])
+        assert fwork[-1] > 0
+        for i, state in enumerate(ledger.states):
+            assert ledger.e2[i] == pytest.approx(l2_norm(state) ** 2, rel=1e-12, abs=0)
+            assert ledger.d2[i] == pytest.approx(grad_norm(state) ** 2, rel=1e-12, abs=0)
+            assert ledger.fwork_int[i] == pytest.approx(fwork[i], rel=1e-12, abs=0)
+
     def test_non_convergence_reported_not_raised(self, grid8, op8):
         # huge data on a short budget: the iteration must report failure
         a = 200.0 * constrain(random_spectral(grid8, 2, np.random.default_rng(5)))
@@ -197,7 +215,7 @@ class TestImex:
         a = small_data(grid8, amplitude=0.1)
         cfg = ImexConfig(dt=1e-3, t_end=5e-3, sample_every=1)
         led = imex_run(a, None, cfg, op8)
-        v = op8.constrain(a)
+        v = constrain(a)
         f_prev = None
         for n in range(5):
             v, f_prev = imex_step(v, f_prev, n * cfg.dt, cfg, op8, None, n == 0)

@@ -162,6 +162,15 @@ class TestFluctuation:
     def test_zero(self, grid16):
         assert np.all(fluctuation(zeros_spectral(grid16)).coeffs == 0)
 
+    def test_lift_of_average_plus_fluctuation_recombines(self, grid16, rng):
+        # lift(avg f) + fluctuation(f) = f, with the lift the in-basis
+        # representative of the z-constant average
+        g = grid16
+        f = random_spectral(g, 2, rng)
+        a = g.avg_factor
+        lift = SpectralField(g, vertical_average(f).coeffs[..., None] * (a / np.sum(a**2)))
+        assert l2_norm(lift + fluctuation(f) - f) < 1e-12 * l2_norm(f)
+
 
 class TestDiagnosticW:
     def test_hand_example_against_midpoint_oracle(self, grid16):
