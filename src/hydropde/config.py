@@ -1,11 +1,13 @@
 """Run configuration: line-oriented `key = value` files and the initial
 condition library.
 
-Unknown keys, malformed values, and out-of-range values are rejected with
+Unknown keys, malformed values, out-of-range values and non-finite numbers
+(except cfl_limit = inf, which switches the CFL check off) are rejected with
 the offending line number.  Defaults: nx = ny = 32, nz = 16, h = 1,
 dt = 1e-3, dealias = 2/3.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +98,10 @@ def parse_config(text: str) -> RunConfig:
                 values[key] = float(val)
             except ValueError:
                 raise ConfigurationError(f"line {lineno}: {key} needs a number, got {val!r}")
+            # cfl_limit = inf switches the CFL check off; no other key has a
+            # use for inf, and nan compares false with every bound
+            if not math.isfinite(values[key]) and not (key == "cfl_limit" and values[key] > 0):
+                raise ConfigurationError(f"line {lineno}: {key} must be finite, got {val}")
         elif key in _STR_KEYS:
             values[key] = val
         else:

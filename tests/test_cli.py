@@ -121,8 +121,12 @@ class TestBadInput:
         ("run", "ic = shear\nic_kx = 0\n", "ic_kx", None),
         ("picard", "t_end = 0.01\npicard_max_iterations = 0\n",
          "picard_max_iterations", "line 5"),
+        ("run", "h = inf\n", "h", "line 4"),
+        ("run", "ic = random-band\namplitude = inf\n", "amplitude", "line 5"),
+        ("run", "forcing = single-mode\nforcing_amplitude = nan\n", "forcing_amplitude",
+         "line 5"),
     ], ids=["seed-random-band", "seed-manufactured", "shear-nyquist", "shear-zero",
-            "picard-max-iterations"])
+            "picard-max-iterations", "h-inf", "amplitude-inf", "forcing-amplitude-nan"])
     def test_exits_one_naming_the_key(self, tmp_path, capsys, verb, body, key, line):
         ledger = tmp_path / "run.csv"
         cfg = write_config(
@@ -135,6 +139,17 @@ class TestBadInput:
         if line:
             assert line in err
         assert not ledger.exists()
+
+    def test_infinite_cfl_limit_runs(self, tmp_path, capsys):
+        # cfl_limit = inf is the documented way to switch the CFL check off
+        report = tmp_path / "r.json"
+        cfg = write_config(
+            tmp_path,
+            SMALL_GRID + "dt = 1e-3\nt_end = 0.01\ncfl_limit = inf\n"
+            + f"out_ledger = {tmp_path/'run.csv'}\nout_report = {report}\n",
+        )
+        assert main(["run", "--config", cfg]) == 0
+        assert json.loads(report.read_text())["status"] == "completed"
 
 
 class TestPicard:

@@ -1,6 +1,7 @@
 """Checkpoint format, ledger CSV, JSON reports, config parsing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -181,6 +182,18 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError) as exc:
             parse_config("dt = -1")
         assert "line 1" in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["h", "dealias", "dt", "t_end", "cfl_limit", "amplitude",
+                                     "forcing_amplitude", "forcing_rate", "picard_tolerance"])
+    @pytest.mark.parametrize("val", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_numbers(self, key, val):
+        if key == "cfl_limit" and val == "inf":
+            assert parse_config("nx = 16\ncfl_limit = inf\n").cfl_limit == math.inf
+            return
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(f"nx = 16\n{key} = {val}\n")
+        msg = str(exc.value)
+        assert "line 2" in msg and f"{key} must be finite" in msg
 
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigurationError) as exc:

@@ -21,6 +21,7 @@ from hydropde.fields import (
 )
 from hydropde.grid import Grid
 from hydropde.nonlinear import (
+    TILE,
     BilinearProbeReport,
     NonlinearWorkspace,
     advect,
@@ -135,7 +136,10 @@ class TestAdvect:
             advect(bad, bad)
 
 
-ORACLE_GRIDS = [Grid(nx, ny, nz, h, f) for nx, ny, nz, h in ((8, 12, 5, 1.3), (12, 8, 4, 0.4))
+# 20x18 has 360 horizontal points: one full tile of advect's vertical stage
+# (nonlinear.TILE = 256) and a partial one.
+ORACLE_GRIDS = [Grid(nx, ny, nz, h, f)
+                for nx, ny, nz, h in ((8, 12, 5, 1.3), (12, 8, 4, 0.4), (20, 18, 5, 1.3))
                 for f in (2.0 / 3.0, 1.0)]
 
 
@@ -161,6 +165,18 @@ class TestAdvectOracle:
             assert np.max(np.abs(hermitize(v).coeffs - v.coeffs)) > 0.1
         ref = reference_advect(v, v_adv)
         assert np.max(np.abs(advect(v, v_adv).coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_tiles_split_the_horizontal_points(self):
+        g = ORACLE_GRIDS[-1]
+        n = g.nx * g.ny
+        assert n > TILE and n % TILE
+
+    def test_same_operand_shares_its_half(self):
+        # advect(v, v) reuses v's Hermitian half for v_adv; an equal copy
+        # takes the general path and must give the same bits
+        g = ORACLE_GRIDS[-2]
+        v = nyquist_velocity(g, "non-hermitian", np.random.default_rng(11))
+        assert np.array_equal(advect(v, v).coeffs, advect(v, v.copy()).coeffs)
 
 
 class TestF:
