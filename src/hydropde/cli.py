@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import diagnostics as diag
-from .config import RunConfig, manufactured_profile, make_initial, parse_config
+from .config import (RunConfig, keyed_eigenmode, make_initial, manufactured_profile,
+                     parse_config)
 from .errors import ConfigurationError, DomainError, NanAbort
 from .evolution import (
     ForcingSpec,
@@ -37,16 +38,14 @@ from .stokes import StokesOperator
 
 
 def _build_forcing(cfg: RunConfig, grid, op):
+    """The configured forcing, built once; None when there is none."""
     if cfg.forcing == "zero":
         return None
     if cfg.forcing == "single-mode":
-        return ForcingSpec(
-            grid, "single-mode", amplitude=cfg.forcing_amplitude,
-            mode=(cfg.forcing_kx, cfg.forcing_ky, cfg.forcing_m),
-            rate=cfg.forcing_rate,
-        )
-    psi = manufactured_profile(grid, cfg.ic)
-    return ForcingSpec(grid, "mms", mms=make_manufactured(op, psi))
+        base = keyed_eigenmode(grid, "forcing", cfg.forcing_kx, cfg.forcing_ky,
+                               cfg.forcing_m, cfg.forcing_amplitude)
+        return ForcingSpec(base, cfg.forcing_rate)
+    return make_manufactured(op, manufactured_profile(grid, cfg.ic))
 
 
 def _emit_outputs(cfg, ledger, forcing, extra=None):
@@ -90,7 +89,7 @@ def cmd_run(args):
     a = make_initial(cfg.ic, grid)
     forcing = _build_forcing(cfg, grid, op)
     if cfg.ic.kind == "manufactured" and cfg.forcing == "mms":
-        a = forcing.mms.initial()
+        a = forcing.initial()
     icfg = ImexConfig(dt=cfg.dt, t_end=cfg.t_end,
                       order=1 if cfg.scheme == "imex1" else 2,
                       sample_every=cfg.sample_every, cfl_limit=cfg.cfl_limit)
@@ -171,14 +170,12 @@ def cmd_mms(args):
     cfg = _load_config(args.config) if args.config else RunConfig()
     grid = cfg.grid()
     op = StokesOperator(grid)
-    psi = manufactured_profile(grid, cfg.ic)
-    mms = make_manufactured(op, psi)
-    spec = ForcingSpec(grid, "mms", mms=mms)
+    mms = make_manufactured(op, manufactured_profile(grid, cfg.ic))
     errors = []
     dt = args.dt
     for _ in range(args.levels):
         icfg = ImexConfig(dt=dt, t_end=args.t_end, sample_every=10**9)
-        ledger = imex_run(mms.initial(), spec, icfg, op)
+        ledger = imex_run(mms.initial(), mms, icfg, op)
         exact = mms.solution(ledger.times[-1])
         errors.append(l2_norm(ledger.states[-1] - exact) / l2_norm(exact))
         dt /= 2

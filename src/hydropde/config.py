@@ -132,7 +132,7 @@ def parse_config(text: str) -> RunConfig:
 def make_initial(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
     """Deterministic initial velocity on the constraint manifold."""
     if spec.kind == "eigenmode":
-        return eigenmode(grid, (spec.kx, spec.ky), spec.m, amplitude=spec.amplitude)
+        return keyed_eigenmode(grid, "ic", spec.kx, spec.ky, spec.m, spec.amplitude)
     if spec.kind == "random-band":
         rng = np.random.default_rng(spec.seed)
         return constrain(random_spectral(grid, 2, rng, amplitude=spec.amplitude))
@@ -140,7 +140,7 @@ def make_initial(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
         # (0, u(x) phi_m(z)): y-independent, x-velocity zero, so the
         # averaged divergence vanishes without projection
         if spec.m < 0 or spec.m >= grid.nz:
-            raise ConfigurationError(f"vertical mode {spec.m} outside 0..{grid.nz - 1}")
+            raise ConfigurationError(f"ic_m = {spec.m}: vertical mode outside 0..{grid.nz - 1}")
         # the sine needs both +kx and -kx on the grid; at kx = 0 and at the
         # Nyquist wavenumber -nx/2 it vanishes at every grid point
         if not 0 < abs(spec.kx) < grid.nx // 2:
@@ -155,6 +155,17 @@ def make_initial(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
     if spec.kind == "manufactured":
         return manufactured_profile(grid, spec)
     raise ConfigurationError(f"unknown initial condition kind {spec.kind!r}")
+
+
+def keyed_eigenmode(grid: Grid, prefix, kx, ky, m, amplitude) -> SpectralField:
+    """eigenmode(grid, (kx, ky), m), rejecting a mode outside the grid by the
+    config key that sets it: prefix_kx, prefix_ky or prefix_m."""
+    for key, val, allowed in (("kx", kx, grid.kx), ("ky", ky, grid.ky),
+                              ("m", m, range(grid.nz))):
+        if val not in allowed:
+            raise ConfigurationError(f"{prefix}_{key} = {val} lies outside "
+                                     f"{min(allowed)}..{max(allowed)} on this grid")
+    return eigenmode(grid, (kx, ky), m, amplitude=amplitude)
 
 
 def manufactured_profile(grid: Grid, spec: InitialConditionSpec) -> SpectralField:

@@ -33,7 +33,8 @@ from .fields import (
 )
 from .nonlinear import advect
 from .projection import constrain, solve_surface_poisson
-from .evolution import ForcingSpec, TrajectoryLedger, forcing_eval, zeros_spectral
+from .evolution import Forcing, TrajectoryLedger, forcing_eval, zeros_spectral
+from .stokes import StokesOperator
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> EstimateRecord:
     )
 
 
-def ledger_sample(ledger: TrajectoryLedger, i, forcing: ForcingSpec | None = None):
+def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None):
     """(EstimateRecord, SplitResiduals) of sample i, from one advect evaluation.
 
     dt v is the centered difference of the neighbouring samples; the end
@@ -136,7 +137,7 @@ def ledger_sample(ledger: TrajectoryLedger, i, forcing: ForcingSpec | None = Non
             split_residuals(state, pi, dt_v=dt_v, f_field=f_field, adv=adv))
 
 
-def build_records(ledger: TrajectoryLedger, forcing: ForcingSpec | None = None):
+def build_records(ledger: TrajectoryLedger, forcing: Forcing | None = None):
     """One pass over a sampled trajectory: (records, split residuals) lists."""
     rows = [ledger_sample(ledger, i, forcing) for i in range(len(ledger.times))]
     return [r for r, _ in rows], [s for _, s in rows]
@@ -285,8 +286,7 @@ def split_residuals(state: SpectralField, pi, dt_v: SpectralField | None = None,
     lap = SpectralField(g, -g.laplace_symbol[None] * state.coeffs)
     f_field = f_field if f_field is not None else zeros_spectral(g)
     if dt_v is None:
-        av = constrain(SpectralField(g, g.laplace_symbol[None] * constrain(state).coeffs))
-        dt_v = -av - constrain(adv) + constrain(f_field)
+        dt_v = -StokesOperator(g).apply(state) - constrain(adv) + constrain(f_field)
 
     r_cos = dt_v + adv - lap - f_field
     r_bar = vertical_average(r_cos) + pi.gradient()

@@ -23,7 +23,7 @@ from .fields import SpectralField, sobolev_norm, to_physical, zeros_spectral
 from .grid import Grid
 from .nonlinear import F
 from .projection import constrain
-from .stokes import StokesOperator, eigenmode
+from .stokes import StokesOperator
 
 
 # -- configuration -------------------------------------------------------
@@ -141,33 +141,27 @@ def make_manufactured(op: StokesOperator, psi: SpectralField) -> ManufacturedSol
 
 @dataclass(frozen=True)
 class ForcingSpec:
-    """Analytic forcing description: kind in {zero, single-mode, mms}."""
+    """Single-mode forcing f(t) = e^{-rate t} base.
 
-    grid: Grid
-    kind: str = "zero"
-    amplitude: float = 0.0
-    mode: tuple = (1, 0, 0)
+    base is an eigenmode, so f lies on the constraint manifold.  A forcing
+    is a ForcingSpec or a ManufacturedSolution; None means no forcing.
+    """
+
+    base: SpectralField
     rate: float = 1.0
-    mms: ManufacturedSolution | None = None
 
 
-def forcing_eval(spec: ForcingSpec, t) -> SpectralField:
-    """Evaluate the configured forcing at time t (already on the constraint manifold)."""
-    if spec.kind == "zero":
-        return zeros_spectral(spec.grid)
-    if spec.kind == "single-mode":
-        kx, ky, m = spec.mode
-        base = eigenmode(spec.grid, (kx, ky), m, amplitude=spec.amplitude)
-        return math.exp(-spec.rate * t) * base
-    if spec.kind == "mms":
-        if spec.mms is None:
-            raise ConfigurationError("mms forcing requires a ManufacturedSolution")
-        return spec.mms.forcing(t)
-    raise ConfigurationError(f"unknown forcing kind {spec.kind!r}")
+Forcing = ForcingSpec | ManufacturedSolution
 
 
-def _is_zero_forcing(spec):
-    return spec is None or spec.kind == "zero"
+def forcing_eval(spec: Forcing, t) -> SpectralField:
+    """P f(t) of a ForcingSpec or a ManufacturedSolution, on the constraint manifold.
+
+    None, the value for no forcing, is never evaluated: callers skip the term.
+    """
+    if isinstance(spec, ManufacturedSolution):
+        return spec.forcing(t)
+    return math.exp(-spec.rate * t) * spec.base
 
 
 # -- Picard iteration ----------------------------------------------------
@@ -223,7 +217,7 @@ class PicardReport:
     change_history: tuple
 
 
-def picard_solve(a: SpectralField, f_ext: ForcingSpec | None, cfg: PicardConfig,
+def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
                  op: StokesOperator | None = None):
     """Iterate the Duhamel integral on a uniform node grid.
 
@@ -239,7 +233,7 @@ def picard_solve(a: SpectralField, f_ext: ForcingSpec | None, cfg: PicardConfig,
     decay = np.exp(-dt * mu)
     pa, pb = _phi_pair(dt * mu)
     h2 = g.h / 2
-    have_f = not _is_zero_forcing(f_ext)
+    have_f = f_ext is not None
     fcat = [_eig_flat(op, forcing_eval(f_ext, t)) if have_f else 0.0 for t in times]
     acat = _eig_flat(op, a)
 
@@ -305,7 +299,7 @@ def picard_solve(a: SpectralField, f_ext: ForcingSpec | None, cfg: PicardConfig,
 
 
 def imex_step(v, f_prev, t, cfg: ImexConfig, op: StokesOperator,
-              forcing: ForcingSpec | None, first: bool):
+              forcing: Forcing | None, first: bool):
     """One IMEX step from time t; returns (v_next, F(v)) for reuse.
 
     The field-form oracle of imex_run's eigen-coordinate march: the same
@@ -314,21 +308,20 @@ def imex_step(v, f_prev, t, cfg: ImexConfig, op: StokesOperator,
     """
     dt = cfg.dt
     fn = F(v) if cfg.nonlinear else zeros_spectral(v.grid)
-    have_f = not _is_zero_forcing(forcing)
     if cfg.order == 1 or first:
         rhs = v + dt * fn
-        if have_f:
+        if forcing is not None:
             rhs = rhs + dt * forcing_eval(forcing, t + dt)
         vnext = op.solve_shifted(dt, rhs)
     else:
         rhs = v - (dt / 2) * op.apply(v) + dt * (1.5 * fn - 0.5 * f_prev)
-        if have_f:
+        if forcing is not None:
             rhs = rhs + (dt / 2) * (forcing_eval(forcing, t) + forcing_eval(forcing, t + dt))
         vnext = op.solve_shifted(dt / 2, rhs)
     return vnext, fn
 
 
-def imex_run(a: SpectralField, f_ext: ForcingSpec | None, cfg: ImexConfig,
+def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
              op: StokesOperator | None = None) -> TrajectoryLedger:
     """March from t = 0 to t_end; raises NanAbort (with .ledger) on blow-up."""
     op = op or StokesOperator(a.grid)
@@ -349,7 +342,7 @@ def imex_run(a: SpectralField, f_ext: ForcingSpec | None, cfg: ImexConfig,
     dt = cfg.dt
     mu = _mu_flat(op)
     y = _eig_flat(op, v)
-    have_f = not _is_zero_forcing(f_ext)
+    have_f = f_ext is not None
 
     def f_eig(t):
         return _eig_flat(op, forcing_eval(f_ext, t)) if have_f else 0.0

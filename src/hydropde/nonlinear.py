@@ -43,11 +43,11 @@ from .projection import constrain
 
 @dataclass(frozen=True)
 class NonlinearWorkspace:
-    """Holds only the grid; advect and F accept one and ignore it.
+    """Holds only the grid; F accepts one and ignores it.
 
     The vertical tables are on Grid (cos_table, dz_table, w_table).  The
-    class is kept because perfbench/child.py's sweep builds one and calls
-    F(a, ws); it and the ws arguments go once that caller stops.
+    class and F's ws argument are kept only because perfbench/child.py's
+    sweep builds one and calls F(a, ws); they go once that caller stops.
     """
 
     grid: Grid
@@ -60,8 +60,8 @@ class NonlinearWorkspace:
 TILE = 256
 
 
-def advect(v: SpectralField, v_adv: SpectralField, ws: NonlinearWorkspace | None = None) -> SpectralField:
-    """Unprojected transport term v_adv . grad_H v + w(v_adv) dz v (ws is ignored)."""
+def advect(v: SpectralField, v_adv: SpectralField) -> SpectralField:
+    """Unprojected transport term v_adv . grad_H v + w(v_adv) dz v."""
     g = v.grid
     if v.grid != v_adv.grid:
         raise ConfigurationError("advect operands live on different grids")
@@ -105,18 +105,19 @@ class BilinearProbeReport:
     m_lip: float
 
 
-def bilinear_estimate_probe(grid: Grid, samples=20, seed=0, kmax=3, mmax=3) -> BilinearProbeReport:
+def bilinear_estimate_probe(grid: Grid, samples=20, seed=0) -> BilinearProbeReport:
     """Sampled surrogate of the quadratic bound ||F(v)|| <= M ||v||_{H^{3/2}}^2.
 
-    Samples are band-limited (kmax, mmax) so that estimates on successively
-    refined grids probe the same family of fields and stay comparable.
+    Samples are band-limited to |kx|, |ky| <= 3 and m < 3, inside the dealias
+    cutoff of every probed grid (16^2x8 and finer), so estimates on refined
+    grids probe the same family of fields and stay comparable.
     """
     rng = np.random.default_rng(seed)
     ratios = []
     lip = []
     prev = None
     for _ in range(samples):
-        v = constrain(random_spectral(grid, 2, rng, kmax=kmax, mmax=mmax))
+        v = constrain(random_spectral(grid, 2, rng, kmax=3, mmax=3))
         nv = sobolev_norm(v, 1.5)
         ratios.append(l2_norm(F(v)) / nv**2)
         if prev is not None:

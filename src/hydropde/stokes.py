@@ -76,25 +76,18 @@ def assemble_block(grid: Grid, k) -> StokesBlock:
     return StokesBlock((kx, ky), lam_diag, Q, R, w, U)
 
 
-def eigenmode(grid: Grid, k, m, amplitude=1.0, direction=None) -> SpectralField:
-    """Exact eigenfunction: a cos(2 pi k.x) phi_m(z) with a perpendicular to k.
+def eigenmode(grid: Grid, k, m, amplitude=1.0) -> SpectralField:
+    """Exact eigenfunction: a cos(2 pi k.x) phi_m(z) with a = (-ky, kx)/|k|.
 
-    Eigenvalue 4 pi^2 |k|^2 + lam_m^2.  For k = 0 every direction is on the
-    constraint manifold; the default is (1, 0).
+    Eigenvalue 4 pi^2 |k|^2 + lam_m^2.  At k = 0 every direction is on the
+    constraint manifold and a = (1, 0).
     """
     kx, ky = int(k[0]), int(k[1])
     if m < 0 or m >= grid.nz:
         raise ConfigurationError(f"vertical mode {m} outside 0..{grid.nz - 1}")
     if kx not in grid.kx or ky not in grid.ky:
         raise ConfigurationError(f"wavenumber {k} outside grid {grid.nx}x{grid.ny}")
-    if kx == 0 and ky == 0:
-        d = np.array([1.0, 0.0]) if direction is None else np.asarray(direction, float)
-    elif direction is None:
-        d = np.array([-ky, kx], float)
-    else:
-        d = np.asarray(direction, float)
-        if abs(kx * d[0] + ky * d[1]) > 1e-13 * np.linalg.norm(d):
-            raise ConfigurationError("eigenmode direction must be perpendicular to k")
+    d = np.array([1.0, 0.0]) if kx == 0 and ky == 0 else np.array([-ky, kx], float)
     d = d / np.linalg.norm(d)
     c = np.zeros((2, grid.nx, grid.ny, grid.nz), complex)
     c[:, list(grid.kx).index(kx), list(grid.ky).index(ky), m] = amplitude * d

@@ -11,7 +11,6 @@ import pytest
 from hydropde.cli import main as cli_main
 from hydropde.diagnostics import build_records, decay_fit, energy_budget, gronwall_monitor
 from hydropde.evolution import (
-    ForcingSpec,
     ImexConfig,
     PicardConfig,
     imex_run,
@@ -227,11 +226,10 @@ def test_criterion_10_manufactured_convergence():
     rng = np.random.default_rng(110)
     psi = constrain(random_spectral(g, 2, rng, kmax=2, mmax=2, amplitude=1e-2))
     mms = make_manufactured(o, psi)
-    spec = ForcingSpec(g, "mms", mms=mms)
     t_end = 0.25
     errors = []
     for dt in (2e-3, 1e-3, 5e-4):
-        led = imex_run(mms.initial(), spec, ImexConfig(dt=dt, t_end=t_end, sample_every=10**9), o)
+        led = imex_run(mms.initial(), mms, ImexConfig(dt=dt, t_end=t_end, sample_every=10**9), o)
         exact = mms.solution(t_end)
         errors.append(l2_norm(led.states[-1] - exact) / l2_norm(exact))
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]

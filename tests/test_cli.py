@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from hydropde.cli import main
+from hydropde.config import manufactured_profile, parse_config
+from hydropde.evolution import make_manufactured
+from hydropde.fields import l2_norm
 from hydropde.io import LEDGER_COLUMNS, LEDGER_VERSION_LINE, load_checkpoint, read_ledger_csv
+from hydropde.stokes import StokesOperator
 
 SMALL_GRID = "nx = 8\nny = 8\nnz = 4\n"
 
@@ -125,8 +129,16 @@ class TestBadInput:
         ("run", "ic = random-band\namplitude = inf\n", "amplitude", "line 5"),
         ("run", "forcing = single-mode\nforcing_amplitude = nan\n", "forcing_amplitude",
          "line 5"),
+        ("run", "ic_m = 9\n", "ic_m", None),
+        ("run", "ic_kx = 9\n", "ic_kx", None),
+        ("run", "ic = shear\nic_m = 9\n", "ic_m", None),
+        ("run", "forcing = single-mode\nforcing_m = 99\n", "forcing_m", None),
+        ("run", "forcing = single-mode\nforcing_kx = 7\n", "forcing_kx", None),
+        ("picard", "forcing = single-mode\nforcing_ky = -5\n", "forcing_ky", None),
     ], ids=["seed-random-band", "seed-manufactured", "shear-nyquist", "shear-zero",
-            "picard-max-iterations", "h-inf", "amplitude-inf", "forcing-amplitude-nan"])
+            "picard-max-iterations", "h-inf", "amplitude-inf", "forcing-amplitude-nan",
+            "ic-m-off-grid", "ic-kx-off-grid", "shear-m-off-grid", "forcing-m-off-grid",
+            "forcing-kx-off-grid", "forcing-ky-off-grid"])
     def test_exits_one_naming_the_key(self, tmp_path, capsys, verb, body, key, line):
         ledger = tmp_path / "run.csv"
         cfg = write_config(
@@ -335,3 +347,19 @@ class TestMms:
         assert len(data["errors"]) == 3
         for order in data["observed_orders"]:
             assert 1.8 <= order <= 2.2
+
+    @pytest.mark.parametrize("verb", ["run", "picard"])
+    def test_forced_run_follows_manufactured_solution(self, tmp_path, verb):
+        # forcing = mms drives both integrators along the exact g(t) psi
+        body = (SMALL_GRID + "ic = manufactured\namplitude = 1e-2\nseed = 1\n"
+                "forcing = mms\ndt = 1e-3\nt_end = 0.05\n")
+        ckpt = tmp_path / "final.ckpt"
+        cfg = write_config(tmp_path, body + f"out_ledger = {tmp_path/'run.csv'}\n"
+                           f"out_report = {tmp_path/'r.json'}\nout_checkpoint = {ckpt}\n")
+        assert main([verb, "--config", cfg]) == 0
+        run_cfg = parse_config(body)
+        grid = run_cfg.grid()
+        psi = manufactured_profile(grid, run_cfg.ic)
+        exact = make_manufactured(StokesOperator(grid), psi).solution(0.05)
+        final = load_checkpoint(ckpt)
+        assert l2_norm(final - exact) <= 1e-6 * l2_norm(exact)

@@ -187,7 +187,7 @@ class TestBuildRecords:
             assert r.t == t
 
     def test_forced_records(self, grid8, op8):
-        spec = ForcingSpec(grid8, "single-mode", amplitude=0.01, mode=(1, 0, 0))
+        spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=0.01))
         a = eigenmode(grid8, (1, 0), 0, amplitude=0.01)
         led = imex_run(a, spec, ImexConfig(dt=1e-3, t_end=0.05, sample_every=10), op8)
         recs, _ = build_records(led, spec)
@@ -196,7 +196,7 @@ class TestBuildRecords:
     def test_split_matches_standalone_oracle(self, grid8, op8):
         # the sampler shares one advect between pressure and split residuals;
         # the standalone functions, each advecting on its own, are the reference
-        spec = ForcingSpec(grid8, "single-mode", amplitude=0.01, mode=(1, 0, 0))
+        spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=0.01))
         a = eigenmode(grid8, (1, 0), 0, amplitude=0.01)
         led = imex_run(a, spec, ImexConfig(dt=1e-3, t_end=0.02, sample_every=4), op8)
         _, split = build_records(led, spec)

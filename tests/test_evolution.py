@@ -70,23 +70,13 @@ class TestConfigs:
 
 
 class TestForcing:
-    def test_zero(self, grid8):
-        f = forcing_eval(ForcingSpec(grid8, "zero"), 0.3)
-        assert np.max(np.abs(f.coeffs)) == 0.0
-
     def test_single_mode_decay(self, grid8):
-        spec = ForcingSpec(grid8, "single-mode", amplitude=2.0, mode=(1, 0, 0), rate=0.7)
+        spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=2.0), rate=0.7)
         f0 = forcing_eval(spec, 0.0)
         f1 = forcing_eval(spec, 1.0)
         assert np.max(np.abs(f1.coeffs - np.exp(-0.7) * f0.coeffs)) < 1e-14
         div = divergence_of_average(f0)
         assert np.max(np.abs(div.coeffs)) < 1e-12
-
-    def test_unknown_kind(self, grid8):
-        with pytest.raises(ConfigurationError):
-            forcing_eval(ForcingSpec(grid8, "sinusoid"), 0.0)
-        with pytest.raises(ConfigurationError):
-            forcing_eval(ForcingSpec(grid8, "mms"), 0.0)
 
     def test_mms_forcing_matches_finite_differences(self, grid8, op8, rng):
         # f(t) must equal d/dt v_exact + A v_exact - F(v_exact) for the
@@ -145,7 +135,7 @@ class TestPicard:
         # the ledger's budget is read off eigen-coordinates; the field-form
         # norms of the stored states and a trapezoid sum of <f, v> are the
         # reference
-        spec = ForcingSpec(grid8, "single-mode", amplitude=0.05, mode=(1, 0, 0), rate=0.5)
+        spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=0.05), rate=0.5)
         a = small_data(grid8, amplitude=0.05)
         ledger, report = picard_solve(a, spec, PicardConfig(horizon=0.1, nodes=9), op8)
         assert report.converged
@@ -235,7 +225,7 @@ class TestImex:
         assert resid[0] / max(resid[1], 1e-300) > 3.0
 
     def test_forced_budget_includes_work_term(self, grid8, op8):
-        spec = ForcingSpec(grid8, "single-mode", amplitude=0.05, mode=(1, 0, 0), rate=0.5)
+        spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=0.05), rate=0.5)
         a = small_data(grid8, amplitude=0.05)
         led = imex_run(a, spec, ImexConfig(dt=2e-4, t_end=0.2, sample_every=10**9), op8)
         resid = abs(led.e2[-1] + 2 * led.d2_int[-1] - 2 * led.fwork_int[-1] - led.e2[0])
@@ -272,11 +262,10 @@ class TestManufactured:
     def test_imex_reproduces_manufactured_solution(self, grid8, op8, rng):
         psi = constrain(random_spectral(grid8, 2, rng, kmax=2, mmax=2, amplitude=1e-2))
         mms = make_manufactured(op8, psi)
-        spec = ForcingSpec(grid8, "mms", mms=mms)
         t_end = 0.25
         errs = []
         for dt in (2e-3, 1e-3):
-            led = imex_run(mms.initial(), spec, ImexConfig(dt=dt, t_end=t_end, sample_every=10**9), op8)
+            led = imex_run(mms.initial(), mms, ImexConfig(dt=dt, t_end=t_end, sample_every=10**9), op8)
             exact = mms.solution(t_end)
             errs.append(l2_norm(led.states[-1] - exact) / l2_norm(exact))
         assert 3.0 < errs[0] / errs[1] < 5.0

@@ -146,8 +146,6 @@ class TestEigenmodes:
     def test_eigenmode_validation(self, grid16):
         with pytest.raises(ConfigurationError):
             eigenmode(grid16, (1, 0), 99)
-        with pytest.raises(ConfigurationError):
-            eigenmode(grid16, (1, 0), 0, direction=(1.0, 0.0))
 
 
 class TestResolvent:
