@@ -3,8 +3,8 @@
 Verbs: run, picard, spectrum, resolvent-sweep, diagnose, mms.
 Exit codes: 0 success, 1 I/O or configuration failure, 2 blow-up (non-finite
 state) abort, 3 Picard non-convergence.  For `pe run`, dt must divide t_end
-and sample_every must be >= 1; other values exit 1.  numpy is the only
-runtime dependency.
+and sample_every must be >= 1, and `pe mms --levels` must be >= 1; other
+values exit 1.  numpy is the only runtime dependency.
 """
 
 import argparse
@@ -27,13 +27,7 @@ from .evolution import (
 )
 from .fields import l2_norm
 from .grid import Grid
-from .io import (
-    ledger_columns,
-    read_ledger_csv,
-    save_checkpoint,
-    write_ledger_csv,
-    write_report_json,
-)
+from .io import read_ledger_csv, save_checkpoint, write_ledger_csv, write_report_json
 from .stokes import StokesOperator
 
 
@@ -49,9 +43,9 @@ def _build_forcing(cfg: RunConfig, grid, op):
 
 
 def _emit_outputs(cfg, ledger, forcing, extra=None):
-    columns = ledger_columns(ledger, *diag.build_records(ledger, forcing))
-    write_ledger_csv(cfg.out_ledger, columns)
-    report = diag.summarize(columns)
+    table = diag.build_records(ledger, forcing)
+    write_ledger_csv(cfg.out_ledger, table)
+    report = diag.summarize(table)
     if extra:
         report.update(extra)
     write_report_json(cfg.out_report, report)
@@ -62,15 +56,14 @@ def _emit_outputs(cfg, ledger, forcing, extra=None):
 
 def _trim_overflowed(ledger, forcing):
     """Drop trailing samples whose diagnostics overflow (blow-up aborts only)."""
-    while len(ledger.times) > 1:
+    while len(ledger.states) > 1:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                diag.ledger_sample(ledger, len(ledger.times) - 1, forcing)
+                diag.ledger_sample(ledger, len(ledger.states) - 1, forcing)
             break
         except ConfigurationError:
-            for lst in (ledger.times, ledger.states, ledger.e2, ledger.d2,
-                        ledger.d2_int, ledger.fwork_int):
-                lst.pop()
+            for col in (*ledger.columns.values(), ledger.states):
+                col.pop()
     return ledger
 
 
@@ -101,7 +94,8 @@ def cmd_run(args):
         print(f"aborted: {err}", file=sys.stderr)
         return 2
     _emit_outputs(cfg, ledger, forcing, extra={"status": "completed"})
-    print(f"completed t = {ledger.times[-1]:g}, E2 = {ledger.e2[-1]:.6e}")
+    t, e2 = ledger.columns["t"][-1], ledger.columns["e2"][-1]
+    print(f"completed t = {t:g}, E2 = {e2:.6e}")
     return 0
 
 
@@ -167,6 +161,8 @@ def cmd_diagnose(args):
 
 
 def cmd_mms(args):
+    if args.levels < 1:
+        raise ConfigurationError(f"--levels must be >= 1, got {args.levels}")
     cfg = _load_config(args.config) if args.config else RunConfig()
     grid = cfg.grid()
     op = StokesOperator(grid)
@@ -176,7 +172,7 @@ def cmd_mms(args):
     for _ in range(args.levels):
         icfg = ImexConfig(dt=dt, t_end=args.t_end, sample_every=10**9)
         ledger = imex_run(mms.initial(), mms, icfg, op)
-        exact = mms.solution(ledger.times[-1])
+        exact = mms.solution(ledger.columns["t"][-1])
         errors.append(l2_norm(ledger.states[-1] - exact) / l2_norm(exact))
         dt /= 2
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]

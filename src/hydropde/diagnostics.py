@@ -1,19 +1,21 @@
 """Trajectory diagnostics: the a priori estimate ledger made executable.
 
-Every monitored quantity is a norm the fields module can compute.
-build_records samples a trajectory once: per sample it evaluates the
-forcing and the transport term once and returns the estimate record and the
-barotropic/baroclinic split residuals.  summarize turns the ledger columns
-into the report summary; the monitors it runs check the discrete
-counterparts of the energy identity, the Gronwall-type bound on the split
-energy Phi, and exponential decay.  Multiplicative constants in the
-continuous estimates are not computable, so all pass criteria are
-identities, boundedness, or stability-under-refinement, never absolute
-constants.
+Every monitored quantity is a norm the fields module can compute.  A
+sampled trajectory is one table, {column name: list of floats}: the
+integrator's columns (t, e2, d2 and the budget integrals) plus the columns
+of one row per sample, which build_records computes with one forcing and
+one transport-term evaluation per sample: the estimate norms and the
+barotropic/baroclinic split residuals.  The monitors and summarize read any
+mapping with those column names (the ledger's columns, build_records' table
+or a ledger CSV read back); they check the discrete counterparts of the
+energy identity, the Gronwall-type bound on the split energy Phi, and
+exponential decay.  Multiplicative constants in the continuous estimates
+are not computable, so all pass criteria are identities, boundedness, or
+stability-under-refinement, never absolute constants.
 """
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .fields import (
     SpectralField,
     averaged_to_physical,
     fluctuation,
-    grad_norm,
     l2_norm,
     lp_norm,
     sobolev_norm,
@@ -37,26 +38,15 @@ from .evolution import Forcing, TrajectoryLedger, forcing_eval, zeros_spectral
 from .stokes import StokesOperator
 
 
-@dataclass(frozen=True)
-class EstimateRecord:
-    """All monitored norms at one sample time (squared/raised as named)."""
+def _check_entries(row: dict):
+    """Reject a non-finite entry, or a negative one.
 
-    t: float
-    e2: float        # ||v||^2_{L^2}
-    d2: float        # ||grad v||^2_{L^2}
-    grad_h_bar: float  # ||grad_H vbar||^2_{L^2(G)}
-    vz2: float       # ||dz v||^2_{L^2}
-    tilde4: float    # ||v - vbar||^4_{L^4}
-    grad_pi: float   # ||grad_H pi||^2_{L^2(G)}
-    vz3: float       # ||dz v||^3_{L^3}
-    dtv2: float      # ||dt v||^2_{L^2}, centered differences of samples
-    h1: float        # ||v||^2 in the H^1 surrogate
-    h2: float        # ||v||^2 in the H^2 surrogate
-
-    def __post_init__(self):
-        for name, val in self.__dict__.items():
-            if not (math.isfinite(val) and (val >= 0 or name == "t")):
-                raise ConfigurationError(f"estimate record entry {name} = {val}")
+    Every ledger series is a norm, an integral of one or a residual norm,
+    except the time t and the forcing work fwork_int, which may be negative.
+    """
+    for name, val in row.items():
+        if not (math.isfinite(val) and (val >= 0 or name in ("t", "fwork_int"))):
+            raise ConfigurationError(f"estimate record entry {name} = {val}")
 
 
 def trajectory_pressure(state: SpectralField, f_field: SpectralField | None = None,
@@ -84,63 +74,75 @@ def tilde_values(state: SpectralField):
     return to_physical(state).values - averaged_to_physical(vb).values
 
 
-def record(state: SpectralField, t, pi, dtv2=0.0) -> EstimateRecord:
-    """Compute every monitored norm at one state (dtv2 supplied by the caller)."""
+def record(state: SpectralField, t, pi, dtv2=0.0) -> dict:
+    """The estimate norms of one state, as a row of ledger columns.
+
+    grad_h_bar = ||grad_H vbar||^2_{L^2(G)}, vz2 = ||dz v||^2_{L^2},
+    tilde4 = ||v - vbar||^4_{L^4}, grad_pi = ||grad_H pi||^2_{L^2(G)},
+    vz3 = ||dz v||^3_{L^3}, dtv2 = ||dt v||^2_{L^2} as the caller supplies it,
+    and h1, h2 = ||v||^2 in the H^1 and H^2 surrogates.  The sample time t
+    and the integrator's e2 and d2 are ledger columns, not part of the row.
+    A non-finite or negative entry raises ConfigurationError; h1 bounds e2
+    and d2 term by term, so a state whose e2 or d2 overflows is rejected too.
+    """
     g = state.grid
     vbar = vertical_average(state)
-    grad_h_bar = float(np.sum(g.k2[None] * np.abs(vbar.coeffs) ** 2))
-    vz2 = float(g.h / 2 * np.sum((g.lam**2)[None, None, None] * np.abs(state.coeffs) ** 2))
-    tilde4 = lp_norm(PhysicalField(g, tilde_values(state)), 4) ** 4
-    grad_pi = float(np.sum(g.k2 * np.abs(pi.coeffs) ** 2)) if pi is not None else 0.0
-    vz3 = lp_norm(synthesize(g, state.coeffs, g.dz_table), 3) ** 3
-    return EstimateRecord(
-        t=float(t),
-        e2=l2_norm(state) ** 2,
-        d2=grad_norm(state) ** 2,
-        grad_h_bar=grad_h_bar,
-        vz2=vz2,
-        tilde4=tilde4,
-        grad_pi=grad_pi,
-        vz3=vz3,
-        dtv2=float(dtv2),
-        h1=sobolev_norm(state, 1) ** 2,
-        h2=sobolev_norm(state, 2) ** 2,
-    )
+    vz2 = g.h / 2 * np.sum((g.lam**2)[None, None, None] * np.abs(state.coeffs) ** 2)
+    row = {
+        "grad_h_bar": float(np.sum(g.k2[None] * np.abs(vbar.coeffs) ** 2)),
+        "vz2": float(vz2),
+        "tilde4": lp_norm(PhysicalField(g, tilde_values(state)), 4) ** 4,
+        "grad_pi": float(np.sum(g.k2 * np.abs(pi.coeffs) ** 2)) if pi is not None else 0.0,
+        "vz3": lp_norm(synthesize(g, state.coeffs, g.dz_table), 3) ** 3,
+        "dtv2": float(dtv2),
+        "h1": sobolev_norm(state, 1) ** 2,
+        "h2": sobolev_norm(state, 2) ** 2,
+    }
+    _check_entries(row)
+    return row
 
 
-def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None):
-    """(EstimateRecord, SplitResiduals) of sample i, from one advect evaluation.
+def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None) -> dict:
+    """Row of sample i: record's norms and the split residuals, from one advect.
 
     dt v is the centered difference of the neighbouring samples; the end
     samples of a trajectory with >= 2 samples take the one-sided difference
     for dtv2 and the semi-discrete right-hand side for the split residuals.
     """
-    n = len(ledger.times)
-    t = ledger.times[i]
+    times = ledger.columns["t"]
+    n = len(times)
+    t = times[i]
     state = ledger.states[i]
     dt_v = None
     if n >= 3 and 0 < i < n - 1:
         dv = ledger.states[i + 1] - ledger.states[i - 1]
-        span = ledger.times[i + 1] - ledger.times[i - 1]
+        span = times[i + 1] - times[i - 1]
         dtv2 = (l2_norm(dv) / span) ** 2
         dt_v = (1.0 / span) * dv
     elif n >= 2:
         j = 1 if i == 0 else i
         dv = ledger.states[j] - ledger.states[j - 1]
-        dtv2 = (l2_norm(dv) / (ledger.times[j] - ledger.times[j - 1])) ** 2
+        dtv2 = (l2_norm(dv) / (times[j] - times[j - 1])) ** 2
     else:
         dtv2 = 0.0
     f_field = forcing_eval(forcing, t) if forcing is not None else None
     adv = advect(state, state)
     pi = trajectory_pressure(state, f_field, adv)
-    return (record(state, t, pi, dtv2),
-            split_residuals(state, pi, dt_v=dt_v, f_field=f_field, adv=adv))
+    return {**record(state, t, pi, dtv2),
+            **split_residuals(state, pi, dt_v=dt_v, f_field=f_field, adv=adv)}
 
 
-def build_records(ledger: TrajectoryLedger, forcing: Forcing | None = None):
-    """One pass over a sampled trajectory: (records, split residuals) lists."""
-    rows = [ledger_sample(ledger, i, forcing) for i in range(len(ledger.times))]
-    return [r for r, _ in rows], [s for _, s in rows]
+def build_records(ledger: TrajectoryLedger, forcing: Forcing | None = None) -> dict:
+    """One pass over a sampled trajectory: the full ledger table.
+
+    The ledger's columns (copied) come first, then the columns of the rows
+    ledger_sample returns: together the io.LEDGER_COLUMNS order of the CSV.
+    """
+    table = {name: list(col) for name, col in ledger.columns.items()}
+    for i in range(len(ledger.states)):
+        for name, val in ledger_sample(ledger, i, forcing).items():
+            table.setdefault(name, []).append(val)
+    return table
 
 
 # -- energy budget --------------------------------------------------------
@@ -154,7 +156,7 @@ class EnergyBudgetReport:
     monotone: bool
 
 
-def energy_budget(ledger: TrajectoryLedger) -> EnergyBudgetReport:
+def energy_budget(table) -> EnergyBudgetReport:
     """Check E2(t) + 2 int_0^t D2 ds = E2(0) + 2 int_0^t <P f, v> ds.
 
     Uses the per-step accumulated integrals the integrator stored, so the
@@ -162,15 +164,12 @@ def energy_budget(ledger: TrajectoryLedger) -> EnergyBudgetReport:
     divides by the largest budget term over the samples (E2, 2 int D2 or
     2 |int <P f, v>|), so a forced run from small data is not judged by E2(0).
     """
-    e20 = ledger.e2[0]
-    res = tuple(
-        ledger.e2[i] + 2 * ledger.d2_int[i] - 2 * ledger.fwork_int[i] - e20
-        for i in range(len(ledger))
-    )
+    e2, d2_int, fwork_int = table["e2"], table["d2_int"], table["fwork_int"]
+    res = tuple(e + 2 * d - 2 * w - e2[0] for e, d, w in zip(e2, d2_int, fwork_int))
     mx = max(abs(r) for r in res)
-    scale = max(max(ledger.e2), 2 * max(ledger.d2_int), 2 * max(map(abs, ledger.fwork_int)))
+    scale = max(max(e2), 2 * max(d2_int), 2 * max(map(abs, fwork_int)))
     rel = mx / scale if scale > 0 else mx
-    mono = all(b < a for a, b in zip(ledger.e2, ledger.e2[1:]))
+    mono = all(b < a for a, b in zip(e2, e2[1:]))
     return EnergyBudgetReport(res, mx, rel, mono)
 
 
@@ -186,16 +185,16 @@ class GronwallReport:
     max_jump_ratio: float
 
 
-def _k1_surrogate(rec: EstimateRecord) -> float:
+def _k1_surrogate(e2, h1) -> float:
     # unit-constant stand-in for the Gronwall rate: grows with the solution
     # size in L^2 and H^1
-    e = math.sqrt(rec.e2)
-    h1 = math.sqrt(rec.h1)
-    return (1 + e + e * e) * (h1 ** (2.0 / 3.0) + h1 + h1 * h1)
+    e = math.sqrt(e2)
+    h = math.sqrt(h1)
+    return (1 + e + e * e) * (h ** (2.0 / 3.0) + h + h * h)
 
 
-def gronwall_monitor(records) -> GronwallReport:
-    """Check Phi(t) <= Phi(0) exp(int_0^t K1_hat) along a list of records.
+def gronwall_monitor(table) -> GronwallReport:
+    """Check Phi(t) <= Phi(0) exp(int_0^t K1_hat) along the ledger table.
 
     Phi = 8 ||grad_H vbar||^2 + ||dz v||^2 + (c3/4) ||v - vbar||^4_{L^4}.
     The non-negative dissipation on the left of the continuous estimate
@@ -203,12 +202,14 @@ def gronwall_monitor(records) -> GronwallReport:
     """
     # c3 = 1: Phi's weight on the L^4 energy of the fluctuation is a free
     # positive constant of the Cao-Titi estimate, so c3/4 = 0.25
-    phi = [8 * r.grad_h_bar + r.vz2 + 0.25 * r.tilde4 for r in records]
-    k1 = [_k1_surrogate(r) for r in records]
+    t = table["t"]
+    phi = [8 * g + v + 0.25 * w
+           for g, v, w in zip(table["grad_h_bar"], table["vz2"], table["tilde4"])]
+    k1 = [_k1_surrogate(e, h) for e, h in zip(table["e2"], table["h1"])]
     bound = [phi[0]]
     acc = 0.0
-    for i in range(1, len(records)):
-        acc += 0.5 * (records[i].t - records[i - 1].t) * (k1[i] + k1[i - 1])
+    for i in range(1, len(t)):
+        acc += 0.5 * (t[i] - t[i - 1]) * (k1[i] + k1[i - 1])
         bound.append(phi[0] * math.exp(min(acc, 700.0)))
     dominated = all(p <= b * (1 + 1e-9) + 1e-300 for p, b in zip(phi, bound))
     jumps = [
@@ -235,15 +236,15 @@ class DecayFit:
     residual: float
 
 
-def decay_fit(ledger: TrajectoryLedger, quantity="e2") -> DecayFit:
+def decay_fit(table, quantity="e2") -> DecayFit:
     """Least-squares fit of log(quantity) vs t on the trajectory tail.
 
     The tail is the second half of the samples, past the transient of the
     faster-decaying modes.
     """
-    times = np.asarray(ledger.times)
+    times = np.asarray(table["t"])
     if quantity in ("e2", "d2"):
-        vals = np.asarray(getattr(ledger, quantity))
+        vals = np.asarray(table[quantity])
     else:
         raise ConfigurationError(f"unknown decay quantity {quantity!r}")
     start = len(times) // 2
@@ -265,16 +266,10 @@ def decay_fit(ledger: TrajectoryLedger, quantity="e2") -> DecayFit:
 # -- barotropic / baroclinic split ---------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitResiduals:
-    bar: float    # averaged-equation residual, L^2(G)
-    tilde: float  # fluctuation-equation residual, L^2(Omega)
-
-
 def split_residuals(state: SpectralField, pi, dt_v: SpectralField | None = None,
                     f_field: SpectralField | None = None,
-                    adv: SpectralField | None = None) -> SplitResiduals:
-    """Residuals of the averaged and fluctuation momentum equations.
+                    adv: SpectralField | None = None) -> dict:
+    """Residuals of the averaged (L^2(G)) and fluctuation (L^2) momentum equations.
 
     With dt_v omitted, the semi-discrete right-hand side -Av + F(v) + Pf is
     used and both residuals vanish to rounding; along a marched trajectory
@@ -293,48 +288,45 @@ def split_residuals(state: SpectralField, pi, dt_v: SpectralField | None = None,
     r_tilde = fluctuation(r_cos)
 
     scale = max(l2_norm(state), 1e-300)
-    return SplitResiduals(
-        bar=float(np.sqrt(np.sum(np.abs(r_bar.coeffs) ** 2))) / scale,
-        tilde=l2_norm(r_tilde) / scale,
-    )
+    return {"bar_residual": float(np.sqrt(np.sum(np.abs(r_bar.coeffs) ** 2))) / scale,
+            "tilde_residual": l2_norm(r_tilde) / scale}
 
 
 def poincare_slack(ledger: TrajectoryLedger) -> float:
     """max over samples of lam_0^2 E2 - D2 (should be <= ~0)."""
     lam0sq = (0.5 * math.pi / ledger.grid.h) ** 2
-    return max(lam0sq * e - d for e, d in zip(ledger.e2, ledger.d2))
+    return max(lam0sq * e - d for e, d in zip(ledger.columns["e2"], ledger.columns["d2"]))
 
 
 # -- report summary -------------------------------------------------------
 
 
-def summarize(columns) -> dict:
-    """Report summary of ledger columns ({name: list of floats}).
+def summarize(table) -> dict:
+    """Report summary of a ledger table ({column name: list of floats}).
 
     The run report and `pe diagnose` both come from here, the latter from
-    the columns of the CSV alone, so the two agree exactly: the CSV stores
-    floats with repr.  The EstimateRecords are rebuilt from the columns,
-    with the integrator's e2 and d2.
+    the table of the CSV alone, so the two agree exactly: the CSV stores
+    floats with repr.  An entry no run writes (non-finite, or negative where
+    a norm belongs) raises ConfigurationError; the split residuals are left
+    unchecked, since those of a blow-up's last kept samples may overflow.
     """
-    t = columns["t"]
-    # no grid and no states: the budget and the decay fit read only these series
-    ledger = TrajectoryLedger(None, times=t, e2=columns["e2"], d2=columns["d2"],
-                              d2_int=columns["d2_int"], fwork_int=columns["fwork_int"])
-    names = [f.name for f in dataclass_fields(EstimateRecord)]
-    records = [EstimateRecord(**{n: columns[n][i] for n in names}) for i in range(len(t))]
-    budget = energy_budget(ledger)
-    gron = gronwall_monitor(records)
+    t = table["t"]
+    for i in range(len(t)):
+        _check_entries({name: col[i] for name, col in table.items()
+                        if name not in ("bar_residual", "tilde_residual")})
+    budget = energy_budget(table)
+    gron = gronwall_monitor(table)
     rates = {}
     for q in ("e2", "d2"):
         try:
-            rates[q] = decay_fit(ledger, q).rate
+            rates[q] = decay_fit(table, q).rate
         except ConfigurationError:
             rates[q] = None
-    interior = zip(columns["bar_residual"][1:-1], columns["tilde_residual"][1:-1])
+    interior = zip(table["bar_residual"][1:-1], table["tilde_residual"][1:-1])
     return {
         "samples": len(t),
         "t_end": t[-1],
-        "e2_final": ledger.e2[-1],
+        "e2_final": table["e2"][-1],
         "energy_residual_max": budget.max_residual,
         "energy_residual_relative": budget.max_relative_residual,
         "e2_monotone": budget.monotone,

@@ -71,33 +71,27 @@ class ImexConfig:
 
 @dataclass
 class TrajectoryLedger:
-    """Sampled trajectory with per-step-accumulated budget integrals.
+    """Sampled trajectory: its states and the integrator's ledger columns.
 
-    d2_int carries int_0^t ||grad v||^2 ds and fwork_int carries
-    int_0^t <P f, v> ds, both accumulated by per-step trapezoid sums so the
-    sampling cadence does not degrade the energy-budget check.
+    columns holds one list of floats per series: the sample times t, the
+    energy e2 = ||v||^2 and dissipation d2 = ||grad v||^2, d2_int carrying
+    int_0^t ||grad v||^2 ds and fwork_int carrying int_0^t <P f, v> ds.  The
+    integrals are accumulated by per-step trapezoid sums, so the sampling
+    cadence does not degrade the energy-budget check.
     """
 
     grid: Grid
-    times: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    e2: list = field(default_factory=list)
-    d2: list = field(default_factory=list)
-    d2_int: list = field(default_factory=list)
-    fwork_int: list = field(default_factory=list)
+    columns: dict = field(default_factory=lambda: {
+        name: [] for name in ("t", "e2", "d2", "d2_int", "fwork_int")})
 
     def append(self, t, state, e2, d2, d2_int, fwork_int):
-        if self.times and not t > self.times[-1]:
+        times = self.columns["t"]
+        if times and not t > times[-1]:
             raise ConfigurationError("ledger times must be strictly increasing")
-        self.times.append(float(t))
         self.states.append(state)
-        self.e2.append(float(e2))
-        self.d2.append(float(d2))
-        self.d2_int.append(float(d2_int))
-        self.fwork_int.append(float(fwork_int))
-
-    def __len__(self):
-        return len(self.times)
+        for col, val in zip(self.columns.values(), (t, e2, d2, d2_int, fwork_int)):
+            col.append(float(val))
 
 
 # -- external forcing ----------------------------------------------------
@@ -192,11 +186,6 @@ def _uneig_flat(op, ycat):
     return op.from_eigen(ycat[:n0], ycat[n0:].reshape(-1, n0 - 1))
 
 
-def _mu_flat(op):
-    mu0, mu = op.eigenvalues_split()
-    return np.concatenate([mu0, mu.ravel()])
-
-
 def _budget(mu, h2, y, f=None):
     """(E2, D2, <P f, v>) of the state whose A-eigen-coordinates are y.
 
@@ -229,7 +218,7 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
     g = a.grid
     times = np.linspace(0.0, cfg.horizon, cfg.nodes)
     dt = times[1] - times[0]
-    mu = _mu_flat(op)
+    mu = op.eigenvalues
     decay = np.exp(-dt * mu)
     pa, pb = _phi_pair(dt * mu)
     h2 = g.h / 2
@@ -340,7 +329,7 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
     ledger = TrajectoryLedger(g)
     h2 = g.h / 2
     dt = cfg.dt
-    mu = _mu_flat(op)
+    mu = op.eigenvalues
     y = _eig_flat(op, v)
     have_f = f_ext is not None
 

@@ -9,10 +9,12 @@ followed by little-endian 8-byte floats, coefficients in
 interleaved.  Surface pressures use nz = 0 as a sentinel.  The depth h is
 written with repr so a save/load round trip is bit-exact.
 
-Ledger CSV: a version comment `# hydropde-ledger v1`, a column-header row,
-then one row per sample time with full-precision (repr) floats, so
-identical runs produce byte-identical files and the floats read back are
-exactly the floats written.
+Ledger CSV: the ledger table ({column name: list of floats}, as
+diagnostics.build_records returns it) written as a version comment
+`# hydropde-ledger v1`, a header row of LEDGER_COLUMNS, then one row per
+sample time with full-precision (repr) floats, so identical runs produce
+byte-identical files and the floats read back are exactly the floats
+written.  read_ledger_csv returns the same table.
 """
 
 import csv
@@ -88,34 +90,18 @@ def load_checkpoint(path, grid: Grid | None = None):
     return SpectralField(grid, coeffs.reshape(comp, nx, ny, nz))
 
 
-def ledger_columns(ledger, records, split):
-    """Ledger CSV columns {name: list of floats} of a sampled trajectory.
-
-    records and split are the two lists diagnostics.build_records returns;
-    t, e2, d2 and the budget integrals come from the integrator's ledger.
-    """
-    rows = [
-        (ledger.times[i], ledger.e2[i], ledger.d2[i],
-         ledger.d2_int[i], ledger.fwork_int[i],
-         rec.grad_h_bar, rec.vz2, rec.tilde4, rec.grad_pi,
-         rec.vz3, rec.dtv2, rec.h1, rec.h2, sr.bar, sr.tilde)
-        for i, (rec, sr) in enumerate(zip(records, split))
-    ]
-    return {name: [row[j] for row in rows] for j, name in enumerate(LEDGER_COLUMNS)}
-
-
-def write_ledger_csv(path, columns):
-    """Write ledger columns (as ledger_columns returns them), one row per sample."""
+def write_ledger_csv(path, table):
+    """Write a ledger table (as build_records returns it), one row per sample."""
     with open(path, "w", newline="") as fh:
         fh.write(LEDGER_VERSION_LINE + "\n")
         writer = csv.writer(fh)
         writer.writerow(LEDGER_COLUMNS)
-        for row in zip(*(columns[name] for name in LEDGER_COLUMNS)):
+        for row in zip(*(table[name] for name in LEDGER_COLUMNS)):
             writer.writerow([repr(float(x)) for x in row])
 
 
 def read_ledger_csv(path):
-    """Columns of a ledger CSV as {name: list of floats}.
+    """The ledger table of a CSV, {column name: list of floats}.
 
     The reader is name-based: every column of LEDGER_COLUMNS must be
     present, others are kept.  A malformed file, or a NaN cell, raises

@@ -158,14 +158,15 @@ class StokesOperator:
         return np.tile(lam2, 2), mu
 
     @cached_property
-    def _all_eigenvalues(self):
+    def eigenvalues(self):
+        """Every eigenvalue, flat in the order of the to_eigen coordinates."""
         mu0, mu = self._eigenvalues
         return np.concatenate([mu0, mu.reshape(-1)])
 
     @property
     def beta(self):
         """Smallest eigenvalue: the exponential decay rate of the semigroup."""
-        return float(self._all_eigenvalues.min())
+        return float(self.eigenvalues.min())
 
     # -- action -----------------------------------------------------------
 
@@ -239,7 +240,7 @@ class StokesOperator:
         """
         g = self.grid
         lam = complex(lam)
-        dist = np.abs(lam + self._all_eigenvalues)
+        dist = np.abs(lam + self.eigenvalues)
         if dist.min() <= 1e-12 * max(1.0, abs(lam)):
             raise SingularResolventError(
                 f"lambda = {lam} lies in (or within rounding of) the spectrum"
@@ -278,7 +279,7 @@ class StokesOperator:
             radii = np.logspace(-3, 6, 19)
             args = np.linspace(0.0, np.pi - eps, 7)
             lambdas = [r * np.exp(1j * th) for r in radii for th in args]
-        evs = self._all_eigenvalues
+        evs = self.eigenvalues
         rows = []
         for lam in lambdas:
             m = float(np.max(np.abs(lam) / np.abs(lam + evs)))

@@ -205,16 +205,16 @@ def test_criterion_07_picard_small_data(grid, op):
 
 
 def test_criterion_08_energy_budget(long_run):
-    rep = energy_budget(long_run)
+    rep = energy_budget(long_run.columns)
     _check(8, "energy identity closes to 1e-6 E2(0) with strictly decreasing E2",
            rep.max_relative_residual <= 1e-6 and rep.monotone,
            f"relative residual {rep.max_relative_residual:.2e}")
 
 
 def test_criterion_09_decay_and_gronwall(long_run, op):
-    fit = decay_fit(long_run, "e2")
+    fit = decay_fit(long_run.columns, "e2")
     target = 0.9 * 2 * op.beta
-    gron = gronwall_monitor(build_records(long_run)[0])
+    gron = gronwall_monitor(build_records(long_run))
     _check(9, "fitted decay rate >= 0.9 * 2 beta and Gronwall bound dominates",
            fit.rate >= target and gron.dominated,
            f"rate {fit.rate:.4f} vs {target:.4f}, dominated {gron.dominated}")

@@ -109,11 +109,14 @@ class TestRun:
         )
         assert main(["run", "--config", cfg]) == 2
         assert "aborted" in capsys.readouterr().err
+        # the march aborts at step 7; the 7th sample's diagnostics overflow,
+        # so the trim drops it and the first six samples remain
         cols = read_ledger_csv(ledger)
-        assert len(cols["t"]) >= 1
+        assert len(cols["t"]) == 6
         assert all(np.isfinite(v) for v in cols["e2"])
         data = json.loads((tmp_path / "r.json").read_text())
         assert data["status"] == "nan-abort"
+        assert data["samples"] == 6
 
 
 class TestBadInput:
@@ -347,6 +350,12 @@ class TestMms:
         assert len(data["errors"]) == 3
         for order in data["observed_orders"]:
             assert 1.8 <= order <= 2.2
+
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_levels_below_one_exit_one(self, tmp_path, capsys, levels):
+        assert main(["mms", "--levels", levels, "--out", str(tmp_path / "m.json")]) == 1
+        assert "--levels" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("verb", ["run", "picard"])
     def test_forced_run_follows_manufactured_solution(self, tmp_path, verb):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hydropde.diagnostics import (
-    EstimateRecord,
     build_records,
     decay_fit,
     energy_budget,
@@ -12,6 +11,7 @@ from hydropde.diagnostics import (
     poincare_slack,
     record,
     split_residuals,
+    summarize,
     tilde_values,
     trajectory_pressure,
 )
@@ -19,7 +19,9 @@ from hydropde.errors import ConfigurationError
 from hydropde.evolution import ForcingSpec, ImexConfig, forcing_eval, imex_run
 from hydropde.fields import (
     PhysicalField,
+    SpectralField,
     averaged_to_physical,
+    grad_norm,
     l2_norm,
     lp_norm,
     random_spectral,
@@ -28,6 +30,7 @@ from hydropde.fields import (
     zeros_spectral,
 )
 from hydropde.grid import Grid
+from hydropde.io import LEDGER_COLUMNS
 from hydropde.projection import constrain
 from hydropde.stokes import StokesOperator, eigenmode, eigenmode_eigenvalue
 
@@ -54,15 +57,15 @@ class TestRecord:
     def test_zero_state(self, grid8):
         z = zeros_spectral(grid8)
         r = record(z, 0.0, trajectory_pressure(z))
-        assert r.e2 == r.d2 == r.tilde4 == r.vz3 == 0.0
+        assert r["h1"] == r["vz2"] == r["tilde4"] == r["vz3"] == 0.0
 
-    def test_rejects_non_finite(self):
+    def test_rejects_non_finite(self, grid8):
+        z = zeros_spectral(grid8)
+        nan = SpectralField(grid8, np.full_like(z.coeffs, np.nan))
         with pytest.raises(ConfigurationError):
-            EstimateRecord(t=0.0, e2=float("nan"), d2=0, grad_h_bar=0, vz2=0,
-                           tilde4=0, grad_pi=0, vz3=0, dtv2=0, h1=0, h2=0)
-        with pytest.raises(ConfigurationError):
-            EstimateRecord(t=0.0, e2=-1.0, d2=0, grad_h_bar=0, vz2=0,
-                           tilde4=0, grad_pi=0, vz3=0, dtv2=0, h1=0, h2=0)
+            record(nan, 0.0, None)
+        with pytest.raises(ConfigurationError, match="dtv2"):
+            record(z, 0.0, None, dtv2=-1.0)
 
     def test_d2_splits_into_parts(self, grid8, rng):
         # ||grad v||^2 = horizontal part + vertical part; vz2 is the vertical
@@ -72,7 +75,8 @@ class TestRecord:
         r = record(v, 0.0, trajectory_pressure(v))
         g = grid8
         horiz = float(g.h / 2 * np.sum(g.k2[None, :, :, None] * np.abs(v.coeffs) ** 2))
-        assert abs(r.d2 - (horiz + r.vz2)) < 1e-10 * max(r.d2, 1.0)
+        d2 = grad_norm(v) ** 2
+        assert abs(d2 - (horiz + r["vz2"])) < 1e-10 * max(d2, 1.0)
 
     def test_tilde4_against_direct_quadrature(self, grid8, rng):
         v = constrain(random_spectral(grid8, 2, rng))
@@ -85,7 +89,7 @@ class TestRecord:
         # magnitude only through the component mixing; compare the vector form
         tilde = tilde_values(v)
         alt = lp_norm(PhysicalField(g, tilde), 4) ** 4
-        assert abs(r.tilde4 - alt) < 1e-12 * max(alt, 1.0)
+        assert abs(r["tilde4"] - alt) < 1e-12 * max(alt, 1.0)
         assert np.isfinite(direct) and direct > 0
 
 
@@ -94,35 +98,35 @@ class TestEnergyBudget:
         # slow mode: the trapezoid closure error scales like dt^2 mu^3
         a = eigenmode(grid8, (0, 0), 0, amplitude=0.1)
         led = imex_run(a, None, ImexConfig(dt=2e-4, t_end=0.3, sample_every=50, nonlinear=False), op8)
-        rep = energy_budget(led)
+        rep = energy_budget(led.columns)
         assert rep.max_relative_residual < 1e-6
         assert rep.monotone
 
     def test_nonlinear_run_closes(self, short_run):
         # broadband data contains fast modes, so closure is looser here; the
         # dt-refinement behavior of the residual is covered elsewhere
-        rep = energy_budget(short_run)
+        rep = energy_budget(short_run.columns)
         assert rep.max_relative_residual < 5e-2
         assert rep.monotone
-        assert len(rep.residuals) == len(short_run.times)
+        assert len(rep.residuals) == len(short_run.columns["t"])
 
 
 class TestGronwall:
     def test_zero_trajectory(self, grid8, op8):
         led = imex_run(zeros_spectral(grid8), None,
                        ImexConfig(dt=1e-2, t_end=0.1, sample_every=2), op8)
-        rep = gronwall_monitor(build_records(led)[0])
+        rep = gronwall_monitor(build_records(led))
         assert rep.phi_max == 0.0
         assert rep.dominated
 
     def test_decaying_run_dominated(self, short_run):
-        rep = gronwall_monitor(build_records(short_run)[0])
+        rep = gronwall_monitor(build_records(short_run))
         assert rep.dominated
         assert rep.phi_max > 0
         assert rep.max_jump_ratio >= 1.0 and np.isfinite(rep.max_jump_ratio)
 
     def test_bound_grows_from_initial_value(self, short_run):
-        rep = gronwall_monitor(build_records(short_run)[0])
+        rep = gronwall_monitor(build_records(short_run))
         assert rep.bound[0] == rep.phi[0]
         assert all(b2 >= b1 for b1, b2 in zip(rep.bound, rep.bound[1:]))
 
@@ -132,22 +136,22 @@ class TestDecayFit:
         a = eigenmode(grid8, (1, 0), 0, amplitude=1e-3)
         mu = eigenmode_eigenvalue(grid8, (1, 0), 0)
         led = imex_run(a, None, ImexConfig(dt=1e-4, t_end=0.2, sample_every=10), op8)
-        fit = decay_fit(led, "e2")
+        fit = decay_fit(led.columns, "e2")
         assert abs(fit.rate - 2 * mu) < 0.01 * 2 * mu
 
     def test_d2_quantity(self, short_run):
-        fit = decay_fit(short_run, "d2")
+        fit = decay_fit(short_run.columns, "d2")
         assert fit.rate > 0
 
     def test_too_few_samples(self, grid8, op8):
         a = eigenmode(grid8, (1, 0), 0, amplitude=1e-3)
         led = imex_run(a, None, ImexConfig(dt=1e-2, t_end=0.1, sample_every=2), op8)
         with pytest.raises(ConfigurationError):
-            decay_fit(led, "e2")
+            decay_fit(led.columns, "e2")
 
     def test_unknown_quantity(self, short_run):
         with pytest.raises(ConfigurationError):
-            decay_fit(short_run, "enstrophy")
+            decay_fit(short_run.columns, "enstrophy")
 
 
 class TestSplitResiduals:
@@ -155,43 +159,48 @@ class TestSplitResiduals:
         v = constrain(random_spectral(grid8, 2, rng, amplitude=0.1))
         pi = trajectory_pressure(v)
         s = split_residuals(v, pi)
-        assert s.bar < 1e-10
-        assert s.tilde < 1e-10
+        assert s["bar_residual"] < 1e-10
+        assert s["tilde_residual"] < 1e-10
 
     def test_zero_state(self, grid8):
         z = zeros_spectral(grid8)
         s = split_residuals(z, trajectory_pressure(z))
-        assert s.bar == s.tilde == 0.0
+        assert s["bar_residual"] == s["tilde_residual"] == 0.0
 
     def test_marched_trajectory_residuals_small(self, grid8, op8):
         a = eigenmode(grid8, (1, 0), 0, amplitude=1e-2) \
             + eigenmode(grid8, (0, 0), 0, amplitude=1e-2)
         led = imex_run(a, None, ImexConfig(dt=1e-4, t_end=0.02, sample_every=1), op8)
-        i = len(led.times) // 2
-        dt_v = (1.0 / (led.times[i + 1] - led.times[i - 1])) * (
+        i = len(led.columns["t"]) // 2
+        dt_v = (1.0 / (led.columns["t"][i + 1] - led.columns["t"][i - 1])) * (
             led.states[i + 1] - led.states[i - 1]
         )
         pi = trajectory_pressure(led.states[i])
         s = split_residuals(led.states[i], pi, dt_v=dt_v)
-        assert s.bar < 1e-4
-        assert s.tilde < 1e-4
+        assert s["bar_residual"] < 1e-4
+        assert s["tilde_residual"] < 1e-4
 
 
 class TestBuildRecords:
     def test_series_shapes_and_dtv(self, short_run):
-        recs, _ = build_records(short_run)
-        assert len(recs) == len(short_run.times)
-        assert all(r.dtv2 >= 0 for r in recs)
-        assert recs[1].dtv2 > 0
-        for r, t in zip(recs, short_run.times):
-            assert r.t == t
+        table = build_records(short_run)
+        assert len(table["dtv2"]) == len(short_run.states)
+        assert all(x >= 0 for x in table["dtv2"])
+        assert table["dtv2"][1] > 0
+        assert table["t"] == short_run.columns["t"]
+
+    def test_keys_follow_the_csv_layout(self, short_run):
+        # the table's keys, in order, are the columns the CSV writes
+        table = build_records(short_run)
+        assert list(table) == list(LEDGER_COLUMNS)
+        assert all(len(col) == len(short_run.states) for col in table.values())
 
     def test_forced_records(self, grid8, op8):
         spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=0.01))
         a = eigenmode(grid8, (1, 0), 0, amplitude=0.01)
         led = imex_run(a, spec, ImexConfig(dt=1e-3, t_end=0.05, sample_every=10), op8)
-        recs, _ = build_records(led, spec)
-        assert all(np.isfinite(r.h2) for r in recs)
+        table = build_records(led, spec)
+        assert all(np.isfinite(x) for x in table["h2"])
 
     def test_split_matches_standalone_oracle(self, grid8, op8):
         # the sampler shares one advect between pressure and split residuals;
@@ -199,18 +208,34 @@ class TestBuildRecords:
         spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=0.01))
         a = eigenmode(grid8, (1, 0), 0, amplitude=0.01)
         led = imex_run(a, spec, ImexConfig(dt=1e-3, t_end=0.02, sample_every=4), op8)
-        _, split = build_records(led, spec)
-        n = len(led.times)
-        assert n >= 3 and len(split) == n
+        table = build_records(led, spec)
+        n = len(led.columns["t"])
+        assert n >= 3 and len(table["bar_residual"]) == n
         for i, state in enumerate(led.states):
             dt_v = None
             if 0 < i < n - 1:
-                dt_v = (1.0 / (led.times[i + 1] - led.times[i - 1])) * (
+                dt_v = (1.0 / (led.columns["t"][i + 1] - led.columns["t"][i - 1])) * (
                     led.states[i + 1] - led.states[i - 1])
-            f = forcing_eval(spec, led.times[i])
+            f = forcing_eval(spec, led.columns["t"][i])
             oracle = split_residuals(state, trajectory_pressure(state, f),
                                      dt_v=dt_v, f_field=f)
-            assert split[i] == oracle
+            assert {name: table[name][i] for name in oracle} == oracle
+
+
+class TestSummarize:
+    def test_rejects_entries_no_run_writes(self, short_run):
+        table = build_records(short_run)
+        summarize(table)
+        for name, val in (("h1", -1.0), ("e2", float("inf")), ("t", float("inf"))):
+            bad = {n: list(col) for n, col in table.items()}
+            bad[name][2] = val
+            with pytest.raises(ConfigurationError, match=f"entry {name} ="):
+                summarize(bad)
+        # a negative forcing work and an overflowed split residual are kept
+        ok = {n: list(col) for n, col in table.items()}
+        ok["fwork_int"][2] = -1.0
+        ok["bar_residual"][2] = float("inf")
+        summarize(ok)
 
 
 class TestPoincare:
@@ -220,4 +245,4 @@ class TestPoincare:
     def test_ground_mode_saturates(self, grid8, op8):
         a = eigenmode(grid8, (0, 0), 0, amplitude=1e-3)
         led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=0.05, sample_every=10), op8)
-        assert abs(poincare_slack(led)) < 1e-12 * max(led.e2)
+        assert abs(poincare_slack(led)) < 1e-12 * max(led.columns["e2"])

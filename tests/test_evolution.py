@@ -101,14 +101,14 @@ class TestPicard:
         ledger, report = picard_solve(zeros_spectral(grid8), None, cfg, op8)
         assert report.converged and not report.diverged
         assert report.iterations == 1
-        assert max(ledger.e2) == 0.0
+        assert max(ledger.columns["e2"]) == 0.0
 
     def test_linear_problem_matches_semigroup(self, grid8, op8, rng):
         a = constrain(random_spectral(grid8, 2, rng))
         cfg = PicardConfig(horizon=0.4, nodes=17, nonlinear=False)
         ledger, report = picard_solve(a, None, cfg, op8)
         assert report.converged
-        for t, state in zip(ledger.times, ledger.states):
+        for t, state in zip(ledger.columns["t"], ledger.states):
             exact = op8.semigroup_apply(t, a)
             assert l2_norm(state - exact) < 1e-10 * l2_norm(a)
 
@@ -140,14 +140,15 @@ class TestPicard:
         ledger, report = picard_solve(a, spec, PicardConfig(horizon=0.1, nodes=9), op8)
         assert report.converged
         work = np.array([l2_inner(forcing_eval(spec, t), s)
-                         for t, s in zip(ledger.times, ledger.states)])
+                         for t, s in zip(ledger.columns["t"], ledger.states)])
         fwork = np.concatenate([[0.0], np.cumsum(
-            0.5 * np.diff(ledger.times) * (work[1:] + work[:-1]))])
+            0.5 * np.diff(ledger.columns["t"]) * (work[1:] + work[:-1]))])
         assert fwork[-1] > 0
+        c = ledger.columns
         for i, state in enumerate(ledger.states):
-            assert ledger.e2[i] == pytest.approx(l2_norm(state) ** 2, rel=1e-12, abs=0)
-            assert ledger.d2[i] == pytest.approx(grad_norm(state) ** 2, rel=1e-12, abs=0)
-            assert ledger.fwork_int[i] == pytest.approx(fwork[i], rel=1e-12, abs=0)
+            assert c["e2"][i] == pytest.approx(l2_norm(state) ** 2, rel=1e-12, abs=0)
+            assert c["d2"][i] == pytest.approx(grad_norm(state) ** 2, rel=1e-12, abs=0)
+            assert c["fwork_int"][i] == pytest.approx(fwork[i], rel=1e-12, abs=0)
 
     def test_non_convergence_reported_not_raised(self, grid8, op8):
         # huge data on a short budget: the iteration must report failure
@@ -155,7 +156,7 @@ class TestPicard:
         cfg = PicardConfig(horizon=0.5, nodes=9, max_iterations=3, tolerance=1e-15)
         ledger, report = picard_solve(a, None, cfg, op8)
         assert not report.converged
-        assert len(ledger.times) == 9
+        assert len(ledger.columns["t"]) == 9
 
 
 class TestImex:
@@ -168,7 +169,8 @@ class TestImex:
         for dt in (2e-3, 1e-3, 5e-4):
             led = imex_run(a, None, ImexConfig(dt=dt, t_end=t_end, nonlinear=False), op8)
             exact = np.exp(-mu * t_end)
-            errs.append(abs(np.sqrt(led.e2[-1]) / np.sqrt(led.e2[0]) - exact))
+            e2 = led.columns["e2"]
+            errs.append(abs(np.sqrt(e2[-1]) / np.sqrt(e2[0]) - exact))
         r1 = errs[0] / errs[1]
         r2 = errs[1] / errs[2]
         assert 3.3 < r1 < 4.7 and 3.3 < r2 < 4.7
@@ -180,7 +182,8 @@ class TestImex:
         errs = []
         for dt in (2e-3, 1e-3):
             led = imex_run(a, None, ImexConfig(dt=dt, t_end=t_end, order=1, nonlinear=False), op8)
-            errs.append(abs(np.sqrt(led.e2[-1]) / np.sqrt(led.e2[0]) - np.exp(-mu * t_end)))
+            e2 = led.columns["e2"]
+            errs.append(abs(np.sqrt(e2[-1]) / np.sqrt(e2[0]) - np.exp(-mu * t_end)))
         assert 1.7 < errs[0] / errs[1] < 2.3
 
     def test_nonlinear_order_two_against_reference(self, grid8, op8):
@@ -214,22 +217,24 @@ class TestImex:
     def test_energy_dissipates_without_forcing(self, grid8, op8, rng):
         a = constrain(random_spectral(grid8, 2, rng, amplitude=1e-2))
         led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=0.2, sample_every=20), op8)
-        assert all(b < a_ for a_, b in zip(led.e2, led.e2[1:]))
+        assert all(b < a_ for a_, b in zip(led.columns["e2"], led.columns["e2"][1:]))
 
     def test_energy_budget_closes_at_scheme_order(self, grid8, op8):
         a = small_data(grid8, amplitude=0.1)
         resid = []
         for dt in (1e-3, 5e-4):
             led = imex_run(a, None, ImexConfig(dt=dt, t_end=0.2, sample_every=10**9), op8)
-            resid.append(abs(led.e2[-1] + 2 * led.d2_int[-1] - led.e2[0]))
+            c = led.columns
+            resid.append(abs(c["e2"][-1] + 2 * c["d2_int"][-1] - c["e2"][0]))
         assert resid[0] / max(resid[1], 1e-300) > 3.0
 
     def test_forced_budget_includes_work_term(self, grid8, op8):
         spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=0.05), rate=0.5)
         a = small_data(grid8, amplitude=0.05)
         led = imex_run(a, spec, ImexConfig(dt=2e-4, t_end=0.2, sample_every=10**9), op8)
-        resid = abs(led.e2[-1] + 2 * led.d2_int[-1] - 2 * led.fwork_int[-1] - led.e2[0])
-        assert resid < 1e-6 * led.e2[0]
+        c = led.columns
+        resid = abs(c["e2"][-1] + 2 * c["d2_int"][-1] - 2 * c["fwork_int"][-1] - c["e2"][0])
+        assert resid < 1e-6 * c["e2"][0]
 
     def test_nan_abort_carries_partial_ledger(self, grid8, op8):
         a = 40.0 * constrain(random_spectral(grid8, 2, np.random.default_rng(9)))
@@ -238,8 +243,8 @@ class TestImex:
             imex_run(a, None, cfg, op8)
         led = exc.value.ledger
         assert isinstance(led, TrajectoryLedger)
-        assert len(led.times) >= 1
-        assert all(np.isfinite(e) for e in led.e2)
+        assert len(led.columns["t"]) >= 1
+        assert all(np.isfinite(e) for e in led.columns["e2"])
 
     def test_cfl_precheck(self, grid8, op8):
         a = 40.0 * constrain(random_spectral(grid8, 2, np.random.default_rng(9)))

@@ -13,7 +13,7 @@ from hydropde.config import (
     manufactured_profile,
     parse_config,
 )
-from hydropde.diagnostics import build_records, split_residuals, trajectory_pressure
+from hydropde.diagnostics import build_records
 from hydropde.errors import ConfigurationError
 from hydropde.evolution import ImexConfig, imex_run
 from hydropde.fields import l2_norm, random_spectral
@@ -21,7 +21,6 @@ from hydropde.grid import Grid
 from hydropde.io import (
     LEDGER_COLUMNS,
     LEDGER_VERSION_LINE,
-    ledger_columns,
     load_checkpoint,
     read_ledger_csv,
     save_checkpoint,
@@ -96,35 +95,32 @@ def short_ledger():
     g = Grid(8, 8, 4)
     a = eigenmode(g, (1, 0), 0, amplitude=1e-2)
     led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=0.05, sample_every=10))
-    recs, _ = build_records(led)
-    split = [split_residuals(s, trajectory_pressure(s)) for s in led.states]
-    return led, recs, split
+    return led, build_records(led)
 
 
 class TestLedgerCsv:
     def test_round_trip(self, short_ledger, tmp_path):
-        led, recs, split = short_ledger
+        led, table = short_ledger
         p = tmp_path / "run.csv"
-        write_ledger_csv(p, ledger_columns(led, recs, split))
+        write_ledger_csv(p, table)
         text = p.read_text().splitlines()
         assert text[0] == LEDGER_VERSION_LINE
         assert text[1].split(",") == list(LEDGER_COLUMNS)
         cols = read_ledger_csv(p)
-        assert cols["t"] == led.times
-        assert cols["e2"] == led.e2
-        assert cols["d2_int"] == led.d2_int
-        assert cols["h1"] == [r.h1 for r in recs]
+        assert cols["t"] == led.columns["t"]
+        assert cols["e2"] == led.columns["e2"]
+        assert cols["d2_int"] == led.columns["d2_int"]
+        assert cols == table
 
     def test_byte_determinism(self, short_ledger, tmp_path):
-        led, recs, split = short_ledger
+        _, table = short_ledger
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_ledger_csv(p1, ledger_columns(led, recs, split))
-        write_ledger_csv(p2, ledger_columns(led, recs, split))
+        write_ledger_csv(p1, table)
+        write_ledger_csv(p2, table)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_nan_cell_rejected_inf_accepted(self, short_ledger, tmp_path):
-        led, recs, split = short_ledger
-        columns = ledger_columns(led, recs, split)
+        columns = {name: list(col) for name, col in short_ledger[1].items()}
         columns["bar_residual"][-1] = float("inf")
         p = tmp_path / "run.csv"
         write_ledger_csv(p, columns)

@@ -127,6 +127,15 @@ class TestSpectrum:
         evs = op16.spectrum().all_eigenvalues()
         assert evs.min() >= np.pi**2 / 4 - 1e-12
 
+    def test_flat_eigenvalues_follow_to_eigen_order(self, grid16, op16, rng):
+        # scaling the flat to_eigen coordinates by op.eigenvalues applies A
+        v = constrain(random_spectral(grid16, 2, rng))
+        y0, y = op16.to_eigen(v)
+        mu = op16.eigenvalues
+        av = op16.from_eigen(mu[:y0.size] * y0, mu[y0.size:].reshape(y.shape) * y)
+        ref = op16.apply(v)
+        assert l2_norm(av - ref) < 1e-12 * l2_norm(ref)
+
 
 class TestEigenmodes:
     def test_eigenmode_is_eigenfunction(self, grid16, op16):
