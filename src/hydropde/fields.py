@@ -8,12 +8,12 @@ Three containers share a Grid:
 
 A coefficient c at wavenumber k multiplies exp(2*pi*i*k.x) directly
 (forward normalization), and the physical field of any c is the real part of
-that sum.  The horizontal transforms are real FFTs over the two contiguous
-last axes of mode-major planes (m, x, y), on the Hermitian ky >= 0 half of
-the spectrum; the ky < 0 half follows from conjugate symmetry.  The vertical
-transform evaluates or projects onto the cosine basis phi_m(z); the forward
-direction goes through a Gram solve so that round trips are exact to
-rounding regardless of quadrature resolution.
+that sum.  The horizontal transforms run on a block of the Hermitian ky >= 0
+half (all of it, or Grid.dealias_block): zero-fill along kx, ifft along x
+and irfft along y one way, rfft along y and fft along x back, and the ky < 0
+half follows from conjugate symmetry.  The vertical transform evaluates or
+projects onto the cosine basis phi_m(z); its forward direction goes through a
+Gram solve, so round trips are exact to rounding at any quadrature resolution.
 
 Norm conventions: for vector fields the pointwise magnitude is the Euclidean
 norm over components, then the L^p quadrature is taken over the box.  With
@@ -122,34 +122,40 @@ def zeros_spectral(grid, components=2):
 # -- transforms ----------------------------------------------------------
 
 
-def hermitian_half(grid, coeffs, modes):
-    """Hermitian and anti-Hermitian parts of coeffs[..., :modes], ky >= 0 half.
+def hermitian_half(grid, coeffs, modes, block):
+    """Hermitian and anti-Hermitian parts of coeffs[..., :modes] on a block.
 
-    coeffs is (..., kx, ky, m); the parts (c(k) +- conj(c(-k))) / 2 come back
-    mode-major, (..., m, kx, ky) with ky = 0 .. ny/2.  The Hermitian part is
+    block is (rows, K), the whole half or Grid.dealias_block; coeffs is
+    (..., kx, ky, m) and the parts (c(k) +- conj(c(-k))) / 2 come back
+    mode-major, (..., m, rows, K).  On the whole half the Hermitian part is
     the spectrum of the real field Re(sum c exp(2 pi i k.x)).
     """
-    (ix, iy), nyh = grid.neg_k, grid.ny // 2 + 1
+    (ix, iy), (rows, K) = grid.neg_k, block
     c = np.moveaxis(coeffs[..., :modes], -1, -3)
-    half, rev = c[..., :nyh], np.conj(c[..., ix, iy[:, :nyh]])
+    half, rev = c[..., rows, :K], np.conj(c[..., ix[rows], iy[:, :K]])
     return 0.5 * (half + rev), 0.5 * (half - rev)
 
 
-def half_to_planes(grid, half):
-    """Real planes (..., m, x_i, y_j) of a Hermitian ky >= 0 half (..., m, kx, ky)."""
-    return np.fft.irfft2(half, s=(grid.nx, grid.ny), norm="forward")
+def half_to_planes(grid, half, block):
+    """Real planes (..., m, x_i, y_j) of a Hermitian block (..., m, rows, K)."""
+    if half.shape[-2] < grid.nx:  # zero-fill the rows to nx
+        full = np.zeros(half.shape[:-2] + (grid.nx, half.shape[-1]), complex)
+        full[..., block[0], :] = half
+        half = full
+    return np.fft.irfft(np.fft.ifft(half, axis=-2, norm="forward"), grid.ny, norm="forward")
 
 
-def planes_to_coeffs(grid, planes):
-    """Coefficients (..., kx, ky, nz) of real planes (..., m, x_i, y_j), m < nz.
+def planes_to_coeffs(grid, planes, block):
+    """Coefficients (..., kx, ky, nz) on a block of real planes (..., m, x_i, y_j).
 
-    One rfft2 gives the ky >= 0 half, c(-k) = conj(c(k)) the rest.
+    One rfft along y, one fft along x on its first K columns; c is 0 outside
+    the block and its ky < 0 mirror c(-k) = conj(c(k)).
     """
-    half = np.moveaxis(np.fft.rfft2(planes, norm="forward"), -3, -1)
-    (ix, iy), (nyh, m) = grid.neg_k, half.shape[-2:]
+    (ix, iy), (rows, K), nyh, m = grid.neg_k, block, grid.ny // 2 + 1, planes.shape[-3]
+    half = np.fft.fft(np.fft.rfft(planes, norm="forward")[..., :K], axis=-2, norm="forward")
     c = np.zeros(half.shape[:-3] + (grid.nx, grid.ny, grid.nz), complex)
-    c[..., :nyh, :m] = half
-    c[..., nyh:, :m] = np.conj(half[..., ix, iy[:, nyh:], :])
+    c[..., rows, :K, :m] = np.moveaxis(half[..., rows, :], -3, -1)
+    c[..., nyh:, :m] = np.conj(c[..., ix, iy[:, nyh:], :m])
     return c
 
 
@@ -158,12 +164,13 @@ def synthesize(grid, coeffs, table) -> PhysicalField:
 
     table maps the modes to the nodes, shape (modes, nzq): cos_table for the
     field itself, dz_table for its z-derivative, w_table for its integral
-    from z to 0.  The Hermitian half of the mode planes goes through one
-    irfft2 and the real table is applied to the real planes, so the result
-    is Re(sum c exp(2 pi i k.x) phi_m) for any c.
+    from z to 0.  The Hermitian half of the mode planes goes through the
+    inverse transform and the real table is applied to the real planes, so
+    the result is Re(sum c exp(2 pi i k.x) phi_m) for any c.
     """
-    herm, _ = hermitian_half(grid, coeffs, table.shape[0])
-    return PhysicalField(grid, np.tensordot(half_to_planes(grid, herm), table, (1, 0)))
+    block = slice(None), grid.ny // 2 + 1
+    herm = hermitian_half(grid, coeffs, table.shape[0], block)[0]
+    return PhysicalField(grid, np.tensordot(half_to_planes(grid, herm, block), table, (1, 0)))
 
 
 def to_physical(f: SpectralField) -> PhysicalField:
@@ -175,10 +182,11 @@ def to_spectral(g: PhysicalField) -> SpectralField:
 
     The inverse of synthesize with cos_table: the real node values are
     projected onto the vertical modes first (Grid.vertical_to_modes), then
-    one rfft2 runs on the nz mode planes (planes_to_coeffs).
+    the nz mode planes go through the forward transform (planes_to_coeffs).
     """
     modes = g.grid.vertical_to_modes(g.values)
-    return SpectralField(g.grid, planes_to_coeffs(g.grid, np.moveaxis(modes, -1, -3)))
+    block = slice(None), g.grid.ny // 2 + 1
+    return SpectralField(g.grid, planes_to_coeffs(g.grid, np.moveaxis(modes, -1, -3), block))
 
 
 def hermitize(f: SpectralField) -> SpectralField:

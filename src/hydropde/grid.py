@@ -28,7 +28,7 @@ class Grid:
     nx, ny : horizontal Fourier mode counts (even, >= 4)
     nz     : number of vertical cosine modes (>= 2)
     h      : layer depth (> 0); vertical domain is (-h, 0)
-    dealias_fraction : fraction of retained modes per direction, in (0, 1]
+    dealias_fraction : f in (0, 1]; advect keeps |k| < f n / 2, m < f nz (all at f = 1)
     """
 
     nx: int
@@ -148,11 +148,11 @@ class Grid:
 
     @cached_property
     def half_ik(self):
-        """2 pi i (kx, ky) on the ky >= 0 half, each split (off, on) its Nyquist line.
+        """2 pi i (kx, ky) on dealias_block, each split (off, on) its Nyquist line.
 
         On it k is its own negative: herm(i k c) = i k anti(c) there, i k herm(c) off it.
         """
-        kx, ky = self.kx[:, None], self.ky[None, : self.ny // 2 + 1]
+        kx, ky = self.kx[self.dealias_block[0], None], self.ky[None, : self.dealias_block[1]]
         return tuple((2j * np.pi * k * (k != -n // 2), 2j * np.pi * k * (k == -n // 2))
                      for k, n in ((kx, self.nx), (ky, self.ny)))
 
@@ -168,13 +168,21 @@ class Grid:
         return int(np.count_nonzero(np.arange(self.nz) < self.dealias_fraction * self.nz))
 
     @cached_property
-    def dealias_mask(self):
-        """Boolean keep-mask over (kx, ky, m)."""
+    def dealias_block(self):
+        """(rows, K): the kept kx rows in FFT order and the kept ky >= 0 columns 0 .. K-1.
+
+        For f < 1 the kept |k| < f n / 2, so 3 |k| < n at f = 2/3; f = 1 keeps every k.
+        """
         f = self.dealias_fraction
-        keep_x = np.abs(self.kx) <= f * self.nx / 2
-        keep_y = np.abs(self.ky) <= f * self.ny / 2
-        keep_m = np.arange(self.nz) < self.dealias_modes
-        return keep_x[:, None, None] & keep_y[None, :, None] & keep_m[None, None, :]
+        Kx, K = (n // 2 + 1 if f == 1 else int(np.ceil(f * n / 2)) for n in (self.nx, self.ny))
+        return np.flatnonzero(np.abs(self.kx) < Kx), K
+
+    @cached_property
+    def dealias_mask(self):
+        """Boolean keep-mask over (kx, ky, m): the block's rows, |ky| < K and m < mk."""
+        rows, K = self.dealias_block
+        keep_x = np.isin(np.arange(self.nx), rows)[:, None, None]
+        return keep_x & (np.abs(self.ky) < K)[:, None] & (np.arange(self.nz) < self.dealias_modes)
 
     # -- convenience ------------------------------------------------------
 

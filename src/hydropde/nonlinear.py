@@ -6,12 +6,12 @@ returns the result as cosine-basis coefficients.  F(v) applies the
 constraint projection with a minus sign, matching the right-hand side of the
 evolution equation.
 
-Dealiasing zeroes the modes m >= mk, so only the planes m < mk are
+Only Grid.dealias_block (kept kx rows, ky >= 0 columns) and m < mk are
 transformed: the nine input planes (v_adv, dx v, dy v, dz v, w) form one
-mode-major stack on the Hermitian ky >= 0 half, go through one irfft2, and
-the product is projected onto m < mk before one rfft2.  w is evaluated from
-its sine-profile antiderivatives and never re-expanded in the cosine basis
-(it satisfies different boundary conditions); dz v is exact in the basis.
+Hermitian stack on the block, zero-filled along kx for one ifft along x and
+one irfft along y; the product's rfft along y and fft along x on the kept
+columns fill the block and its -ky mirror.  w comes from sine antiderivatives,
+not the cosine basis (its boundary conditions differ); dz v is exact in it.
 
 The vertical stage runs tile by tile over the flattened horizontal points:
 each TILE columns of the planes meet cos_table, dz_table and w_table as
@@ -67,14 +67,13 @@ def advect(v: SpectralField, v_adv: SpectralField) -> SpectralField:
         raise ConfigurationError("advect operands live on different grids")
     if v.components != 2 or v_adv.components != 2:
         raise ConfigurationError("advect needs 2-component velocities")
-    mk, n = g.dealias_modes, g.nx * g.ny
-    mask = g.dealias_mask[..., :mk]
-    hv, av = hermitian_half(g, v.coeffs[..., :mk] * mask, mk)
-    ha, aa = (hv, av) if v_adv is v else hermitian_half(g, v_adv.coeffs[..., :mk] * mask, mk)
+    mk, n, block = g.dealias_modes, g.nx * g.ny, g.dealias_block
+    hv, av = hermitian_half(g, v.coeffs, mk, block)
+    ha, aa = (hv, av) if v_adv is v else hermitian_half(g, v_adv.coeffs, mk, block)
     (dx, dx_nyq), (dy, dy_nyq) = g.half_ik
     w = dx * ha[0] + dx_nyq * aa[0] + dy * ha[1] + dy_nyq * aa[1]
     stack = np.concatenate([ha, dx * hv + dx_nyq * av, dy * hv + dy_nyq * av, hv, w[None]])
-    planes = half_to_planes(g, stack).reshape(9, mk, n)
+    planes = half_to_planes(g, stack, block).reshape(9, mk, n)
     C, Dz, W = (t[:mk].T for t in (g.cos_table, g.dz_table, g.w_table))
     modes = np.empty((2, mk, n))
     for s in range(0, n, TILE):
@@ -88,13 +87,13 @@ def advect(v: SpectralField, v_adv: SpectralField) -> SpectralField:
         term *= W @ p[8]
         prod += term
         modes[..., s:s + TILE] = g.vertical_to_modes(prod, mk, z_major=True)
-    coeffs = planes_to_coeffs(g, modes.reshape(2, mk, g.nx, g.ny))
-    return SpectralField(g, coeffs * g.dealias_mask)
+    return SpectralField(g, planes_to_coeffs(g, modes.reshape(2, mk, g.nx, g.ny), block))
 
 
 def F(v: SpectralField, ws: NonlinearWorkspace | None = None) -> SpectralField:
     """Constrained nonlinearity -P(v . grad_H v + w dz v) (ws is ignored)."""
-    return -constrain(advect(v, v))
+    c = constrain(advect(v, v)).coeffs
+    return SpectralField(v.grid, np.negative(c, out=c))
 
 
 @dataclass(frozen=True)

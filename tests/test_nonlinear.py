@@ -126,6 +126,22 @@ class TestAdvect:
             ip = l2_inner(advect(v, v), vm)
             assert abs(ip) < 1e-9 * l2_norm(v) ** 3
 
+    @pytest.mark.parametrize("n", [12, 18, 24])
+    def test_energy_neutral_when_n_is_a_multiple_of_three(self, n):
+        # at f = 2/3 two modes with |k| = n/3 alias onto -n/3, so the 2/3
+        # rule must keep |k| < n/3 strictly (3K < n)
+        g = Grid(n, n, 6)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            v = dealias(random_spectral(g, 2, rng, kmax=n // 2, mmax=g.nz))
+            assert abs(l2_inner(advect(v, v), v)) < 1e-12 * l2_norm(v) ** 3
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_full_fraction_keeps_every_mode(self, n):
+        g = Grid(n, n, 4, dealias_fraction=1.0)
+        assert g.dealias_mask.all()
+        assert g.dealias_block[1] == n // 2 + 1 and len(g.dealias_block[0]) == n
+
     def test_grid_mismatch_rejected(self, grid16, rng):
         v = random_spectral(grid16, 2, rng)
         other = random_spectral(Grid(8, 8, 8), 2, rng)
@@ -136,11 +152,25 @@ class TestAdvect:
             advect(bad, bad)
 
 
+class OddGrid(Grid):
+    """A Grid without the even-count check.
+
+    The transforms do not assume even counts, and an odd ny is the one case
+    where the ky >= 0 half has no Nyquist column to leave out of the -ky
+    mirror fill.
+    """
+
+    def __post_init__(self):
+        pass
+
+
 # 20x18 has 360 horizontal points: one full tile of advect's vertical stage
 # (nonlinear.TILE = 256) and a partial one.
-ORACLE_GRIDS = [Grid(nx, ny, nz, h, f)
-                for nx, ny, nz, h in ((8, 12, 5, 1.3), (12, 8, 4, 0.4), (20, 18, 5, 1.3))
-                for f in (2.0 / 3.0, 1.0)]
+ORACLE_GRIDS = [OddGrid(10, 9, 4, 0.7, f) for f in (0.5, 2.0 / 3.0, 1.0)] + [
+    Grid(nx, ny, nz, h, f)
+    for nx, ny, nz, h in ((8, 12, 5, 1.3), (12, 8, 4, 0.4), (20, 18, 5, 1.3))
+    for f in (2.0 / 3.0, 1.0)]
+GRID_IDS = dict(ids=lambda g: f"{g.nx}x{g.ny}x{g.nz}-f{g.dealias_fraction:.2f}")
 
 
 def nyquist_velocity(grid, kind, rng):
@@ -154,8 +184,7 @@ def nyquist_velocity(grid, kind, rng):
 
 class TestAdvectOracle:
     @pytest.mark.parametrize("kind", ["hermitian", "non-hermitian", "constrained"])
-    @pytest.mark.parametrize("grid", ORACLE_GRIDS,
-                             ids=lambda g: f"{g.nx}x{g.ny}x{g.nz}-f{g.dealias_fraction:.2f}")
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, **GRID_IDS)
     def test_matches_reference(self, grid, kind):
         rng = np.random.default_rng(7)
         v, v_adv = nyquist_velocity(grid, kind, rng), nyquist_velocity(grid, kind, rng)
@@ -165,6 +194,27 @@ class TestAdvectOracle:
             assert np.max(np.abs(hermitize(v).coeffs - v.coeffs)) > 0.1
         ref = reference_advect(v, v_adv)
         assert np.max(np.abs(advect(v, v_adv).coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, **GRID_IDS)
+    def test_zero_outside_the_dealias_mask(self, grid):
+        rng = np.random.default_rng(3)
+        v, v_adv = (nyquist_velocity(grid, "non-hermitian", rng) for _ in range(2))
+        out = advect(v, v_adv).coeffs
+        assert np.max(np.abs(out)) > 0
+        assert not np.any(out[:, ~grid.dealias_mask])
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS + [Grid(n, n, 6) for n in (12, 18, 24)],
+                             **GRID_IDS)
+    def test_block_has_the_support_of_the_mask(self, grid):
+        rows, K = grid.dealias_block
+        # FFT order, and k -> -k maps the rows onto themselves
+        assert np.array_equal(rows, np.sort(rows))
+        assert np.array_equal(np.sort(-rows % grid.nx), rows)
+        block = np.zeros((grid.nx, grid.ny), bool)
+        block[rows[:, None], np.arange(K) % grid.ny] = True
+        block[rows[:, None], -np.arange(K) % grid.ny] = True
+        keep_m = np.arange(grid.nz) < grid.dealias_modes
+        assert np.array_equal(grid.dealias_mask, block[..., None] & keep_m)
 
     def test_tiles_split_the_horizontal_points(self):
         g = ORACLE_GRIDS[-1]
