@@ -3,14 +3,15 @@
 Every monitored quantity is a norm the fields module can compute.  A
 sampled trajectory is one table, {column name: list of floats}: the
 integrator's columns (t, e2, d2 and the budget integrals) plus the columns
-of one row per sample, which build_records computes with one forcing and
-one transport-term evaluation per sample: the estimate norms and the
-barotropic/baroclinic split residuals.  The monitors and summarize read any
-mapping with those column names (the ledger's columns, build_records' table
-or a ledger CSV read back); they check the discrete counterparts of the
-energy identity, the Gronwall-type bound on the split energy Phi, and
-exponential decay.  Multiplicative constants in the continuous estimates
-are not computable, so all pass criteria are identities, boundedness, or
+of one row per sample.  build_records forms each sample's momentum balance
+m = advect(v, v) - Delta v - f once, for the surface pressure and the
+barotropic/baroclinic split residuals, and synthesizes v and dz v once each
+for the estimate norms.  The monitors and summarize read any mapping with
+those column names (the ledger's columns, build_records' table or a ledger
+CSV read back); they check the discrete counterparts of the energy
+identity, the Gronwall-type bound on the split energy Phi, and exponential
+decay.  Multiplicative constants in the continuous estimates are not
+computable, so all pass criteria are identities, boundedness, or
 stability-under-refinement, never absolute constants.
 """
 
@@ -23,19 +24,16 @@ from .errors import ConfigurationError
 from .fields import (
     PhysicalField,
     SpectralField,
-    averaged_to_physical,
     fluctuation,
     l2_norm,
     lp_norm,
-    sobolev_norm,
     synthesize,
     to_physical,
     vertical_average,
 )
 from .nonlinear import advect
 from .projection import constrain, solve_surface_poisson
-from .evolution import Forcing, TrajectoryLedger, forcing_eval, zeros_spectral
-from .stokes import StokesOperator
+from .evolution import Forcing, TrajectoryLedger, forcing_eval
 
 
 def _check_entries(row: dict):
@@ -49,29 +47,35 @@ def _check_entries(row: dict):
             raise ConfigurationError(f"estimate record entry {name} = {val}")
 
 
-def trajectory_pressure(state: SpectralField, f_field: SpectralField | None = None,
-                        adv: SpectralField | None = None):
-    """Surface pressure balancing the averaged momentum equation at this state.
-
-    adv is advect(state, state) when the caller has it already.
-    """
+def _momentum_balance(state: SpectralField, f_field: SpectralField | None = None):
+    """m = advect(v, v) - Delta v - f, so that dt v + m + grad_H pi = 0."""
     g = state.grid
-    lapv = SpectralField(g, -g.laplace_symbol[None] * state.coeffs)
-    rhs = lapv - (advect(state, state) if adv is None else adv)
+    m = advect(state, state).coeffs + g.laplace_symbol * state.coeffs
     if f_field is not None:
-        rhs = rhs + f_field
-    return solve_surface_poisson(vertical_average(rhs))
+        m -= f_field.coeffs
+    return SpectralField(g, m)
+
+
+def trajectory_pressure(state: SpectralField, f_field: SpectralField | None = None,
+                        balance: SpectralField | None = None):
+    """Surface pressure: Delta_H pi = -div_H avg(m) for the momentum balance m.
+
+    balance is m = _momentum_balance(state, f_field) if the caller has it.
+    """
+    m = _momentum_balance(state, f_field) if balance is None else balance
+    return solve_surface_poisson(-vertical_average(m))
 
 
 def tilde_values(state: SpectralField):
     """Pointwise fluctuation v - vbar on the collocation grid.
 
-    The vertical average is subtracted as an exact z-constant (not through
-    its truncated cosine representative), so no basis truncation error
-    enters near the bottom boundary.
+    vbar is the quadrature mean over the depth, an exact z-constant (not the
+    truncated cosine representative of the average), subtracted in place.
     """
-    vb = vertical_average(state)
-    return to_physical(state).values - averaged_to_physical(vb).values
+    g = state.grid
+    vals = to_physical(state).values
+    vals -= (vals @ g.wq)[..., None] / g.h
+    return vals
 
 
 def record(state: SpectralField, t, pi, dtv2=0.0) -> dict:
@@ -87,23 +91,23 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> dict:
     """
     g = state.grid
     vbar = vertical_average(state)
-    vz2 = g.h / 2 * np.sum((g.lam**2)[None, None, None] * np.abs(state.coeffs) ** 2)
+    p2 = g.h / 2 * np.sum(np.abs(state.coeffs) ** 2, axis=0)  # Parseval density
     row = {
         "grad_h_bar": float(np.sum(g.k2[None] * np.abs(vbar.coeffs) ** 2)),
-        "vz2": float(vz2),
+        "vz2": float(np.sum(g.lam**2 * p2)),
         "tilde4": lp_norm(PhysicalField(g, tilde_values(state)), 4) ** 4,
         "grad_pi": float(np.sum(g.k2 * np.abs(pi.coeffs) ** 2)) if pi is not None else 0.0,
         "vz3": lp_norm(synthesize(g, state.coeffs, g.dz_table), 3) ** 3,
         "dtv2": float(dtv2),
-        "h1": sobolev_norm(state, 1) ** 2,
-        "h2": sobolev_norm(state, 2) ** 2,
+        "h1": float(np.sum(g.sobolev_symbol * p2)),
+        "h2": float(np.sum(g.sobolev_symbol**2 * p2)),
     }
     _check_entries(row)
     return row
 
 
 def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None) -> dict:
-    """Row of sample i: record's norms and the split residuals, from one advect.
+    """Row of sample i: record's norms and the split residuals, from one balance m.
 
     dt v is the centered difference of the neighbouring samples; the end
     samples of a trajectory with >= 2 samples take the one-sided difference
@@ -125,11 +129,9 @@ def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None) -
         dtv2 = (l2_norm(dv) / (times[j] - times[j - 1])) ** 2
     else:
         dtv2 = 0.0
-    f_field = forcing_eval(forcing, t) if forcing is not None else None
-    adv = advect(state, state)
-    pi = trajectory_pressure(state, f_field, adv)
-    return {**record(state, t, pi, dtv2),
-            **split_residuals(state, pi, dt_v=dt_v, f_field=f_field, adv=adv)}
+    m = _momentum_balance(state, forcing_eval(forcing, t) if forcing is not None else None)
+    pi = trajectory_pressure(state, balance=m)
+    return {**record(state, t, pi, dtv2), **split_residuals(state, pi, dt_v=dt_v, balance=m)}
 
 
 def build_records(ledger: TrajectoryLedger, forcing: Forcing | None = None) -> dict:
@@ -268,28 +270,21 @@ def decay_fit(table, quantity="e2") -> DecayFit:
 
 def split_residuals(state: SpectralField, pi, dt_v: SpectralField | None = None,
                     f_field: SpectralField | None = None,
-                    adv: SpectralField | None = None) -> dict:
+                    balance: SpectralField | None = None) -> dict:
     """Residuals of the averaged (L^2(G)) and fluctuation (L^2) momentum equations.
 
-    With dt_v omitted, the semi-discrete right-hand side -Av + F(v) + Pf is
-    used and both residuals vanish to rounding; along a marched trajectory
-    pass dt_v from finite differences to test the integrator.  adv is
-    advect(state, state) when the caller has it already.
+    r = dt v + m for the momentum balance m (balance, if the caller has it).
+    With dt_v omitted, dt v is -P m (P = constrain), the semi-discrete
+    right-hand side of a state on the constraint manifold, and both residuals
+    vanish to rounding; along a marched trajectory pass dt_v from finite
+    differences to test the integrator.
     """
-    g = state.grid
-    adv = advect(state, state) if adv is None else adv
-    lap = SpectralField(g, -g.laplace_symbol[None] * state.coeffs)
-    f_field = f_field if f_field is not None else zeros_spectral(g)
-    if dt_v is None:
-        dt_v = -StokesOperator(g).apply(state) - constrain(adv) + constrain(f_field)
-
-    r_cos = dt_v + adv - lap - f_field
-    r_bar = vertical_average(r_cos) + pi.gradient()
-    r_tilde = fluctuation(r_cos)
-
+    m = _momentum_balance(state, f_field) if balance is None else balance
+    r = m - constrain(m) if dt_v is None else dt_v + m
+    r_bar = vertical_average(r) + pi.gradient()
     scale = max(l2_norm(state), 1e-300)
-    return {"bar_residual": float(np.sqrt(np.sum(np.abs(r_bar.coeffs) ** 2))) / scale,
-            "tilde_residual": l2_norm(r_tilde) / scale}
+    return {"bar_residual": r_bar.l2_norm() / scale,
+            "tilde_residual": l2_norm(fluctuation(r)) / scale}
 
 
 def poincare_slack(ledger: TrajectoryLedger) -> float:

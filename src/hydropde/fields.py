@@ -16,7 +16,8 @@ projects onto the cosine basis phi_m(z); its forward direction goes through a
 Gram solve, so round trips are exact to rounding at any quadrature resolution.
 
 Norm conventions: for vector fields the pointwise magnitude is the Euclidean
-norm over components, then the L^p quadrature is taken over the box.  With
+norm over components, then the L^p quadrature is taken over the box; the
+L^p norms raise the squared magnitude |f|^2 to the power p/2.  With
 |G| = 1 the total measure is h, so a constant c has L^p norm |c| h^(1/p).
 """
 
@@ -122,18 +123,17 @@ def zeros_spectral(grid, components=2):
 # -- transforms ----------------------------------------------------------
 
 
-def hermitian_half(grid, coeffs, modes, block):
-    """Hermitian and anti-Hermitian parts of coeffs[..., :modes] on a block.
+def mirror_pair(grid, coeffs, modes, block):
+    """c(k) (maybe a view) and conj(c(-k)) (a new array) of coeffs[..., :modes].
 
     block is (rows, K), the whole half or Grid.dealias_block; coeffs is
-    (..., kx, ky, m) and the parts (c(k) +- conj(c(-k))) / 2 come back
-    mode-major, (..., m, rows, K).  On the whole half the Hermitian part is
-    the spectrum of the real field Re(sum c exp(2 pi i k.x)).
+    (..., kx, ky, m) and both come back mode-major, (..., m, rows, K).  Half
+    their sum is the Hermitian part, on the whole half the spectrum of the
+    real field Re(sum c exp(2 pi i k.x)); half their difference is the rest.
     """
     (ix, iy), (rows, K) = grid.neg_k, block
     c = np.moveaxis(coeffs[..., :modes], -1, -3)
-    half, rev = c[..., rows, :K], np.conj(c[..., ix[rows], iy[:, :K]])
-    return 0.5 * (half + rev), 0.5 * (half - rev)
+    return c[..., rows, :K], np.conj(c[..., ix[rows], iy[:, :K]])
 
 
 def half_to_planes(grid, half, block):
@@ -169,7 +169,9 @@ def synthesize(grid, coeffs, table) -> PhysicalField:
     the result is Re(sum c exp(2 pi i k.x) phi_m) for any c.
     """
     block = slice(None), grid.ny // 2 + 1
-    herm = hermitian_half(grid, coeffs, table.shape[0], block)[0]
+    half, herm = mirror_pair(grid, coeffs, table.shape[0], block)
+    herm += half  # in place on the new array: half may be a view of coeffs
+    herm *= 0.5
     return PhysicalField(grid, np.tensordot(half_to_planes(grid, herm, block), table, (1, 0)))
 
 
@@ -274,22 +276,16 @@ def _horizontal_divergence_coeffs(v):
 # -- norms ----------------------------------------------------------------
 
 
-def _pointwise_magnitude(f: PhysicalField):
-    if f.components == 1:
-        return np.abs(f.values[0])
-    return np.sqrt(np.sum(f.values**2, axis=0))
-
-
 def lp_norm(f: PhysicalField, p) -> float:
     """L^p(Omega) norm by quadrature; p = inf takes the max over nodes."""
     if p != np.inf and p < 1:
         raise DomainError(f"lp_norm requires p >= 1, got {p}")
-    mag = _pointwise_magnitude(f)
+    mag2 = np.sum(f.values**2, axis=0)
     if p == np.inf:
-        return float(mag.max(initial=0.0))
+        return float(np.sqrt(mag2.max(initial=0.0)))
     g = f.grid
     hw = 1.0 / (g.nx * g.ny)
-    total = hw * np.sum(mag**p @ g.wq)
+    total = hw * np.sum(mag2 ** (p / 2) @ g.wq)
     return float(total ** (1.0 / p))
 
 
@@ -299,12 +295,12 @@ def mixed_norm(f: PhysicalField, q_z, p_xy) -> float:
         if e != np.inf and e < 1:
             raise DomainError(f"mixed_norm requires {label} >= 1, got {e}")
     g = f.grid
-    mag = _pointwise_magnitude(f)
+    mag2 = np.sum(f.values**2, axis=0)
     hw = 1.0 / (g.nx * g.ny)
     if p_xy == np.inf:
-        slab = mag.max(axis=(0, 1))
+        slab = np.sqrt(mag2.max(axis=(0, 1)))
     else:
-        slab = (hw * np.sum(mag**p_xy, axis=(0, 1))) ** (1.0 / p_xy)
+        slab = (hw * np.sum(mag2 ** (p_xy / 2), axis=(0, 1))) ** (1.0 / p_xy)
     if q_z == np.inf:
         return float(slab.max(initial=0.0))
     return float(np.sum(g.wq * slab**q_z) ** (1.0 / q_z))

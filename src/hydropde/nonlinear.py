@@ -31,8 +31,8 @@ from .errors import ConfigurationError
 from .fields import (
     SpectralField,
     half_to_planes,
-    hermitian_half,
     l2_norm,
+    mirror_pair,
     planes_to_coeffs,
     random_spectral,
     sobolev_norm,
@@ -68,8 +68,13 @@ def advect(v: SpectralField, v_adv: SpectralField) -> SpectralField:
     if v.components != 2 or v_adv.components != 2:
         raise ConfigurationError("advect needs 2-component velocities")
     mk, n, block = g.dealias_modes, g.nx * g.ny, g.dealias_block
-    hv, av = hermitian_half(g, v.coeffs, mk, block)
-    ha, aa = (hv, av) if v_adv is v else hermitian_half(g, v_adv.coeffs, mk, block)
+
+    def parts(c):  # Hermitian and anti-Hermitian parts on the block
+        half, rev = mirror_pair(g, c, mk, block)
+        return 0.5 * (half + rev), 0.5 * (half - rev)
+
+    hv, av = parts(v.coeffs)
+    ha, aa = (hv, av) if v_adv is v else parts(v_adv.coeffs)
     (dx, dx_nyq), (dy, dy_nyq) = g.half_ik
     w = dx * ha[0] + dx_nyq * aa[0] + dy * ha[1] + dy_nyq * aa[1]
     stack = np.concatenate([ha, dx * hv + dx_nyq * av, dy * hv + dy_nyq * av, hv, w[None]])

@@ -258,6 +258,30 @@ class TestNorms:
                 rhs = mixed_norm(f, q1, p1) * mixed_norm(g, q2, p2)
                 assert lhs <= rhs * (1 + 1e-12)
 
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("p", [1, 3, 4, np.inf], ids=["1", "3", "4", "inf"])
+    def test_lp_and_mixed_against_direct_quadrature(self, grid16, rng, p, components):
+        # oracle: the pointwise magnitude |f| itself, |f|^p summed with the
+        # horizontal and vertical quadrature weights (the max at p = inf)
+        g = grid16
+        f = to_physical(random_spectral(g, components, rng))
+        mag = np.abs(f.values[0]) if components == 1 else np.sqrt(np.sum(f.values**2, axis=0))
+        hw = 1.0 / (g.nx * g.ny)
+
+        def slab_norm(a, p):  # over each horizontal slice
+            if p == np.inf:
+                return a.max(axis=(0, 1))
+            return (hw * np.sum(a**p, axis=(0, 1))) ** (1 / p)
+
+        def depth_norm(s, q):
+            return s.max() if q == np.inf else np.sum(g.wq * s**q) ** (1 / q)
+
+        assert lp_norm(f, p) == pytest.approx(depth_norm(slab_norm(mag, p), p), rel=1e-13)
+        for q in (1, 3, 4, np.inf):
+            for q_z, p_xy in ((q, p), (p, q)):
+                want = depth_norm(slab_norm(mag, p_xy), q_z)
+                assert mixed_norm(f, q_z, p_xy) == pytest.approx(want, rel=1e-13)
+
     def test_lp_rejects_small_p(self, grid16):
         f = PhysicalField(grid16, np.zeros((1, 16, 16, grid16.nzq)))
         with pytest.raises(DomainError):
