@@ -4,7 +4,7 @@ Every monitored quantity is a norm the fields module can compute.  A
 sampled trajectory is one table, {column name: list of floats}: the
 integrator's columns (t, e2, d2 and the budget integrals) plus the columns
 of one row per sample.  build_records forms each sample's momentum balance
-m = advect(v, v) - Delta v - f once, for the surface pressure and the
+m = advect(v) - Delta v - f once, for the surface pressure and the
 barotropic/baroclinic split residuals, and synthesizes v and dz v once each
 for the estimate norms.  The monitors and summarize read any mapping with
 those column names (the ledger's columns, build_records' table or a ledger
@@ -48,9 +48,9 @@ def _check_entries(row: dict):
 
 
 def _momentum_balance(state: SpectralField, f_field: SpectralField | None = None):
-    """m = advect(v, v) - Delta v - f, so that dt v + m + grad_H pi = 0."""
+    """m = advect(v) - Delta v - f, so that dt v + m + grad_H pi = 0."""
     g = state.grid
-    m = advect(state, state).coeffs + g.laplace_symbol * state.coeffs
+    m = advect(state).coeffs + g.laplace_symbol * state.coeffs
     if f_field is not None:
         m -= f_field.coeffs
     return SpectralField(g, m)

@@ -10,7 +10,8 @@ which satisfies phi_m'(0) = 0 and phi_m(-h) = 0 exactly, so the rigid-lid /
 no-slip-bottom boundary conditions are built into the basis.  Vertical
 quadrature is Gauss-Legendre on (-h, 0); the node count is chosen so that
 triple products of basis functions integrate to near machine precision
-(needed for the discrete energy-neutrality of the advection term).
+(needed for the discrete energy-neutrality of the advection term), with a
+smaller set for the dealiased modes the advection term keeps.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,24 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
+
+
+class VerticalNodes:
+    """Gauss-Legendre nodes z on (-h, 0), weights w, and the modes lam there.
+
+    cos, dz and wint: phi_m, dz phi_m = -lam_m sin(lam_m z) and int_z^0 phi_m =
+    -sin(lam_m z) / lam_m at the nodes, shape (modes, nodes).  to_modes, shape
+    (nodes, modes): the quadrature projection times the inverse of the
+    ~identity quadrature Gram matrix, so that it inverts the cos synthesis exactly.
+    """
+
+    def __init__(self, lam, h, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        self.z, self.w = -h / 2 + (h / 2) * x, w * (h / 2)
+        self.cos, sin = np.cos(np.outer(lam, self.z)), np.sin(np.outer(lam, self.z))
+        self.dz, self.wint = -lam[:, None] * sin, -sin / lam[:, None]
+        B = (2.0 / h) * self.cos * self.w
+        self.to_modes = np.linalg.solve(B @ self.cos.T, B).T
 
 
 @dataclass(frozen=True)
@@ -60,44 +79,33 @@ class Grid:
 
     @cached_property
     def nzq(self):
-        """Vertical quadrature node count.
+        """Vertical quadrature node count of the grid (the L^p norms use it).
 
-        3*nz + 8 makes Gauss-Legendre exact (to ~1e-14) for products of up
-        to three retained basis functions, which the pseudospectral
-        nonlinearity and the L^p norms rely on.
+        3*nz + 8 integrates products of three basis functions to ~1e-13, not
+        1e-14: at f = 1, advect is 2-5e-13 off a 6*nz + 40-node reference.
         """
         return 3 * self.nz + 8
 
     @cached_property
-    def _vertical_quadrature(self):
-        x, w = np.polynomial.legendre.leggauss(self.nzq)
-        z = -self.h / 2 + (self.h / 2) * x
-        return z, w * (self.h / 2)
-
-    @property
-    def zq(self):
-        """Quadrature nodes in (-h, 0), ascending."""
-        return self._vertical_quadrature[0]
-
-    @property
-    def wq(self):
-        """Positive quadrature weights summing to h."""
-        return self._vertical_quadrature[1]
+    def nodes(self):
+        """The grid's vertical node set: nzq nodes, the tables of all nz modes."""
+        return VerticalNodes(self.lam, self.h, self.nzq)
 
     @cached_property
-    def cos_table(self):
-        """cos(lam_m z_q), shape (nz, nzq)."""
-        return np.cos(np.outer(self.lam, self.zq))
+    def advect_nodes(self):
+        """advect's set: min(3 mk + 12, nzq) nodes for m < mk; nodes itself at nzq (f = 1).
 
-    @cached_property
-    def dz_table(self):
-        """dz phi_m at the nodes, -lam_m sin(lam_m z_q), shape (nz, nzq)."""
-        return -self.lam[:, None] * np.sin(np.outer(self.lam, self.zq))
+        3 mk + 8 would be 7e-13 off a 6*nz + 40-node reference at nz <= 16.
+        """
+        mk = self.dealias_modes
+        n = min(3 * mk + 12, self.nzq)
+        return self.nodes if n == self.nzq else VerticalNodes(self.lam[:mk], self.h, n)
 
-    @cached_property
-    def w_table(self):
-        """int_z^0 phi_m at the nodes, -sin(lam_m z_q) / lam_m, shape (nz, nzq)."""
-        return -np.sin(np.outer(self.lam, self.zq)) / self.lam[:, None]
+    zq = property(lambda self: self.nodes.z, doc="Quadrature nodes in (-h, 0), ascending.")
+    wq = property(lambda self: self.nodes.w, doc="Positive quadrature weights summing to h.")
+    cos_table = property(lambda self: self.nodes.cos, doc="cos(lam_m z_q), shape (nz, nzq).")
+    dz_table = property(lambda self: self.nodes.dz, doc="dz phi_m at the nodes, shape (nz, nzq).")
+    w_table = property(lambda self: self.nodes.wint, doc="int_z^0 phi_m at the nodes, (nz, nzq).")
 
     @cached_property
     def avg_factor(self):
@@ -105,22 +113,15 @@ class Grid:
         signs = np.where(np.arange(self.nz) % 2 == 0, 1.0, -1.0)
         return signs / (self.lam * self.h)
 
-    @cached_property
-    def _node_to_mode(self):
-        # Quadrature projection times the inverse of the quadrature Gram
-        # matrix of the normalized basis: the Gram matrix is ~identity, but
-        # the solve makes to_spectral(to_physical(.)) exact regardless.
-        C = self.cos_table
-        B = (2.0 / self.h) * C * self.wq
-        return np.linalg.solve(B @ C.T, B).T
-
     def vertical_to_modes(self, values, modes=None, z_major=False):
-        """Project node values onto the cosine coefficients m < modes (all nz).
+        """Project node values onto the cosine coefficients m < modes (all).
 
-        The nodes are the last axis, (..., nzq) -> (..., modes), or with
-        z_major the second to last, (..., nzq, n) -> (..., modes, n).
+        The nodes are the last axis, (..., nodes) -> (..., modes), or with
+        z_major the second to last, (..., nodes, n) -> (..., modes, n).  Its
+        length picks the node set: nzq nodes are the grid's, others advect's.
         """
-        M = self._node_to_mode[:, :modes]
+        n = values.shape[-2 if z_major else -1]
+        M = (self.nodes if n == self.nzq else self.advect_nodes).to_modes[:, :modes]
         return M.T @ values if z_major else values @ M
 
     # -- horizontal wavenumbers -----------------------------------------

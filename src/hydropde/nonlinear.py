@@ -1,26 +1,25 @@
 """Pseudospectral evaluation of the transport nonlinearity.
 
-advect(v, v_adv) computes v_adv . grad_H v + w(v_adv) dz v pointwise on the
-collocation grid, with 2/3-rule dealiasing in all three mode indices, and
-returns the result as cosine-basis coefficients.  F(v) applies the
+advect(v) computes v . grad_H v + w dz v pointwise on the collocation grid,
+with w = int_z^0 div_H v and 2/3-rule dealiasing in all three mode indices,
+and returns the result as cosine-basis coefficients.  F(v) applies the
 constraint projection with a minus sign, matching the right-hand side of the
 evolution equation.
 
 Only Grid.dealias_block (kept kx rows, ky >= 0 columns) and m < mk are
-transformed: the nine input planes (v_adv, dx v, dy v, dz v, w) form one
-Hermitian stack on the block, zero-filled along kx for one ifft along x and
-one irfft along y; the product's rfft along y and fft along x on the kept
-columns fill the block and its -ky mirror.  w comes from sine antiderivatives,
-not the cosine basis (its boundary conditions differ); dz v is exact in it.
+transformed: the six input plane groups (v, dx v, dy v) form one Hermitian
+stack on the block, zero-filled along kx for one ifft along x and one irfft
+along y; the product's rfft along y and fft along x on the kept columns fill
+the block and its -ky mirror.  dz v takes v's planes through the dz table,
+w the dx u + dy v planes through the sine antiderivative table.
 
-The vertical stage runs tile by tile over the flattened horizontal points:
-each TILE columns of the planes meet cos_table, dz_table and w_table as
-z-major matmuls, form the three products and are projected onto m < mk
-before the next tile starts, so the node values of one tile stay in cache
-and the full (2, nzq, nx*ny) node arrays are never built.  A matmul column
-is computed from its own input column alone, so every output element goes
-through the same arithmetic in the same order as without tiles and the
-result is bit-identical to the untiled evaluation.
+The vertical stage runs on Grid.advect_nodes, the node set sized for m < mk,
+tile by tile over the flattened horizontal points: each TILE columns of the
+planes meet its cos, dz and w tables as z-major matmuls, form the three
+products and are projected onto m < mk before the next tile starts, so the
+node values of one tile stay in cache and the full (2, nodes, nx*ny) node
+arrays are never built.  A matmul column is computed from its own input
+column alone, so the result is bit-identical to the untiled evaluation.
 """
 
 from dataclasses import dataclass
@@ -54,32 +53,24 @@ class NonlinearWorkspace:
 
 
 # Horizontal points per tile of advect's vertical stage.  A tile's node
-# values, about four arrays of 2 * nzq * TILE doubles (1.7 MB at nzq = 104),
-# fit in a 2 MB per-core L2 cache; much smaller tiles shrink the matmuls
-# until their call overhead shows.
+# values, about four arrays of 2 * nodes * TILE doubles (1.3 MB at the 78
+# advect nodes of 64^2x32), fit in a 2 MB per-core L2 cache; much smaller
+# tiles shrink the matmuls until their call overhead shows.
 TILE = 256
 
 
-def advect(v: SpectralField, v_adv: SpectralField) -> SpectralField:
-    """Unprojected transport term v_adv . grad_H v + w(v_adv) dz v."""
+def advect(v: SpectralField) -> SpectralField:
+    """Unprojected transport term v . grad_H v + w dz v."""
     g = v.grid
-    if v.grid != v_adv.grid:
-        raise ConfigurationError("advect operands live on different grids")
-    if v.components != 2 or v_adv.components != 2:
-        raise ConfigurationError("advect needs 2-component velocities")
-    mk, n, block = g.dealias_modes, g.nx * g.ny, g.dealias_block
-
-    def parts(c):  # Hermitian and anti-Hermitian parts on the block
-        half, rev = mirror_pair(g, c, mk, block)
-        return 0.5 * (half + rev), 0.5 * (half - rev)
-
-    hv, av = parts(v.coeffs)
-    ha, aa = (hv, av) if v_adv is v else parts(v_adv.coeffs)
+    if v.components != 2:
+        raise ConfigurationError("advect needs a 2-component velocity")
+    mk, n, block, nodes = g.dealias_modes, g.nx * g.ny, g.dealias_block, g.advect_nodes
+    half, rev = mirror_pair(g, v.coeffs, mk, block)
+    hv, av = 0.5 * (half + rev), 0.5 * (half - rev)  # Hermitian and anti-Hermitian parts
     (dx, dx_nyq), (dy, dy_nyq) = g.half_ik
-    w = dx * ha[0] + dx_nyq * aa[0] + dy * ha[1] + dy_nyq * aa[1]
-    stack = np.concatenate([ha, dx * hv + dx_nyq * av, dy * hv + dy_nyq * av, hv, w[None]])
-    planes = half_to_planes(g, stack, block).reshape(9, mk, n)
-    C, Dz, W = (t[:mk].T for t in (g.cos_table, g.dz_table, g.w_table))
+    stack = np.concatenate([hv, dx * hv + dx_nyq * av, dy * hv + dy_nyq * av])
+    planes = half_to_planes(g, stack, block).reshape(6, mk, n)
+    C, Dz, W = (t[:mk].T for t in (nodes.cos, nodes.dz, nodes.wint))
     modes = np.empty((2, mk, n))
     for s in range(0, n, TILE):
         p = planes[..., s:s + TILE]
@@ -88,8 +79,8 @@ def advect(v: SpectralField, v_adv: SpectralField) -> SpectralField:
         term = C @ p[4:6]
         term *= va[1]
         prod += term
-        np.matmul(Dz, p[6:8], out=term)
-        term *= W @ p[8]
+        np.matmul(Dz, p[:2], out=term)
+        term *= W @ (p[2] + p[5])  # w from div_H v = dx u + dy v
         prod += term
         modes[..., s:s + TILE] = g.vertical_to_modes(prod, mk, z_major=True)
     return SpectralField(g, planes_to_coeffs(g, modes.reshape(2, mk, g.nx, g.ny), block))
@@ -97,7 +88,7 @@ def advect(v: SpectralField, v_adv: SpectralField) -> SpectralField:
 
 def F(v: SpectralField, ws: NonlinearWorkspace | None = None) -> SpectralField:
     """Constrained nonlinearity -P(v . grad_H v + w dz v) (ws is ignored)."""
-    c = constrain(advect(v, v)).coeffs
+    c = constrain(advect(v)).coeffs
     return SpectralField(v.grid, np.negative(c, out=c))
 
 

@@ -170,7 +170,7 @@ class TestSplitResiduals:
         lap = -grid8.laplace_symbol[None]
         for _ in range(4):
             v = constrain(random_spectral(grid8, 2, rng, amplitude=0.1))
-            adv = advect(v, v)
+            adv = advect(v)
             dt_v = -op8.apply(v) - constrain(adv) + constrain(f)
             r = dt_v + adv - SpectralField(grid8, lap * v.coeffs) - f
             pi = trajectory_pressure(v, f if forced else None)
