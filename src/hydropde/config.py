@@ -1,14 +1,15 @@
 """Run configuration: line-oriented `key = value` files and the initial
 condition library.
 
-Unknown keys, malformed values, out-of-range values and non-finite numbers
-(except cfl_limit = inf, which switches the CFL check off) are rejected with
-the offending line number.  Defaults: nx = ny = 32, nz = 16, h = 1,
-dt = 1e-3, dealias = 2/3.
+The keys and their types are the fields of RunConfig (except ic) and, under
+the names of _IC_KEYS, those of InitialConditionSpec.  Unknown or repeated
+keys, malformed values, out-of-range values and non-finite numbers (except
+cfl_limit = inf, which switches the CFL check off) are rejected with the
+offending line number.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,25 +62,30 @@ class RunConfig:
     out_report: str = "report.json"
     out_checkpoint: str = ""
 
+    def __post_init__(self):
+        if self.scheme not in ("imex1", "imex2", "picard"):
+            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
+        if self.forcing not in ("zero", "single-mode", "mms"):
+            raise ConfigurationError(f"unknown forcing {self.forcing!r}")
+        self.grid()  # validates grid parameters
+
     def grid(self) -> Grid:
         return Grid(self.nx, self.ny, self.nz, self.h, self.dealias)
 
 
-_INT_KEYS = {
-    "nx", "ny", "nz", "sample_every", "picard_nodes", "picard_max_iterations",
-    "ic_kx", "ic_ky", "ic_m", "seed", "forcing_kx", "forcing_ky", "forcing_m",
-}
-_FLOAT_KEYS = {
-    "h", "dealias", "dt", "t_end", "cfl_limit", "amplitude",
-    "forcing_amplitude", "forcing_rate", "picard_tolerance",
-}
-_STR_KEYS = {"scheme", "ic", "forcing", "out_ledger", "out_report", "out_checkpoint"}
+# config key -> InitialConditionSpec field
+_IC_KEYS = {"ic": "kind", "amplitude": "amplitude", "ic_kx": "kx", "ic_ky": "ky",
+            "ic_m": "m", "seed": "seed"}
+_IC_TYPES = {f.name: f.type for f in fields(InitialConditionSpec)}
+_KEYS = {**{f.name: f.type for f in fields(RunConfig) if f.name != "ic"},
+         **{key: _IC_TYPES[name] for key, name in _IC_KEYS.items()}}
+_NEEDS = {int: "an integer", float: "a number"}
 _POSITIVE = {"h", "dt", "t_end", "cfl_limit", "amplitude", "picard_tolerance",
              "sample_every", "picard_max_iterations"}
 
 
 def parse_config(text: str) -> RunConfig:
-    values = {}
+    values, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,45 +94,29 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigurationError(f"line {lineno}: {key} needs an integer, got {val!r}")
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ConfigurationError(f"line {lineno}: {key} needs a number, got {val!r}")
-            # cfl_limit = inf switches the CFL check off; no other key has a
-            # use for inf, and nan compares false with every bound
-            if not math.isfinite(values[key]) and not (key == "cfl_limit" and values[key] > 0):
-                raise ConfigurationError(f"line {lineno}: {key} must be finite, got {val}")
-        elif key in _STR_KEYS:
-            values[key] = val
-        else:
+        kind = _KEYS.get(key)
+        if kind is None:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        if key in _POSITIVE and not values[key] > 0:
+        if key in set_on:
+            raise ConfigurationError(f"line {lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
+        try:
+            value = kind(val)
+        except ValueError:
+            raise ConfigurationError(f"line {lineno}: {key} needs {_NEEDS[kind]}, got {val!r}")
+        # cfl_limit = inf switches the CFL check off; no other key has a
+        # use for inf, and nan compares false with every bound
+        if kind is float and not math.isfinite(value) and not (key == "cfl_limit" and value > 0):
+            raise ConfigurationError(f"line {lineno}: {key} must be finite, got {val}")
+        if key in _POSITIVE and not value > 0:
             raise ConfigurationError(f"line {lineno}: {key} must be > 0, got {val}")
-        if key == "seed" and values[key] < 0:
+        if key == "seed" and value < 0:
             raise ConfigurationError(f"line {lineno}: seed must be >= 0, got {val}")
+        values[key] = value
 
-    ic_kw = {}
-    for src, dst in (("ic", "kind"), ("amplitude", "amplitude"), ("ic_kx", "kx"),
-                     ("ic_ky", "ky"), ("ic_m", "m"), ("seed", "seed")):
-        if src in values:
-            ic_kw[dst] = values.pop(src)
-    try:
-        ic = InitialConditionSpec(**ic_kw)
-        cfg = RunConfig(ic=ic, **values)
-        if cfg.scheme not in ("imex1", "imex2", "picard"):
-            raise ConfigurationError(f"unknown scheme {cfg.scheme!r}")
-        if cfg.forcing not in ("zero", "single-mode", "mms"):
-            raise ConfigurationError(f"unknown forcing {cfg.forcing!r}")
-        cfg.grid()  # validates grid parameters
-    except TypeError as exc:
-        raise ConfigurationError(str(exc))
-    return cfg
+    ic = InitialConditionSpec(**{_IC_KEYS[key]: values.pop(key)
+                                 for key in _IC_KEYS if key in values})
+    return RunConfig(ic=ic, **values)
 
 
 def make_initial(spec: InitialConditionSpec, grid: Grid) -> SpectralField:

@@ -104,9 +104,10 @@ def read_ledger_csv(path):
     """The ledger table of a CSV, {column name: list of floats}.
 
     The reader is name-based: every column of LEDGER_COLUMNS must be
-    present, others are kept.  A malformed file, or a NaN cell, raises
-    ConfigurationError naming the file and the line; inf is accepted, since
-    the ledger of a blow-up may hold overflowed values.
+    present, others are kept, and no column may be named twice.  A malformed
+    file, or a NaN cell, raises ConfigurationError naming the file and the
+    line; inf is accepted, since the ledger of a blow-up may hold overflowed
+    values.
     """
     with open(path, newline="") as fh:
         first = fh.readline().rstrip("\n")
@@ -119,6 +120,9 @@ def read_ledger_csv(path):
             raise ConfigurationError(
                 f"{path}: line 2: header lacks column(s) {', '.join(missing)}")
         cols = {n: [] for n in names}
+        if len(cols) < len(names):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ConfigurationError(f"{path}: line 2: header names column {twice} twice")
         for lineno, row in enumerate(reader, start=3):
             if len(row) != len(names):
                 raise ConfigurationError(

@@ -138,10 +138,11 @@ class TestBadInput:
         ("run", "forcing = single-mode\nforcing_m = 99\n", "forcing_m", None),
         ("run", "forcing = single-mode\nforcing_kx = 7\n", "forcing_kx", None),
         ("picard", "forcing = single-mode\nforcing_ky = -5\n", "forcing_ky", None),
+        ("run", "nx = 16\n", "nx", "line 4: nx is already set on line 1"),
     ], ids=["seed-random-band", "seed-manufactured", "shear-nyquist", "shear-zero",
             "picard-max-iterations", "h-inf", "amplitude-inf", "forcing-amplitude-nan",
             "ic-m-off-grid", "ic-kx-off-grid", "shear-m-off-grid", "forcing-m-off-grid",
-            "forcing-kx-off-grid", "forcing-ky-off-grid"])
+            "forcing-kx-off-grid", "forcing-ky-off-grid", "repeated-key"])
     def test_exits_one_naming_the_key(self, tmp_path, capsys, verb, body, key, line):
         ledger = tmp_path / "run.csv"
         cfg = write_config(
@@ -309,7 +310,7 @@ class TestDiagnose:
 
     @pytest.mark.parametrize("case, line", [
         ("header-only", None), ("missing-column", "line 2"), ("non-numeric", "line 3"),
-        ("short-row", "line 3"), ("nan-cell", "line 3"),
+        ("short-row", "line 3"), ("nan-cell", "line 3"), ("dup-column", "line 2"),
     ])
     def test_bad_ledger_exits_one(self, tmp_path, capsys, case, line):
         names = list(LEDGER_COLUMNS)
@@ -323,6 +324,9 @@ class TestDiagnose:
             cells[3] = "nan"
         elif case == "short-row":
             cells.pop()
+        elif case == "dup-column":
+            names.append("e2")
+            cells.append("1e9")
         rows = [LEDGER_VERSION_LINE, ",".join(names)]
         if case != "header-only":
             rows.append(",".join(cells))

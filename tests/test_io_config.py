@@ -2,11 +2,14 @@
 
 import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hydropde.config import (
+    _IC_KEYS,
     InitialConditionSpec,
     RunConfig,
     make_initial,
@@ -147,7 +150,45 @@ class TestReportJson:
         assert p.read_text().index('"a"') < p.read_text().index('"b"')
 
 
+# a valid non-default value for every config key
+NON_DEFAULT = {
+    "nx": 16, "ny": 8, "nz": 4, "h": 2.5, "dealias": 0.5, "dt": 2e-3, "t_end": 0.5,
+    "scheme": "imex1", "sample_every": 3, "cfl_limit": 20.0, "forcing": "single-mode",
+    "forcing_amplitude": 0.25, "forcing_kx": 2, "forcing_ky": 1, "forcing_m": 1,
+    "forcing_rate": 0.5, "picard_nodes": 17, "picard_max_iterations": 4,
+    "picard_tolerance": 1e-9, "out_ledger": "a.csv", "out_report": "a.json",
+    "out_checkpoint": "a.ckpt", "ic": "shear", "amplitude": 0.5, "ic_kx": 2, "ic_ky": 1,
+    "ic_m": 1, "seed": 7,
+}
+CONFIG_KEYS = [f.name for f in fields(RunConfig) if f.name != "ic"] + list(_IC_KEYS)
+
+
+def _setting(cfg, key):
+    return getattr(cfg.ic, _IC_KEYS[key]) if key in _IC_KEYS else getattr(cfg, key)
+
+
 class TestParseConfig:
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_every_key_parses_with_its_type(self, key):
+        value = NON_DEFAULT[key]
+        assert value != _setting(RunConfig(), key)
+        parsed = _setting(parse_config(f"{key} = {value}\n"), key)
+        assert parsed == value and type(parsed) is type(value)
+
+    def test_readme_config_block_sets_every_key_to_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [b for b in readme.split("```")[1::2] if b.lstrip().startswith("nx =")]
+        assert len(blocks) == 1
+        keys = [line.partition("=")[0].strip() for line in blocks[0].strip().splitlines()]
+        assert sorted(keys) == sorted(CONFIG_KEYS)
+        assert parse_config(blocks[0]) == RunConfig()
+
+    def test_library_config_is_checked(self):
+        for kw in ({"scheme": "rk4"}, {"forcing": "noise"}, {"nx": 5}, {"nz": 1},
+                   {"dealias": 0.0}):
+            with pytest.raises(ConfigurationError):
+                RunConfig(**kw)
+
     def test_defaults(self):
         cfg = parse_config("")
         assert (cfg.nx, cfg.ny, cfg.nz, cfg.h) == (32, 32, 16, 1.0)
