@@ -235,7 +235,37 @@ def build_parser():
     return parser
 
 
+# glibc's mallopt parameter numbers (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap():
+    """Keep the heap's freed pages for the rest of the process (Linux, glibc).
+
+    By default glibc hands the top of the heap back to the kernel, so each
+    march step faults its ~15 MB of short-lived arrays in afresh.  Fixing
+    either threshold turns off glibc's dynamic thresholds, which alone is
+    slower than the default, so both are set or neither: the trim threshold
+    only once the mmap threshold is accepted.  A no-op off Linux and where
+    the C library has no mallopt.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    # arrays up to 32 MiB (DEFAULT_MMAP_THRESHOLD_MAX on 64-bit) come from
+    # the heap, and up to 1 GiB of freed heap stays with the process
+    if mallopt(M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

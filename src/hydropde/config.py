@@ -32,8 +32,11 @@ class InitialConditionSpec:
     def __post_init__(self):
         if self.kind not in ("eigenmode", "random-band", "shear", "manufactured"):
             raise ConfigurationError(f"unknown initial condition kind {self.kind!r}")
-        if not self.amplitude > 0:
-            raise ConfigurationError(f"initial amplitude must be > 0, got {self.amplitude}")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+            raise ConfigurationError(
+                f"initial amplitude must be finite and > 0, got {self.amplitude}")
+        if self.seed < 0:
+            raise ConfigurationError(f"initial condition seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,12 @@ class PicardConfig:
             raise ConfigurationError(f"Picard horizon must be > 0, got {self.horizon}")
         if self.nodes < 4:
             raise ConfigurationError(f"Picard needs >= 4 nodes, got {self.nodes}")
+        if self.max_iterations < 1:
+            raise ConfigurationError(
+                f"Picard needs max_iterations >= 1, got {self.max_iterations}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ConfigurationError(
+                f"Picard tolerance must be finite and > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,9 @@ class ImexConfig:
             raise ConfigurationError(f"scheme order must be 1 or 2, got {self.order}")
         if self.sample_every < 1:
             raise ConfigurationError(f"sample_every must be >= 1, got {self.sample_every}")
+        # inf switches the CFL check off; nan would do so silently
+        if not self.cfl_limit > 0:
+            raise ConfigurationError(f"cfl_limit must be > 0, got {self.cfl_limit}")
         steps = self.t_end / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigurationError(
@@ -239,9 +248,12 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         vals = [t ** 0.25 * sobolev_norm(v, 1.5) for t, v in zip(times[1:], states[1:])]
         return max(vals) if vals else 0.0
 
-    # each iterate's node fields serve its k, the next F and the ledger
+    # each iterate's node fields serve its k, the next F and the ledger;
+    # node 0 is constrain(a) in every iterate, so its field and F are formed once
     vm = duhamel(fcat)
     vs = [_uneig_flat(op, y) for y in vm]
+    v0 = vs[0]
+    src0 = fcat[0] + _eig_flat(op, F(v0)) if cfg.nonlinear else None
     k_hist = [k_of(vs)]
     change_hist = []
     converged = not cfg.nonlinear
@@ -251,7 +263,7 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         if converged or diverged:
             break
         iterations += 1
-        vnew = duhamel([f + _eig_flat(op, F(v)) for f, v in zip(fcat, vs)])
+        vnew = duhamel([src0] + [f + _eig_flat(op, F(v)) for f, v in zip(fcat[1:], vs[1:])])
         change = max(
             math.sqrt(h2 * float(np.sum(np.abs(ya - yb) ** 2)))
             for ya, yb in zip(vnew, vm)
@@ -259,7 +271,7 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         scale = max(math.sqrt(h2 * float(np.sum(np.abs(y) ** 2))) for y in vnew)
         change_hist.append(change)
         vm = vnew
-        vs = [_uneig_flat(op, y) for y in vm]
+        vs = [v0] + [_uneig_flat(op, y) for y in vm[1:]]
         k_hist.append(k_of(vs))
         # the weighted norm k past 1e6 has left the small-data regime in
         # which the iteration contracts

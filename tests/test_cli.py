@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hydropde import cli
 from hydropde.cli import main
 from hydropde.config import manufactured_profile, parse_config
 from hydropde.evolution import make_manufactured
@@ -376,3 +377,68 @@ class TestMms:
         exact = make_manufactured(StokesOperator(grid), psi).solution(0.05)
         final = load_checkpoint(ckpt)
         assert l2_norm(final - exact) <= 1e-6 * l2_norm(exact)
+
+
+class FakeLibc:
+    """Stands in for the C library: records mallopt calls, never sets anything."""
+
+    def __init__(self, accept=True):
+        self.calls = []
+        self.accept = accept
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return int(self.accept)
+
+
+class TestKeepHeap:
+    @pytest.fixture
+    def patch_cdll(self, monkeypatch):
+        """patch_cdll(lib) makes ctypes.CDLL return lib (raise it, if an
+        exception) and returns the list of the names it is called with."""
+        import ctypes
+
+        def patch(lib):
+            names = []
+
+            def cdll(name):
+                names.append(name)
+                if isinstance(lib, Exception):
+                    raise lib
+                return lib
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+            return names
+        return patch
+
+    def test_sets_both_thresholds(self, monkeypatch, patch_cdll):
+        monkeypatch.setattr(cli.sys, "platform", "linux")
+        libc = FakeLibc()
+        patch_cdll(libc)
+        cli._keep_heap()
+        # glibc's malloc.h: M_TRIM_THRESHOLD -1, M_MMAP_THRESHOLD -3
+        assert (cli.M_TRIM_THRESHOLD, cli.M_MMAP_THRESHOLD) == (-1, -3)
+        assert libc.calls == [(-3, 32 * 2**20), (-1, 2**30)]
+
+    def test_rejected_mmap_threshold_sets_neither(self, monkeypatch, patch_cdll):
+        monkeypatch.setattr(cli.sys, "platform", "linux")
+        libc = FakeLibc(accept=False)
+        patch_cdll(libc)
+        cli._keep_heap()
+        assert libc.calls == [(-3, 32 * 2**20)]
+
+    @pytest.mark.parametrize("platform", ["darwin", "win32", "freebsd14"])
+    def test_no_call_off_linux(self, monkeypatch, patch_cdll, platform):
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        libc = FakeLibc()
+        names = patch_cdll(libc)
+        cli._keep_heap()
+        assert names == [] and libc.calls == []
+
+    @pytest.mark.parametrize("lib", [OSError("no C library"), object()],
+                             ids=["cdll-fails", "no-mallopt"])
+    def test_main_runs_without_mallopt(self, monkeypatch, patch_cdll, capsys, lib):
+        monkeypatch.setattr(cli.sys, "platform", "linux")
+        names = patch_cdll(lib)
+        assert main(["spectrum", "--nx", "4", "--ny", "4", "--nz", "2"]) == 0
+        assert names == [None]
+        assert "beta" in capsys.readouterr().out

@@ -52,6 +52,28 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             ImexConfig(dt=1e-3, t_end=1.0, order=3)
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_picard_max_iterations_below_one_rejected(self, iterations):
+        with pytest.raises(ConfigurationError, match="max_iterations >= 1"):
+            PicardConfig(horizon=1.0, max_iterations=iterations)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, np.inf, np.nan])
+    def test_picard_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ConfigurationError, match="tolerance must be finite"):
+            PicardConfig(horizon=1.0, tolerance=tol)
+
+    @pytest.mark.parametrize("limit", [np.nan, 0.0, -50.0])
+    def test_cfl_limit_nan_or_nonpositive_rejected(self, limit):
+        with pytest.raises(ConfigurationError, match="cfl_limit must be > 0"):
+            ImexConfig(dt=1e-3, t_end=1.0, cfl_limit=limit)
+
+    def test_infinite_cfl_limit_switches_the_check_off(self, grid8, op8):
+        a = eigenmode(grid8, (1, 0), 0, amplitude=1e6)
+        with pytest.raises(ConfigurationError, match="too large"):
+            imex_run(a, None, ImexConfig(dt=1e-3, t_end=1e-3), op8)
+        cfg = ImexConfig(dt=1e-3, t_end=1e-3, cfl_limit=np.inf, nonlinear=False)
+        assert imex_run(a, None, cfg, op8).columns["t"] == [0.0, 1e-3]
+
     def test_sample_every_below_one_rejected(self, grid8, op8):
         a = eigenmode(grid8, (1, 0), 0, amplitude=1e-3)
         with pytest.raises(ConfigurationError, match="sample_every"):
@@ -123,6 +145,23 @@ class TestPicard:
         c1 = 1e4
         for m in range(len(k) - 1):
             assert k[m + 1] <= k[0] + c1 * k[m] ** 2 + 1e-15
+
+    def test_node_zero_evaluates_f_once(self, grid8, op8, monkeypatch):
+        # node 0 is constrain(a) in every iterate: one F there, then one per
+        # later node and iteration
+        import hydropde.evolution as evolution
+
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return F(v)
+
+        monkeypatch.setattr(evolution, "F", counted)
+        cfg = PicardConfig(horizon=0.5, nodes=9)
+        _, report = picard_solve(small_data(grid8), None, cfg, op8)
+        assert report.iterations >= 2
+        assert len(calls) == 1 + report.iterations * (cfg.nodes - 1)
 
     def test_iterates_stay_constrained(self, grid8, op8):
         a = small_data(grid8)

@@ -291,3 +291,13 @@ class TestMakeInitial:
             InitialConditionSpec(amplitude=0.0)
         with pytest.raises(ConfigurationError):
             make_initial(InitialConditionSpec(kind="shear", m=99), grid16)
+
+    # the parser rejects these by line; a spec built in code is checked too
+    @pytest.mark.parametrize("amplitude", [math.inf, math.nan])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(ConfigurationError, match="amplitude must be finite"):
+            InitialConditionSpec(amplitude=amplitude)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            InitialConditionSpec(kind="random-band", seed=-3)
