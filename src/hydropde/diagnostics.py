@@ -184,7 +184,6 @@ class GronwallReport:
     phi_max: float
     bound: tuple          # Phi(0) * exp(int K1_hat), per sample
     dominated: bool       # Phi(t) <= bound(t) everywhere
-    max_jump_ratio: float
 
 
 def _k1_surrogate(e2, h1) -> float:
@@ -214,17 +213,11 @@ def gronwall_monitor(table) -> GronwallReport:
         acc += 0.5 * (t[i] - t[i - 1]) * (k1[i] + k1[i - 1])
         bound.append(phi[0] * math.exp(min(acc, 700.0)))
     dominated = all(p <= b * (1 + 1e-9) + 1e-300 for p, b in zip(phi, bound))
-    jumps = [
-        max(p1, p0) / max(min(p1, p0), 1e-300)
-        for p0, p1 in zip(phi, phi[1:])
-        if max(p0, p1) > 0
-    ]
     return GronwallReport(
         phi=tuple(phi),
         phi_max=max(phi),
         bound=tuple(bound),
         dominated=dominated,
-        max_jump_ratio=max(jumps) if jumps else 1.0,
     )
 
 
@@ -285,12 +278,6 @@ def split_residuals(state: SpectralField, pi, dt_v: SpectralField | None = None,
     scale = max(l2_norm(state), 1e-300)
     return {"bar_residual": r_bar.l2_norm() / scale,
             "tilde_residual": l2_norm(fluctuation(r)) / scale}
-
-
-def poincare_slack(ledger: TrajectoryLedger) -> float:
-    """max over samples of lam_0^2 E2 - D2 (should be <= ~0)."""
-    lam0sq = (0.5 * math.pi / ledger.grid.h) ** 2
-    return max(lam0sq * e - d for e, d in zip(ledger.columns["e2"], ledger.columns["d2"]))
 
 
 # -- report summary -------------------------------------------------------

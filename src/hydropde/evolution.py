@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NanAbort
-from .fields import SpectralField, sobolev_norm, to_physical, zeros_spectral
+from .fields import SpectralField, sobolev_norm, to_physical
 from .grid import Grid
 from .nonlinear import F
 from .projection import constrain
@@ -248,6 +248,9 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         vals = [t ** 0.25 * sobolev_norm(v, 1.5) for t, v in zip(times[1:], states[1:])]
         return max(vals) if vals else 0.0
 
+    def norm(y):
+        return math.sqrt(h2 * float(np.sum(np.abs(y) ** 2)))
+
     # each iterate's node fields serve its k, the next F and the ledger;
     # node 0 is constrain(a) in every iterate, so its field and F are formed once
     vm = duhamel(fcat)
@@ -263,15 +266,22 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         if converged or diverged:
             break
         iterations += 1
-        vnew = duhamel([src0] + [f + _eig_flat(op, F(v)) for f, v in zip(fcat[1:], vs[1:])])
-        change = max(
-            math.sqrt(h2 * float(np.sum(np.abs(ya - yb) ** 2)))
-            for ya, yb in zip(vnew, vm)
-        )
-        scale = max(math.sqrt(h2 * float(np.sum(np.abs(y) ** 2))) for y in vnew)
+        # the sweep streams over the nodes: node i's source is formed from
+        # the old field when the recurrence reaches it, and the new node and
+        # its field replace the old ones in place, so vm and vs each hold
+        # one trajectory and only two sources are live
+        y, src = acat, src0
+        changes, scales = [norm(acat - vm[0])], [norm(acat)]
+        for i in range(1, cfg.nodes):
+            src_prev, src = src, fcat[i] + _eig_flat(op, F(vs[i]))
+            vs[i] = None
+            y = decay * y + dt * (pa * src_prev + pb * src)
+            changes.append(norm(y - vm[i]))
+            scales.append(norm(y))
+            vm[i] = y
+            vs[i] = _uneig_flat(op, y)
+        change, scale = max(changes), max(scales)
         change_hist.append(change)
-        vm = vnew
-        vs = [v0] + [_uneig_flat(op, y) for y in vm[1:]]
         k_hist.append(k_of(vs))
         # the weighted norm k past 1e6 has left the small-data regime in
         # which the iteration contracts
@@ -297,29 +307,6 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
 
 
 # -- IMEX marching -------------------------------------------------------
-
-
-def imex_step(v, f_prev, t, cfg: ImexConfig, op: StokesOperator,
-              forcing: Forcing | None, first: bool):
-    """One IMEX step from time t; returns (v_next, F(v)) for reuse.
-
-    The field-form oracle of imex_run's eigen-coordinate march: the same
-    scheme written with the operator's apply and shifted solve, which the
-    tests compare the march against.
-    """
-    dt = cfg.dt
-    fn = F(v) if cfg.nonlinear else zeros_spectral(v.grid)
-    if cfg.order == 1 or first:
-        rhs = v + dt * fn
-        if forcing is not None:
-            rhs = rhs + dt * forcing_eval(forcing, t + dt)
-        vnext = op.solve_shifted(dt, rhs)
-    else:
-        rhs = v - (dt / 2) * op.apply(v) + dt * (1.5 * fn - 0.5 * f_prev)
-        if forcing is not None:
-            rhs = rhs + (dt / 2) * (forcing_eval(forcing, t) + forcing_eval(forcing, t + dt))
-        vnext = op.solve_shifted(dt / 2, rhs)
-    return vnext, fn
 
 
 def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,

@@ -239,38 +239,10 @@ def fluctuation(f: SpectralField) -> SpectralField:
     return SpectralField(g, f.coeffs - avg[..., None] * profile)
 
 
-def diagnostic_w(v: SpectralField) -> PhysicalField:
-    """Vertical velocity w(x,y,z) = int_z^0 div_H v dzeta.
-
-    Computed per wavenumber from the exact antiderivative
-    int_z^0 cos(lam_m zeta) dzeta = -sin(lam_m z)/lam_m, then sampled at the
-    quadrature nodes.  w vanishes at z = 0 identically; at z = -h it equals
-    h * div_H of the vertical average.
-    """
-    g = v.grid
-    if v.components != 2:
-        raise ConfigurationError("diagnostic_w needs a 2-component velocity")
-    divc = _horizontal_divergence_coeffs(v)
-    return synthesize(g, divc[None], g.w_table)
-
-
-def diagnostic_w_bottom(v: SpectralField) -> AveragedField:
-    """w evaluated at z = -h, as a scalar field on G (equals h div_H vbar)."""
-    g = v.grid
-    return AveragedField(g, g.h * (_horizontal_divergence_coeffs(v) @ g.avg_factor)[None])
-
-
 def averaged_to_physical(f: AveragedField) -> PhysicalField:
     """Broadcast a z-independent field onto the 3D collocation grid."""
     g = f.grid
     return synthesize(g, f.coeffs[..., None], np.ones((1, g.nzq)))
-
-
-def _horizontal_divergence_coeffs(v):
-    g = v.grid
-    return 2j * np.pi * (
-        g.kx[:, None, None] * v.coeffs[0] + g.ky[None, :, None] * v.coeffs[1]
-    )
 
 
 # -- norms ----------------------------------------------------------------

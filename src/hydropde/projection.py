@@ -88,6 +88,12 @@ def constrain(v: SpectralField) -> SpectralField:
     the projection subtracts its normal component.  This is the projection
     the evolution operators use; unlike project() it does not carry a
     z-constant channel.
+
+    On the Nyquist row kx = -nx/2 and column ky = -ny/2, -k lies on the same
+    line, and there the projection also keeps only the Hermitian part, the
+    part a real field can carry.  That leaves a pair k != -k no room for a
+    vertical average, which is removed; a point that is its own -k keeps
+    its constrained part, made real.
     """
     g = v.grid
     if v.components != 2:
@@ -102,7 +108,24 @@ def constrain(v: SpectralField) -> SpectralField:
     c = v.coeffs.copy()
     c[0] -= (kx * coef)[:, :, None] * a
     c[1] -= (ky * coef)[:, :, None] * a
+    ix, iy = g.neg_k
+    _hermitize_line(c[:, g.nx // 2], iy[0], a)
+    _hermitize_line(c[:, :, g.ny // 2], ix[:, 0], a)
     return SpectralField(g, c)
+
+
+def _hermitize_line(line, neg, a):
+    """Replace a constrained Nyquist line (2, n, nz) by its Hermitian part.
+
+    neg indexes -k along the line.  A pair k != -k with k . vbar(k) = 0 at
+    both and vbar(-k) = conj(vbar(k)) has vbar = 0, so the average is
+    dropped there; indices 0 and n/2 are their own -k.
+    """
+    line += np.conj(line[:, neg])
+    line *= 0.5
+    avg = line @ a
+    avg[:, 0] = avg[:, len(neg) // 2] = 0.0
+    line -= avg[..., None] * (a / (a @ a))
 
 
 def divergence_of_average(v: SpectralField, mean: AveragedField | None = None) -> AveragedField:

@@ -94,10 +94,6 @@ def eigenmode(grid: Grid, k, m, amplitude=1.0) -> SpectralField:
     return hermitize(SpectralField(grid, c))
 
 
-def eigenmode_eigenvalue(grid: Grid, k, m) -> float:
-    return float(4 * np.pi**2 * (k[0] ** 2 + k[1] ** 2) + grid.lam[m] ** 2)
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     beta: float

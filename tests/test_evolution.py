@@ -1,5 +1,7 @@
 """Picard iteration and IMEX marching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from hydropde.evolution import (
     TrajectoryLedger,
     forcing_eval,
     imex_run,
-    imex_step,
     make_manufactured,
     picard_solve,
 )
@@ -19,7 +20,8 @@ from hydropde.fields import grad_norm, l2_inner, l2_norm, random_spectral, zeros
 from hydropde.grid import Grid
 from hydropde.nonlinear import F
 from hydropde.projection import constrain, divergence_of_average
-from hydropde.stokes import eigenmode, eigenmode_eigenvalue
+from hydropde.stokes import eigenmode
+from oracles import eigenmode_eigenvalue, imex_step, picard_whole_lists
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +198,65 @@ class TestPicard:
         ledger, report = picard_solve(a, None, cfg, op8)
         assert not report.converged
         assert len(ledger.columns["t"]) == 9
+
+
+def _picard_case(name, grid, op):
+    """(a, forcing, PicardConfig) of one oracle case on an 8^2x4 grid."""
+    a = small_data(grid, amplitude=0.05)
+    cfg = PicardConfig(horizon=0.1, nodes=9)
+    if name == "unforced":
+        return a, None, cfg
+    if name == "forcing-spec":
+        return a, ForcingSpec(eigenmode(grid, (1, 0), 0, amplitude=0.05), rate=0.5), cfg
+    if name == "manufactured":
+        psi = random_spectral(grid, 2, np.random.default_rng(3), kmax=2, mmax=2, amplitude=1e-2)
+        mms = make_manufactured(op, psi)
+        return mms.initial(), mms, cfg
+    if name == "linear":
+        return a, None, PicardConfig(horizon=0.1, nodes=9, nonlinear=False)
+    # amplitude 200 passes the ceiling k > 1e6 at the second iteration
+    big = constrain(random_spectral(grid, 2, np.random.default_rng(0), amplitude=200.0))
+    return big, None, PicardConfig(horizon=0.5, nodes=9, max_iterations=2, tolerance=1e-300)
+
+
+class TestStreamedSweep:
+    """picard_solve streams each iteration over the nodes; the whole-list
+    loop it replaced is the oracle, and the two must agree bit for bit."""
+
+    @pytest.mark.parametrize(
+        "case", ["unforced", "forcing-spec", "manufactured", "linear", "diverging"])
+    def test_matches_whole_list_iteration(self, grid8, op8, case):
+        a, forcing, cfg = _picard_case(case, grid8, op8)
+        ledger, report = picard_solve(a, forcing, cfg, op8)
+        ref_ledger, ref_report = picard_whole_lists(a, forcing, cfg, op8)
+        assert report == ref_report
+        assert ledger.columns == ref_ledger.columns
+        assert len(ledger.states) == len(ref_ledger.states) == cfg.nodes
+        for state, ref in zip(ledger.states, ref_ledger.states):
+            assert np.array_equal(state.coeffs, ref.coeffs)
+        if case == "diverging":
+            assert report.diverged and report.iterations == 2
+        elif case == "linear":
+            assert report.converged and report.iterations == 0
+        else:
+            assert report.converged and report.iterations >= 2
+
+    def test_one_iteration_holds_under_three_trajectories(self, grid16, op16):
+        # a sweep that keeps four whole node lists peaks near 3.9 trajectories
+        # of fields; the streamed sweep holds the old trajectory, shrinking,
+        # the new one, growing, and the node fields (about 2.4)
+        a = constrain(random_spectral(grid16, 2, np.random.default_rng(3), amplitude=1e-3))
+        # fill the operator's and the grid's lazy tables before measuring
+        picard_solve(a, None, PicardConfig(horizon=1e-2, nodes=4, max_iterations=1), op16)
+        cfg = PicardConfig(horizon=1e-2, nodes=33, max_iterations=3, tolerance=1e-300)
+        tracemalloc.start()
+        try:
+            _, report = picard_solve(a, None, cfg, op16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 3
+        assert peak < 3 * cfg.nodes * a.coeffs.nbytes
 
 
 class TestImex:

@@ -14,8 +14,6 @@ from hydropde.fields import (
     PhysicalField,
     SpectralField,
     averaged_to_physical,
-    diagnostic_w,
-    diagnostic_w_bottom,
     fluctuation,
     l2_inner,
     l2_norm,
@@ -29,28 +27,11 @@ from hydropde.fields import (
     zeros_spectral,
 )
 from hydropde.grid import Grid
-from hydropde.projection import constrain
 
 
 def single_mode(grid, comp, kx, ky, m, value=1.0, components=2):
     c = np.zeros((components, grid.nx, grid.ny, grid.nz), complex)
     c[comp, list(grid.kx).index(kx), list(grid.ky).index(ky), m] = value
-    return SpectralField(grid, c)
-
-
-def real_cosine_mode(grid, comp, kx, ky, m, amplitude=1.0, components=2):
-    """amplitude * cos(2 pi (kx x + ky y)) phi_m as a Hermitian pair."""
-    f = single_mode(grid, comp, kx, ky, m, 0.5 * amplitude, components)
-    c = f.coeffs.copy()
-    c[comp, list(grid.kx).index(-kx), list(grid.ky).index(-ky), m] = 0.5 * amplitude
-    return SpectralField(grid, c)
-
-
-def real_sine_mode(grid, comp, kx, ky, m, amplitude=1.0, components=2):
-    """amplitude * sin(2 pi (kx x + ky y)) phi_m."""
-    f = single_mode(grid, comp, kx, ky, m, -0.5j * amplitude, components)
-    c = f.coeffs.copy()
-    c[comp, list(grid.kx).index(-kx), list(grid.ky).index(-ky), m] = 0.5j * amplitude
     return SpectralField(grid, c)
 
 
@@ -170,52 +151,6 @@ class TestFluctuation:
         a = g.avg_factor
         lift = SpectralField(g, vertical_average(f).coeffs[..., None] * (a / np.sum(a**2)))
         assert l2_norm(lift + fluctuation(f) - f) < 1e-12 * l2_norm(f)
-
-
-class TestDiagnosticW:
-    def test_hand_example_against_midpoint_oracle(self, grid16):
-        # v = (sin(2 pi x) phi_0(z), 0): div_H v = 2 pi cos(2 pi x) phi_0(z)
-        g = grid16
-        v = real_sine_mode(g, 0, 1, 0, 0)
-        w = diagnostic_w(v)
-        lam0 = g.lam[0]
-        exact = (
-            2 * np.pi * np.cos(2 * np.pi * g.xg)[:, None]
-            * (-np.sin(lam0 * g.zq) / lam0)[None, :]
-        )
-        assert np.max(np.abs(w.values[0][:, 0, :] - exact)) < 1e-12
-        # midpoint oracle for int_z^0 div_H v dzeta at a few nodes
-        for iq in (0, g.nzq // 2, g.nzq - 1):
-            z = g.zq[iq]
-            zf = z + (np.arange(50000) + 0.5) * (-z) / 50000
-            oracle = (-z) / 50000 * np.sum(np.cos(lam0 * zf)) * 2 * np.pi
-            got = w.values[0][:, 0, iq]
-            assert np.max(np.abs(got - oracle * np.cos(2 * np.pi * g.xg))) < 1e-6
-
-    def test_divergence_free_velocity(self, grid16):
-        # v = (dy psi, -dx psi) phi_m has pointwise zero divergence
-        g = grid16
-        psi_y = real_cosine_mode(g, 0, 1, 2, 3, amplitude=2 * np.pi * 2)
-        psi_x = real_cosine_mode(g, 1, 1, 2, 3, amplitude=-2 * np.pi * 1)
-        v = SpectralField(g, psi_y.coeffs + psi_x.coeffs)
-        w = diagnostic_w(v)
-        assert np.max(np.abs(w.values)) < 1e-12
-
-    def test_surface_value_zero(self, grid16, rng):
-        # w(., ., 0) = 0 identically: the antiderivative vanishes at z = 0
-        v = random_spectral(grid16, 2, rng)
-        divc = 2j * np.pi * (
-            grid16.kx[:, None, None] * v.coeffs[0]
-            + grid16.ky[None, :, None] * v.coeffs[1]
-        )
-        surface = divc @ (-np.sin(grid16.lam * 0.0) / grid16.lam)
-        assert np.max(np.abs(surface)) == 0.0
-
-    def test_bottom_vanishes_under_constraint(self, grid16, rng):
-        v = constrain(random_spectral(grid16, 2, rng))
-        bottom = diagnostic_w_bottom(v)
-        scale = l2_norm(v)
-        assert np.max(np.abs(bottom.coeffs)) < 1e-10 * scale
 
 
 class TestNorms:

@@ -7,6 +7,7 @@ from hydropde.errors import ConfigurationError
 from hydropde.fields import (
     AveragedField,
     SpectralField,
+    hermitize,
     l2_inner,
     l2_norm,
     lp_norm,
@@ -196,6 +197,18 @@ class TestConstrain:
         v = random_spectral(grid16, 2, rng)
         pv = constrain(v)
         assert abs(l2_inner(pv, v - pv)) < 1e-10 * l2_norm(v) ** 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nyquist_lines_stay_hermitian(self, seed):
+        # kmax = nx/2 fills the Nyquist row and column, where -n/2 also
+        # stands for +n/2; the constrained field must still be real
+        g = Grid(8, 8, 4)
+        v = constrain(random_spectral(g, 2, np.random.default_rng(seed), kmax=4))
+        assert np.max(np.abs(hermitize(v).coeffs - v.coeffs)) < 1e-15 * l2_norm(v)
+        assert np.max(np.abs(divergence_of_average(v).coeffs)) < 1e-12 * l2_norm(v)
+        assert np.max(np.abs(constrain(v).coeffs - v.coeffs)) < 1e-13 * l2_norm(v)
+        u = random_spectral(g, 2, np.random.default_rng(seed + 10), kmax=4)
+        assert abs(l2_inner(constrain(u), u - constrain(u))) < 1e-14 * l2_norm(u) ** 2
 
     def test_zero_wavenumber_untouched(self, grid16, rng):
         v = random_spectral(grid16, 2, rng)

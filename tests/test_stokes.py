@@ -19,12 +19,8 @@ from hydropde.fields import (
 )
 from hydropde.grid import Grid
 from hydropde.projection import constrain
-from hydropde.stokes import (
-    StokesOperator,
-    assemble_block,
-    eigenmode,
-    eigenmode_eigenvalue,
-)
+from hydropde.stokes import StokesOperator, assemble_block, eigenmode
+from oracles import eigenmode_eigenvalue
 
 
 def oracle_eigenvalues(grid, k):
