@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NanAbort
-from .fields import SpectralField, sobolev_norm, to_physical
+from .fields import SpectralField, hermitize, sobolev_norm, to_physical
 from .grid import Grid
 from .nonlinear import F
 from .projection import constrain
@@ -133,8 +133,7 @@ class ManufacturedSolution:
         return self.solution(0.0)
 
     def forcing(self, t) -> SpectralField:
-        g, gp = self.envelope(t)
-        return gp * self.psi + g * self.a_psi - g * g * self.f_psi
+        return forcing_eval(self, t)
 
 
 def make_manufactured(op: StokesOperator, psi: SpectralField) -> ManufacturedSolution:
@@ -157,14 +156,25 @@ class ForcingSpec:
 Forcing = ForcingSpec | ManufacturedSolution
 
 
+def _terms(spec: Forcing, t):
+    """(scalars s_i(t), fixed parts p_i) with f(t) = sum s_i(t) p_i."""
+    if isinstance(spec, ManufacturedSolution):
+        g, gp = spec.envelope(t)
+        return (gp, g, -g * g), (spec.psi, spec.a_psi, spec.f_psi)
+    return (math.exp(-spec.rate * t),), (spec.base,)
+
+
+def _combine(scales, parts):
+    """sum s_i p_i, of fields or of their coordinates."""
+    return sum((s * p for s, p in zip(scales[1:], parts[1:])), scales[0] * parts[0])
+
+
 def forcing_eval(spec: Forcing, t) -> SpectralField:
     """P f(t) of a ForcingSpec or a ManufacturedSolution, on the constraint manifold.
 
     None, the value for no forcing, is never evaluated: callers skip the term.
     """
-    if isinstance(spec, ManufacturedSolution):
-        return spec.forcing(t)
-    return math.exp(-spec.rate * t) * spec.base
+    return _combine(*_terms(spec, t))
 
 
 # -- Picard iteration ----------------------------------------------------
@@ -195,15 +205,16 @@ def _uneig_flat(op, ycat):
     return op.from_eigen(ycat[:n0], ycat[n0:].reshape(-1, n0 - 1))
 
 
-def _budget(mu, h2, y, f=None):
-    """(E2, D2, <P f, v>) of the state whose A-eigen-coordinates are y.
+def _budget(w, wmu, h2, y, f=None):
+    """(E2, D2, <P f, v>) of the real state whose A-eigen-coordinates are y.
 
-    (h/2) sum |y|^2, (h/2) sum mu |y|^2 and (h/2) sum Re(conj(f) y), with f
-    the forcing's coordinates; the work term is 0 when f is None.
+    (h/2) sum w |y|^2, (h/2) sum w mu |y|^2 and (h/2) sum w Re(conj(f) y),
+    with w the coordinates' multiplicities (StokesOperator.weights), wmu =
+    w mu and f the forcing's coordinates; the work term is 0 when f is None.
     """
     p2 = np.abs(y) ** 2
-    fw = 0.0 if f is None else h2 * float(np.sum((np.conj(f) * y).real))
-    return h2 * float(np.sum(p2)), h2 * float(np.sum(mu * p2)), fw
+    fw = 0.0 if f is None else h2 * float(w @ (np.conj(f) * y).real)
+    return h2 * float(w @ p2), h2 * float(wmu @ p2), fw
 
 
 @dataclass(frozen=True)
@@ -227,13 +238,14 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
     g = a.grid
     times = np.linspace(0.0, cfg.horizon, cfg.nodes)
     dt = times[1] - times[0]
-    mu = op.eigenvalues
+    mu, w = op.eigenvalues, op.weights
+    wmu = w * mu
     decay = np.exp(-dt * mu)
     pa, pb = _phi_pair(dt * mu)
     h2 = g.h / 2
     have_f = f_ext is not None
     fcat = [_eig_flat(op, forcing_eval(f_ext, t)) if have_f else 0.0 for t in times]
-    acat = _eig_flat(op, a)
+    acat = _eig_flat(op, hermitize(a))
 
     def duhamel(src):
         """Nodes of e^{-tA} a + int_0^t e^{-(t-s)A} src(s) ds, src linear between nodes."""
@@ -249,7 +261,7 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         return max(vals) if vals else 0.0
 
     def norm(y):
-        return math.sqrt(h2 * float(np.sum(np.abs(y) ** 2)))
+        return math.sqrt(h2 * float(w @ np.abs(y) ** 2))
 
     # each iterate's node fields serve its k, the next F and the ledger;
     # node 0 is constrain(a) in every iterate, so its field and F are formed once
@@ -291,11 +303,10 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
             converged = True
 
     ledger = TrajectoryLedger(g)
-    d2_int = 0.0
-    fwork_int = 0.0
+    d2_int = fwork_int = 0.0
     prev = None
     for t, y, f, v in zip(times, vm, fcat, vs):
-        e2, d2, fw = _budget(mu, h2, y, f if have_f else None)
+        e2, d2, fw = _budget(w, wmu, h2, y, f if have_f else None)
         if prev is not None:
             d2_int += dt * 0.5 * (prev[0] + d2)
             fwork_int += dt * 0.5 * (prev[1] + fw)
@@ -315,7 +326,7 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
     op = op or StokesOperator(a.grid)
     g = a.grid
     nsteps = round(cfg.t_end / cfg.dt)
-    v = constrain(a)
+    v = hermitize(constrain(a))
 
     vmax = float(np.max(np.abs(to_physical(v).values), initial=0.0))
     if cfg.dt * vmax * max(g.nx, g.ny) > cfg.cfl_limit:
@@ -328,17 +339,19 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
     ledger = TrajectoryLedger(g)
     h2 = g.h / 2
     dt = cfg.dt
-    mu = op.eigenvalues
+    mu, w = op.eigenvalues, op.weights
+    wmu = w * mu
     y = _eig_flat(op, v)
     have_f = f_ext is not None
+    # the forcing's fixed parts are transformed once; each time rescales them
+    parts = [_eig_flat(op, p) for p in _terms(f_ext, 0.0)[1]] if have_f else None
 
     def f_eig(t):
-        return _eig_flat(op, forcing_eval(f_ext, t)) if have_f else 0.0
+        return _combine(_terms(f_ext, t)[0], parts) if have_f else 0.0
 
-    d2_int = 0.0
-    fwork_int = 0.0
+    d2_int = fwork_int = 0.0
     fnext = f_eig(0.0)
-    e2, d2, fw = _budget(mu, h2, y, fnext if have_f else None)
+    e2, d2, fw = _budget(w, wmu, h2, y, fnext if have_f else None)
     ledger.append(0.0, v, e2, d2, d2_int, fwork_int)
 
     g_prev = None
@@ -353,7 +366,7 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
                 y = (y * (1 - 0.5 * dt * mu) + dt * (1.5 * gn - 0.5 * g_prev)
                      + 0.5 * dt * (fn + fnext)) / (1 + 0.5 * dt * mu)
             g_prev = gn
-            e2n, d2n, fwn = _budget(mu, h2, y, fnext if have_f else None)
+            e2n, d2n, fwn = _budget(w, wmu, h2, y, fnext if have_f else None)
             if not (math.isfinite(e2n) and math.isfinite(d2n)):
                 err = NanAbort(f"non-finite state at t = {t + dt:.6g} (step {n + 1})")
                 err.ledger = ledger

@@ -202,14 +202,14 @@ def hermitize(f: SpectralField) -> SpectralField:
 
 
 def random_spectral(grid, components, rng, kmax=None, mmax=None, amplitude=1.0):
-    """Random Hermitian-symmetric band-limited field (deterministic under rng)."""
-    kmax = grid.nx // 4 if kmax is None else kmax
+    """Random Hermitian field on |kx|, |ky| <= kmax (nx/4, ny/4), m < mmax (nz/2), from rng."""
+    kx_max, ky_max = (grid.nx // 4, grid.ny // 4) if kmax is None else (kmax, kmax)
     mmax = max(grid.nz // 2, 1) if mmax is None else mmax
     shape = (components, grid.nx, grid.ny, grid.nz)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     keep = (
-        (np.abs(grid.kx)[:, None, None] <= kmax)
-        & (np.abs(grid.ky)[None, :, None] <= kmax)
+        (np.abs(grid.kx)[:, None, None] <= kx_max)
+        & (np.abs(grid.ky)[None, :, None] <= ky_max)
         & (np.arange(grid.nz)[None, None, :] < mmax)
     )
     c *= keep
@@ -239,12 +239,6 @@ def fluctuation(f: SpectralField) -> SpectralField:
     return SpectralField(g, f.coeffs - avg[..., None] * profile)
 
 
-def averaged_to_physical(f: AveragedField) -> PhysicalField:
-    """Broadcast a z-independent field onto the 3D collocation grid."""
-    g = f.grid
-    return synthesize(g, f.coeffs[..., None], np.ones((1, g.nzq)))
-
-
 # -- norms ----------------------------------------------------------------
 
 
@@ -259,23 +253,6 @@ def lp_norm(f: PhysicalField, p) -> float:
     hw = 1.0 / (g.nx * g.ny)
     total = hw * np.sum(mag2 ** (p / 2) @ g.wq)
     return float(total ** (1.0 / p))
-
-
-def mixed_norm(f: PhysicalField, q_z, p_xy) -> float:
-    """Anisotropic norm: L^{p_xy} over each horizontal slice, then L^{q_z} in z."""
-    for label, e in (("q_z", q_z), ("p_xy", p_xy)):
-        if e != np.inf and e < 1:
-            raise DomainError(f"mixed_norm requires {label} >= 1, got {e}")
-    g = f.grid
-    mag2 = np.sum(f.values**2, axis=0)
-    hw = 1.0 / (g.nx * g.ny)
-    if p_xy == np.inf:
-        slab = np.sqrt(mag2.max(axis=(0, 1)))
-    else:
-        slab = (hw * np.sum(mag2 ** (p_xy / 2), axis=(0, 1))) ** (1.0 / p_xy)
-    if q_z == np.inf:
-        return float(slab.max(initial=0.0))
-    return float(np.sum(g.wq * slab**q_z) ** (1.0 / q_z))
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -296,9 +273,3 @@ def sobolev_norm(f: SpectralField, s) -> float:
     g = f.grid
     w = g.sobolev_symbol**s
     return float(np.sqrt(g.h / 2 * np.sum(w * np.abs(f.coeffs) ** 2)))
-
-
-def grad_norm(f: SpectralField) -> float:
-    """||grad f||_{L^2(Omega)} including the vertical derivative."""
-    g = f.grid
-    return float(np.sqrt(g.h / 2 * np.sum(g.laplace_symbol * np.abs(f.coeffs) ** 2)))

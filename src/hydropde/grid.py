@@ -157,10 +157,6 @@ class Grid:
         return tuple((2j * np.pi * k * (k != -n // 2), 2j * np.pi * k * (k == -n // 2))
                      for k, n in ((kx, self.nx), (ky, self.ny)))
 
-    @cached_property
-    def xg(self):
-        return np.arange(self.nx) / self.nx
-
     # -- dealiasing ------------------------------------------------------
 
     @cached_property
@@ -177,13 +173,6 @@ class Grid:
         f = self.dealias_fraction
         Kx, K = (n // 2 + 1 if f == 1 else int(np.ceil(f * n / 2)) for n in (self.nx, self.ny))
         return np.flatnonzero(np.abs(self.kx) < Kx), K
-
-    @cached_property
-    def dealias_mask(self):
-        """Boolean keep-mask over (kx, ky, m): the block's rows, |ky| < K and m < mk."""
-        rows, K = self.dealias_block
-        keep_x = np.isin(np.arange(self.nx), rows)[:, None, None]
-        return keep_x & (np.abs(self.ky) < K)[:, None] & (np.arange(self.nz) < self.dealias_modes)
 
     # -- convenience ------------------------------------------------------
 

@@ -15,11 +15,13 @@ block k != 0 in two:
 - the along-k part is diag(lam^2) compressed to a-perp, shifted by
   4 pi^2 |k|^2, so one (nz - 1)-sized eigendecomposition serves every k.
 
-For k = 0 the constraint is vacuous and the block is already diagonal.
-Semigroup, shifted solves and resolvent are scalar functions of A, diagonal
-in these coordinates, so the semigroup law and decay bounds hold at rounding
-accuracy on the discrete operator.  The dense per-wavenumber assembly
-(assemble_block) is kept as the reference the tests compare against.
+For k = 0 the constraint is vacuous and the block is already diagonal.  A
+real field is kept by one Hermitian half of its wavenumbers, with weights
+for the mirrored rows (see StokesOperator).  Semigroup, shifted solves and
+resolvent are scalar functions of A, diagonal in these coordinates, so the
+semigroup law and decay bounds hold at rounding accuracy on the discrete
+operator.  The dense per-wavenumber assembly (assemble_block) is kept as
+the reference the tests compare against.
 """
 
 from dataclasses import dataclass
@@ -99,9 +101,6 @@ class SpectrumReport:
     beta: float
     entries: tuple  # ((kx, ky), eigenvalue array) pairs
 
-    def all_eigenvalues(self):
-        return np.concatenate([np.asarray(e) for _, e in self.entries])
-
 
 @dataclass(frozen=True)
 class SectorSweepReport:
@@ -121,43 +120,60 @@ class SmoothingReport:
 class StokesOperator:
     """A on one grid, applied through the shared vertical eigenbasis.
 
-    Flat wavenumber index 0 is k = (0, 0), whose eigen-coordinates are the
-    stacked (u, v) coefficients.  At k != 0 they are [across k (nz) | along k
-    in the columns of W (nz - 1)].
+    The eigen-coordinates hold a real field by one Hermitian half: k = (0, 0),
+    the stacked (u, v) coefficients, then one row [across k (nz) | along k in
+    the columns of W (nz - 1)] per wavenumber of `rows`.  from_eigen fills the
+    other ky < 0 entries by the mirror c(-k) = conj(c(k)), and `weights`
+    counts the rows it mirrors twice.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
 
     @cached_property
-    def _khat(self):
-        """Unit wavenumber components kx/|k|, ky/|k| at k != 0, each (nx ny - 1, 1)."""
+    def rows(self):
+        """(ix, iy) of the rows k != 0, in C order: columns 0 .. ny/2 of each kx
+        row, and all of the Nyquist row kx = -nx/2, whose bases at k and -k
+        are not conjugate pairs."""
         g = self.grid
-        kx = np.repeat(g.kx.astype(float), g.ny)[1:, None]
-        ky = np.tile(g.ky.astype(float), g.nx)[1:, None]
+        keep = (np.arange(g.ny) <= g.ny // 2) | (np.arange(g.nx)[:, None] == g.nx // 2)
+        keep[0, 0] = False
+        return np.nonzero(keep)
+
+    @cached_property
+    def _khat(self):
+        """Unit wavenumber components kx/|k|, ky/|k| of the rows, each (rows, 1)."""
+        (ix, iy), g = self.rows, self.grid
+        kx, ky = g.kx[ix, None].astype(float), g.ky[iy, None].astype(float)
         norm = np.hypot(kx, ky)
         return kx / norm, ky / norm
 
     @cached_property
     def _along_basis(self):
-        """(nu, W): eigenpairs of diag(lam^2) compressed to a-perp; W is nz x (nz - 1)."""
+        """(nu, W): eigenpairs of diag(lam^2) compressed to a-perp; W is complex nz x (nz - 1)."""
         Q = _householder_basis(self.grid.avg_factor)
         R = (Q.T * self.grid.lam**2) @ Q
         nu, U = np.linalg.eigh(0.5 * (R + R.T))
-        return nu, Q @ U
+        return nu, (Q @ U).astype(complex)
 
-    @cached_property
-    def _eigenvalues(self):
-        g = self.grid
-        lam2 = g.lam**2
-        mu = g.k2.reshape(-1)[1:, None] + np.concatenate([lam2, self._along_basis[0]])
-        return np.tile(lam2, 2), mu
+    def _row_eigenvalues(self, k2):
+        """Eigenvalues at k != 0 for 4 pi^2 |k|^2 values k2, one row each."""
+        return k2[:, None] + np.concatenate([self.grid.lam**2, self._along_basis[0]])
 
     @cached_property
     def eigenvalues(self):
         """Every eigenvalue, flat in the order of the to_eigen coordinates."""
-        mu0, mu = self._eigenvalues
-        return np.concatenate([mu0, mu.reshape(-1)])
+        g = self.grid
+        mu = self._row_eigenvalues(g.k2[self.rows])
+        return np.concatenate([np.tile(g.lam**2, 2), mu.ravel()])
+
+    @cached_property
+    def weights(self):
+        """Multiplicity of each coordinate, flat like eigenvalues: 2 on the
+        rows whose -k the mirror fills, 1 where k and -k are both rows."""
+        (ix, iy), g = self.rows, self.grid
+        paired = (iy > 0) & (iy < g.ny // 2) & (ix != g.nx // 2)
+        return np.concatenate([np.ones(2 * g.nz), np.repeat(1.0 + paired, 2 * g.nz - 1)])
 
     @property
     def beta(self):
@@ -175,44 +191,55 @@ class StokesOperator:
     # -- eigenbasis coordinates (for Duhamel integrals and implicit steps) --
 
     def eigenvalues_split(self):
-        """(k=0 diagonal eigenvalues, stacked k != 0 eigenvalues) arrays."""
-        return self._eigenvalues
+        """(k=0 diagonal eigenvalues, eigenvalues of the k != 0 rows): views of eigenvalues."""
+        n0 = 2 * self.grid.nz
+        return self.eigenvalues[:n0], self.eigenvalues[n0:].reshape(-1, n0 - 1)
 
     def to_eigen(self, f: SpectralField):
-        """Coordinates of the constrained part of f in the A-eigenbasis.
+        """Coordinates of the constrained part of the real field f in the A-eigenbasis.
 
-        The basis is orthogonal to the constraint normal, so the normal
-        component of f drops out without a projection.
+        Only k = 0 and the rows are read, so f is taken to be Hermitian.  The
+        basis is orthogonal to the constraint normal: no projection is needed.
         """
         if f.components != 2:
             raise ConfigurationError("the Stokes operator acts on 2-component velocities")
-        g = self.grid
-        nz = g.nz
-        c = f.coeffs.reshape(2, g.nx * g.ny, nz)
-        u, v = c[0, 1:], c[1, 1:]
+        nz = self.grid.nz
+        u, v = f.coeffs[:, self.rows[0], self.rows[1]]
         kx, ky = self._khat
-        y = np.empty((g.nx * g.ny - 1, 2 * nz - 1), complex)
-        y[:, :nz] = kx * v - ky * u
-        y[:, nz:] = (kx * u + ky * v) @ self._along_basis[1]
-        return c[:, 0].flatten(), y
+        y = np.empty((len(kx), 2 * nz - 1), complex)
+        np.subtract(kx * v, ky * u, out=y[:, :nz])
+        np.matmul(kx * u + ky * v, self._along_basis[1], out=y[:, nz:])
+        return f.coeffs[:, 0, 0].flatten(), y
 
     def from_eigen(self, y0, y) -> SpectralField:
+        """The real field with coordinates (y0, y)."""
         g = self.grid
-        nz = g.nz
+        nz, h, ix, iy = g.nz, g.nx // 2, *self.rows
         kx, ky = self._khat
         across = y[:, :nz]
         along = y[:, nz:] @ self._along_basis[1].T
-        c = np.empty((2, g.nx * g.ny, nz), complex)
-        c[:, 0] = np.reshape(y0, (2, nz))
-        c[0, 1:] = kx * along - ky * across
-        c[1, 1:] = ky * along + kx * across
-        return SpectralField(g, c.reshape(2, g.nx, g.ny, nz))
+        c = np.empty((2, g.nx, g.ny, nz), complex)
+        c[:, 0, 0] = np.reshape(y0, (2, nz))
+        c[0, ix, iy] = kx * along - ky * across
+        c[1, ix, iy] = ky * along + kx * across
+        # other ky < 0: conj of -k, rows reversed and rolled by one, the Nyquist row h kept
+        neg, pos = slice(g.ny // 2 + 1, None), slice(g.ny // 2 - 1, 0, -1)
+        np.conjugate(c[:, :1, pos], out=c[:, :1, neg])
+        np.conjugate(c[:, :h:-1, pos], out=c[:, 1:h, neg])
+        np.conjugate(c[:, h - 1:0:-1, pos], out=c[:, h + 1:, neg])
+        return SpectralField(g, c)
 
     def _spectral_map(self, fn, f: SpectralField) -> SpectralField:
-        """fn(A) applied to the constrained part of f, for a scalar function fn."""
-        mu0, mu = self._eigenvalues
-        y0, y = self.to_eigen(f)
-        return self.from_eigen(fn(mu0) * y0, fn(mu) * y)
+        """fn(A) applied to the constrained part of f, for a scalar function fn.
+
+        f = H1 + i H2 with real H1 = hermitize(f), H2 = hermitize(-i f), and
+        fn = p + i q acts as (p(A) H1 - q(A) H2) + i (q(A) H1 + p(A) H2).
+        """
+        fns = [fn(mu) for mu in self.eigenvalues_split()]
+        h1, h2 = self.to_eigen(hermitize(f)), self.to_eigen(hermitize(-1j * f))
+        re = self.from_eigen(*(p.real * a - p.imag * b for p, a, b in zip(fns, h1, h2)))
+        im = self.from_eigen(*(p.imag * a + p.real * b for p, a, b in zip(fns, h1, h2)))
+        return re + 1j * im
 
     # -- semigroup and shifted solves --------------------------------------
 
@@ -259,12 +286,10 @@ class StokesOperator:
     def spectrum(self) -> SpectrumReport:
         """Eigenvalues per wavenumber, ascending at each k != 0."""
         g = self.grid
-        mu0, mu = self._eigenvalues
-        kxg = np.repeat(g.kx, g.ny)[1:]
-        kyg = np.tile(g.ky, g.nx)[1:]
-        entries = [((0, 0), mu0.copy())]
-        entries += [((int(kx), int(ky)), row)
-                    for kx, ky, row in zip(kxg, kyg, np.sort(mu, axis=1))]
+        mu = np.sort(self._row_eigenvalues(g.k2.reshape(-1)[1:]), axis=1)
+        ks = zip(np.repeat(g.kx, g.ny)[1:], np.tile(g.ky, g.nx)[1:])
+        entries = [((0, 0), self.eigenvalues[:2 * g.nz].copy())]
+        entries += [((int(kx), int(ky)), row) for (kx, ky), row in zip(ks, mu)]
         return SpectrumReport(beta=self.beta, entries=tuple(entries))
 
     def sector_sweep(self, eps, lambdas=None) -> SectorSweepReport:

@@ -17,9 +17,7 @@ from hydropde.errors import ConfigurationError
 from hydropde.evolution import ForcingSpec, ImexConfig, forcing_eval, imex_run
 from hydropde.fields import (
     SpectralField,
-    averaged_to_physical,
     fluctuation,
-    grad_norm,
     l2_norm,
     random_spectral,
     to_physical,
@@ -31,7 +29,7 @@ from hydropde.io import LEDGER_COLUMNS
 from hydropde.nonlinear import advect
 from hydropde.projection import SurfacePressure, constrain
 from hydropde.stokes import StokesOperator, eigenmode
-from oracles import eigenmode_eigenvalue
+from oracles import averaged_to_physical, eigenmode_eigenvalue, grad_norm
 
 
 @pytest.fixture(scope="module")

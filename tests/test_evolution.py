@@ -16,12 +16,18 @@ from hydropde.evolution import (
     make_manufactured,
     picard_solve,
 )
-from hydropde.fields import grad_norm, l2_inner, l2_norm, random_spectral, zeros_spectral
+from hydropde.fields import l2_inner, l2_norm, random_spectral, zeros_spectral
 from hydropde.grid import Grid
 from hydropde.nonlinear import F
 from hydropde.projection import constrain, divergence_of_average
-from hydropde.stokes import eigenmode
-from oracles import eigenmode_eigenvalue, imex_step, picard_whole_lists
+from hydropde.stokes import StokesOperator, eigenmode
+from oracles import (
+    eigenmode_eigenvalue,
+    grad_norm,
+    imex_step,
+    picard_whole_lists,
+    reference_march,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +37,6 @@ def grid8():
 
 @pytest.fixture(scope="module")
 def op8(grid8):
-    from hydropde.stokes import StokesOperator
-
     return StokesOperator(grid8)
 
 
@@ -350,6 +354,63 @@ class TestImex:
         a = 40.0 * constrain(random_spectral(grid8, 2, np.random.default_rng(9)))
         with pytest.raises(ConfigurationError):
             imex_run(a, None, ImexConfig(dt=1.0, t_end=2.0), op8)
+
+
+def _forcing_case(kind, grid, op):
+    """(initial data with Nyquist content, forcing) of a half-plane march case."""
+    a = random_spectral(grid, 2, np.random.default_rng(4), kmax=grid.nx // 2,
+                        mmax=grid.nz, amplitude=0.05)
+    if kind == "single-mode":
+        return a, ForcingSpec(eigenmode(grid, (1, -1), 1, amplitude=0.5), rate=0.5)
+    if kind == "manufactured":
+        psi = random_spectral(grid, 2, np.random.default_rng(5), kmax=grid.nx // 2,
+                              mmax=grid.nz, amplitude=0.02)
+        mms = make_manufactured(op, psi)
+        return mms.initial(), mms
+    return a, None
+
+
+def _assert_same_march(led, ref, rtol):
+    assert len(led.states) == len(ref.states)
+    for state, want in zip(led.states, ref.states):
+        assert np.max(np.abs(state.coeffs - want.coeffs)) <= rtol * np.max(np.abs(want.coeffs))
+    for name, col in ref.columns.items():
+        assert led.columns[name] == pytest.approx(col, rel=1e-13, abs=1e-300), name
+
+
+class TestHalfPlaneMarch:
+    """imex_run carries one Hermitian half of the eigen-coordinates; the
+    march on the full plane, with its forcing transformed at every step, is
+    the oracle."""
+
+    @pytest.mark.parametrize("kind", ["unforced", "single-mode", "manufactured"])
+    @pytest.mark.parametrize(
+        "grid", [Grid(n, n, n // 2, dealias_fraction=f) for n in (8, 16) for f in (2 / 3, 1.0)],
+        ids=["8x8x4-f2/3", "8x8x4-f1", "16x16x8-f2/3", "16x16x8-f1"])
+    def test_matches_full_plane_march(self, grid, kind):
+        op = StokesOperator(grid)
+        a, forcing = _forcing_case(kind, grid, op)
+        cfg = ImexConfig(dt=1e-3, t_end=8e-3, sample_every=3)
+        led = imex_run(a, forcing, cfg, op)
+        _assert_same_march(led, reference_march(a, forcing, cfg, op, full_plane=True), 1e-14)
+
+    @pytest.mark.parametrize("kind", ["single-mode", "manufactured"])
+    def test_forcing_is_transformed_once(self, grid8, op8, kind, monkeypatch):
+        a, forcing = _forcing_case(kind, grid8, op8)
+        cfg = ImexConfig(dt=1e-3, t_end=1e-2, sample_every=5)
+        ref = reference_march(a, forcing, cfg, op8, full_plane=False)
+        calls = []
+        to_eigen = StokesOperator.to_eigen
+
+        def counted(self, f):
+            calls.append(f)
+            return to_eigen(self, f)
+
+        monkeypatch.setattr(StokesOperator, "to_eigen", counted)
+        led = imex_run(a, forcing, cfg, op8)
+        # the initial state, F at each of the 10 steps, and each fixed part once
+        assert len(calls) == 1 + 10 + (1 if kind == "single-mode" else 3)
+        _assert_same_march(led, ref, 1e-14)
 
 
 class TestPicardVsImex:

@@ -8,17 +8,16 @@ package's own quadrature machinery.
 import numpy as np
 import pytest
 
+from hydropde.config import InitialConditionSpec, make_initial
 from hydropde.errors import ConfigurationError, DomainError
 from hydropde.fields import (
     AveragedField,
     PhysicalField,
     SpectralField,
-    averaged_to_physical,
     fluctuation,
     l2_inner,
     l2_norm,
     lp_norm,
-    mixed_norm,
     random_spectral,
     sobolev_norm,
     to_physical,
@@ -27,6 +26,7 @@ from hydropde.fields import (
     zeros_spectral,
 )
 from hydropde.grid import Grid
+from oracles import averaged_to_physical
 
 
 def single_mode(grid, comp, kx, ky, m, value=1.0, components=2):
@@ -154,17 +154,11 @@ class TestFluctuation:
 
 
 class TestNorms:
-    def test_constant_mixed_norm(self, grid16):
-        vals = np.full((1, grid16.nx, grid16.ny, grid16.nzq), -3.0)
-        f = PhysicalField(grid16, vals)
-        for p, q in ((2, 2), (4, 2), (2, np.inf), (np.inf, np.inf)):
-            assert abs(mixed_norm(f, q, p) - 3.0) < 1e-12
-
     def test_sine_l2_closed_form(self):
         for h in (1.0, 2.0):
             g = Grid(16, 16, 8, h=h)
             vals = np.broadcast_to(
-                np.sin(2 * np.pi * g.xg)[None, :, None, None],
+                np.sin(2 * np.pi * np.arange(g.nx) / g.nx)[None, :, None, None],
                 (1, g.nx, g.ny, g.nzq),
             ).copy()
             f = PhysicalField(g, vals)
@@ -175,23 +169,6 @@ class TestNorms:
         quad = lp_norm(to_physical(f), 2)
         spectral = l2_norm(f)
         assert abs(quad - spectral) < 1e-8 * spectral
-
-    def test_mixed_hoelder(self, grid16, rng):
-        # ||fg||_{q,p} <= ||f||_{q1,p1} ||g||_{q2,p2}, 1/p = 1/p1 + 1/p2
-        for _ in range(100):
-            fv = to_physical(random_spectral(grid16, 1, rng)).values
-            gv = to_physical(random_spectral(grid16, 1, rng)).values
-            fg = PhysicalField(grid16, fv * gv)
-            f = PhysicalField(grid16, fv)
-            g = PhysicalField(grid16, gv)
-            for (q, p), (q1, p1), (q2, p2) in (
-                ((2, 2), (4, 4), (4, 4)),
-                ((2, 4), (4, 8), (4, 8)),
-                ((4, 2), (8, 4), (8, 4)),
-            ):
-                lhs = mixed_norm(fg, q, p)
-                rhs = mixed_norm(f, q1, p1) * mixed_norm(g, q2, p2)
-                assert lhs <= rhs * (1 + 1e-12)
 
     @pytest.mark.parametrize("components", [1, 2])
     @pytest.mark.parametrize("p", [1, 3, 4, np.inf], ids=["1", "3", "4", "inf"])
@@ -212,17 +189,11 @@ class TestNorms:
             return s.max() if q == np.inf else np.sum(g.wq * s**q) ** (1 / q)
 
         assert lp_norm(f, p) == pytest.approx(depth_norm(slab_norm(mag, p), p), rel=1e-13)
-        for q in (1, 3, 4, np.inf):
-            for q_z, p_xy in ((q, p), (p, q)):
-                want = depth_norm(slab_norm(mag, p_xy), q_z)
-                assert mixed_norm(f, q_z, p_xy) == pytest.approx(want, rel=1e-13)
 
     def test_lp_rejects_small_p(self, grid16):
         f = PhysicalField(grid16, np.zeros((1, 16, 16, grid16.nzq)))
         with pytest.raises(DomainError):
             lp_norm(f, 0.5)
-        with pytest.raises(DomainError):
-            mixed_norm(f, 0.5, 2)
 
     def test_sobolev_s0_is_l2(self, grid16, rng):
         f = random_spectral(grid16, 2, rng)
@@ -237,8 +208,7 @@ class TestNorms:
         # cross-check the gradient factor by finite differences in physical space
         gphys = to_physical(f)
         eps = 1e-6
-        gx = Grid(16, 16, 8)
-        xs = gx.xg
+        xs = np.arange(16) / 16
         dfdx = (np.exp(2j * np.pi * (xs + eps)) - np.exp(2j * np.pi * (xs - eps))) / (2 * eps)
         assert abs(np.max(np.abs(dfdx)) - 2 * np.pi) < 1e-4
         assert gphys.values.shape[0] == 1
@@ -277,3 +247,20 @@ class TestAveragedField:
         assert np.allclose(s.coeffs, 2 * f.coeffs - g.coeffs)
         with pytest.raises(ConfigurationError):
             f + to_physical(g)
+
+
+class TestRandomSpectral:
+    def test_default_band_is_a_quarter_of_each_direction(self):
+        # |kx| <= nx/4 and |ky| <= ny/4: on 32x8 that is |ky| <= 2, so the
+        # Nyquist column ky = -4 stays empty, also for random-band data
+        g = Grid(32, 8, 4)
+        f = random_spectral(g, 2, np.random.default_rng(0))
+        a = make_initial(InitialConditionSpec("random-band", 1e-3, seed=0), g)
+        for c in (f.coeffs, a.coeffs):
+            assert np.any(c[:, np.abs(g.kx) == 8]) and np.any(c[:, :, np.abs(g.ky) == 2])
+            assert not np.any(c[:, np.abs(g.kx) > 8]) and not np.any(c[:, :, np.abs(g.ky) > 2])
+
+    def test_square_grid_default_unchanged(self, grid16):
+        f = random_spectral(grid16, 2, np.random.default_rng(1))
+        g = random_spectral(grid16, 2, np.random.default_rng(1), kmax=4)
+        assert np.array_equal(f.coeffs, g.coeffs)

@@ -20,7 +20,15 @@ from hydropde.fields import (
 from hydropde.grid import Grid
 from hydropde.projection import constrain
 from hydropde.stokes import StokesOperator, assemble_block, eigenmode
-from oracles import eigenmode_eigenvalue
+from oracles import (
+    eigenmode_eigenvalue,
+    full_plane_eigenvalues,
+    full_plane_from_eigen,
+    full_plane_to_eigen,
+)
+
+HALF_PLANE_GRIDS = [Grid(n, n, n // 2, dealias_fraction=f) for n in (8, 16) for f in (2 / 3, 1.0)]
+HALF_PLANE_IDS = ["8x8x4-f2/3", "8x8x4-f1", "16x16x8-f2/3", "16x16x8-f1"]
 
 
 def oracle_eigenvalues(grid, k):
@@ -65,12 +73,11 @@ class TestBlocks:
 
     def test_batched_decomposition_matches_reference(self, grid16, op16):
         g = grid16
-        kxg = np.repeat(g.kx, g.ny)
-        kyg = np.tile(g.ky, g.nx)
         _, mu = op16.eigenvalues_split()
+        # the last row is a ky < 0 entry of the Nyquist row
         for row in (0, 5, 100, mu.shape[0] - 1):
-            ix, iy = divmod(row + 1, g.ny)
-            k = (int(kxg[row + 1]), int(kyg[row + 1]))
+            ix, iy = (int(r[row]) for r in op16.rows)
+            k = (int(g.kx[ix]), int(g.ky[iy]))
             ref = assemble_block(g, k)
             assert np.max(np.abs(np.sort(mu[row]) - np.sort(ref.eigenvalues))) < 1e-10
             # the images of unit eigen-coordinates are orthonormal
@@ -120,7 +127,7 @@ class TestSpectrum:
             raise AssertionError("k = (1, 0) missing from spectrum report")
 
     def test_all_eigenvalues_real_positive(self, op16):
-        evs = op16.spectrum().all_eigenvalues()
+        evs = np.concatenate([e for _, e in op16.spectrum().entries])
         assert evs.min() >= np.pi**2 / 4 - 1e-12
 
     def test_flat_eigenvalues_follow_to_eigen_order(self, grid16, op16, rng):
@@ -269,6 +276,62 @@ class TestBlockMachineryConsistency:
         y0, y = op16.to_eigen(f)
         via_eigen = op16.from_eigen(mu0 * y0, mu * y)
         assert l2_norm(direct - via_eigen) < 1e-11 * l2_norm(direct)
+
+
+class TestHalfPlane:
+    """The coordinates of one Hermitian half against the full plane, where
+    every k != 0 was a row (tests/oracles.py keeps those maps)."""
+
+    @staticmethod
+    def nyquist_field(grid, seed=0):
+        # Hermitian, with content on both Nyquist lines and in every mode
+        return random_spectral(grid, 2, np.random.default_rng(seed),
+                               kmax=grid.nx // 2, mmax=grid.nz)
+
+    @staticmethod
+    def full_rows(op):
+        ix, iy = op.rows
+        return ix * op.grid.ny + iy - 1
+
+    @pytest.mark.parametrize("grid", HALF_PLANE_GRIDS, ids=HALF_PLANE_IDS)
+    def test_maps_match_full_plane(self, grid):
+        op = StokesOperator(grid)
+        f = self.nyquist_field(grid)
+        (y0, y), (z0, z) = op.to_eigen(f), full_plane_to_eigen(op, f)
+        assert len(y) < len(z) and np.array_equal(y0, z0)
+        assert np.max(np.abs(y - z[self.full_rows(op)])) <= 1e-14 * np.max(np.abs(z))
+        got = op.from_eigen(y0, y).coeffs
+        want = full_plane_from_eigen(op, z0, z).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        mu = full_plane_eigenvalues(op)
+        full_mu = mu[2 * grid.nz:].reshape(z.shape)
+        assert np.array_equal(op.eigenvalues_split()[1], full_mu[self.full_rows(op)])
+
+    @pytest.mark.parametrize("grid", HALF_PLANE_GRIDS, ids=HALF_PLANE_IDS)
+    def test_weights_count_each_wavenumber_once(self, grid):
+        op = StokesOperator(grid)
+        # the kept rows and the mirror cover every k != 0 once
+        w = op.weights[2 * grid.nz::2 * grid.nz - 1]
+        assert w.sum() == grid.nx * grid.ny - 1
+        f = self.nyquist_field(grid, seed=1)
+        y0, y = op.to_eigen(f)
+        z0, z = full_plane_to_eigen(op, f)
+        half = op.weights @ np.abs(np.concatenate([y0, y.ravel()])) ** 2
+        full = np.sum(np.abs(z0) ** 2) + np.sum(np.abs(z) ** 2)
+        assert half == pytest.approx(full, rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0 + 5.0j])
+    def test_spectral_map_of_any_field_matches_full_plane(self, grid16, op16, rng, lam):
+        # the resolvent at complex lambda does not map real fields to real
+        # ones, and the field need not be Hermitian
+        c = rng.standard_normal((2, 16, 16, 8)) + 1j * rng.standard_normal((2, 16, 16, 8))
+        f = SpectralField(grid16, c)
+        z0, z = full_plane_to_eigen(op16, f)
+        mu = full_plane_eigenvalues(op16)
+        n0 = 2 * grid16.nz
+        want = full_plane_from_eigen(op16, z0 / (lam + mu[:n0]), z / (lam + mu[n0:]).reshape(z.shape))
+        got, _ = op16.resolvent_solve(lam, f)
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
 
 
 class TestSectorSweep:
