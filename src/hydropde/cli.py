@@ -31,15 +31,21 @@ from .io import read_ledger_csv, save_checkpoint, write_ledger_csv, write_report
 from .stokes import StokesOperator
 
 
-def _build_forcing(cfg: RunConfig, grid, op):
-    """The configured forcing, built once; None when there is none."""
+def _set_up(cfg: RunConfig):
+    """(operator, initial data, forcing) of a run config; forcing is None when
+    there is none, and ic = manufactured with forcing = mms starts from the
+    manufactured solution's initial value."""
+    grid = cfg.grid()
+    op = StokesOperator(grid)
+    a = make_initial(cfg.ic, grid)
     if cfg.forcing == "zero":
-        return None
+        return op, a, None
     if cfg.forcing == "single-mode":
         base = keyed_eigenmode(grid, "forcing", cfg.forcing_kx, cfg.forcing_ky,
                                cfg.forcing_m, cfg.forcing_amplitude)
-        return ForcingSpec(base, cfg.forcing_rate)
-    return make_manufactured(op, manufactured_profile(grid, cfg.ic))
+        return op, a, ForcingSpec(base, cfg.forcing_rate)
+    mms = make_manufactured(op, manufactured_profile(grid, cfg.ic))
+    return op, mms.initial() if cfg.ic.kind == "manufactured" else a, mms
 
 
 def _emit_outputs(cfg, ledger, forcing, extra=None):
@@ -77,12 +83,7 @@ def cmd_run(args):
     if cfg.scheme == "picard":
         raise ConfigurationError("scheme = picard is the mild-solution iteration: "
                                  "run it with `pe picard`")
-    grid = cfg.grid()
-    op = StokesOperator(grid)
-    a = make_initial(cfg.ic, grid)
-    forcing = _build_forcing(cfg, grid, op)
-    if cfg.ic.kind == "manufactured" and cfg.forcing == "mms":
-        a = forcing.initial()
+    op, a, forcing = _set_up(cfg)
     icfg = ImexConfig(dt=cfg.dt, t_end=cfg.t_end,
                       order=1 if cfg.scheme == "imex1" else 2,
                       sample_every=cfg.sample_every, cfl_limit=cfg.cfl_limit)
@@ -101,10 +102,7 @@ def cmd_run(args):
 
 def cmd_picard(args):
     cfg = _load_config(args.config)
-    grid = cfg.grid()
-    op = StokesOperator(grid)
-    a = make_initial(cfg.ic, grid)
-    forcing = _build_forcing(cfg, grid, op)
+    op, a, forcing = _set_up(cfg)
     pcfg = PicardConfig(horizon=cfg.t_end, nodes=cfg.picard_nodes,
                         max_iterations=cfg.picard_max_iterations,
                         tolerance=cfg.picard_tolerance)

@@ -177,6 +177,45 @@ def forcing_eval(spec: Forcing, t) -> SpectralField:
     return _combine(*_terms(spec, t))
 
 
+def _forcing_coords(op: StokesOperator, spec: Forcing | None):
+    """t -> the A-eigen-coordinates of P f(t), None for no forcing: the
+    forcing's fixed parts are transformed once and each time rescales them."""
+    if spec is None:
+        return None
+    parts = [op.to_eigen_flat(p) for p in _terms(spec, 0.0)[1]]
+    return lambda t: _combine(_terms(spec, t)[0], parts)
+
+
+class _Budget:
+    """The energy ledger of a trajectory from its A-eigen-coordinates y.
+
+    Called once per step of dt, with the forcing's coordinates f or None,
+    it returns E2 = (h/2) sum w |y|^2, D2 = (h/2) sum w mu |y|^2 and the
+    running trapezoid sums of D2 and <P f, v> = (h/2) sum w Re(conj(f) y),
+    with w the coordinates' multiplicities (StokesOperator.weights).
+    """
+
+    def __init__(self, op: StokesOperator, dt):
+        self.h2, self.dt, self.w = op.grid.h / 2, dt, op.weights
+        self.wmu = self.w * op.eigenvalues
+        self.d2_int = self.fwork_int = 0.0
+        self.prev = None
+
+    def norm(self, y):
+        """sqrt(E2) of coordinates y: the norm of Picard's changes."""
+        return math.sqrt(self.h2 * float(self.w @ np.abs(y) ** 2))
+
+    def __call__(self, y, f=None):
+        p2 = np.abs(y) ** 2
+        d2 = self.h2 * float(self.wmu @ p2)
+        fw = 0.0 if f is None else self.h2 * float(self.w @ (np.conj(f) * y).real)
+        if self.prev is not None:
+            self.d2_int += self.dt * 0.5 * (self.prev[0] + d2)
+            self.fwork_int += self.dt * 0.5 * (self.prev[1] + fw)
+        self.prev = d2, fw
+        return self.h2 * float(self.w @ p2), d2, self.d2_int, self.fwork_int
+
+
 # -- Picard iteration ----------------------------------------------------
 
 
@@ -193,28 +232,6 @@ def _phi_pair(x):
     pa = np.where(small, 0.5 - x / 3 + x**2 / 8, (1 - (1 + xs) * em) / xs**2)
     pb = np.where(small, 0.5 - x / 6 + x**2 / 24, (xs - 1 + em) / xs**2)
     return pa, pb
-
-
-def _eig_flat(op, f):
-    y0, y = op.to_eigen(f)
-    return np.concatenate([y0, y.ravel()])
-
-
-def _uneig_flat(op, ycat):
-    n0 = 2 * op.grid.nz
-    return op.from_eigen(ycat[:n0], ycat[n0:].reshape(-1, n0 - 1))
-
-
-def _budget(w, wmu, h2, y, f=None):
-    """(E2, D2, <P f, v>) of the real state whose A-eigen-coordinates are y.
-
-    (h/2) sum w |y|^2, (h/2) sum w mu |y|^2 and (h/2) sum w Re(conj(f) y),
-    with w the coordinates' multiplicities (StokesOperator.weights), wmu =
-    w mu and f the forcing's coordinates; the work term is 0 when f is None.
-    """
-    p2 = np.abs(y) ** 2
-    fw = 0.0 if f is None else h2 * float(w @ (np.conj(f) * y).real)
-    return h2 * float(w @ p2), h2 * float(wmu @ p2), fw
 
 
 @dataclass(frozen=True)
@@ -235,24 +252,26 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
     reported in the PicardReport rather than raised.
     """
     op = op or StokesOperator(a.grid)
-    g = a.grid
     times = np.linspace(0.0, cfg.horizon, cfg.nodes)
     dt = times[1] - times[0]
-    mu, w = op.eigenvalues, op.weights
-    wmu = w * mu
-    decay = np.exp(-dt * mu)
-    pa, pb = _phi_pair(dt * mu)
-    h2 = g.h / 2
-    have_f = f_ext is not None
-    fcat = [_eig_flat(op, forcing_eval(f_ext, t)) if have_f else 0.0 for t in times]
-    acat = _eig_flat(op, hermitize(a))
+    decay = np.exp(-dt * op.eigenvalues)
+    pa, pb = _phi_pair(dt * op.eigenvalues)
+    budget = _Budget(op, dt)
+    f_at = _forcing_coords(op, f_ext)
+    acat = op.to_eigen_flat(hermitize(a))
 
-    def duhamel(src):
-        """Nodes of e^{-tA} a + int_0^t e^{-(t-s)A} src(s) ds, src linear between nodes."""
-        traj = [acat]
-        for i in range(cfg.nodes - 1):
-            traj.append(decay * traj[-1] + dt * (pa * src[i] + pb * src[i + 1]))
-        return traj
+    def forcing(i):
+        return f_at(times[i]) if f_at else 0.0
+
+    def sweep(src, source):
+        """Yield (i, y_i), i >= 1, the nodes of e^{-tA} a + int_0^t e^{-(t-s)A} s ds
+        with s linear between node sources: src at node 0, then source(i),
+        asked for in order just before node i is formed."""
+        y = acat
+        for i in range(1, cfg.nodes):
+            src_prev, src = src, source(i)
+            y = decay * y + dt * (pa * src_prev + pb * src)
+            yield i, y
 
     def k_of(states):
         # sup_t t^{1-gamma} ||v(t)||_{H^{2 gamma}} with gamma = 3/4: the
@@ -260,15 +279,18 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         vals = [t ** 0.25 * sobolev_norm(v, 1.5) for t, v in zip(times[1:], states[1:])]
         return max(vals) if vals else 0.0
 
-    def norm(y):
-        return math.sqrt(h2 * float(w @ np.abs(y) ** 2))
-
     # each iterate's node fields serve its k, the next F and the ledger;
     # node 0 is constrain(a) in every iterate, so its field and F are formed once
-    vm = duhamel(fcat)
-    vs = [_uneig_flat(op, y) for y in vm]
-    v0 = vs[0]
-    src0 = fcat[0] + _eig_flat(op, F(v0)) if cfg.nonlinear else None
+    vm = [acat, *(y for _, y in sweep(forcing(0), forcing))]
+    vs = [op.from_eigen_flat(y) for y in vm]
+    src0 = forcing(0) + op.to_eigen_flat(F(vs[0])) if cfg.nonlinear else None
+
+    def source(i):
+        # node i's source is formed from the old field, which is then dropped
+        src = forcing(i) + op.to_eigen_flat(F(vs[i]))
+        vs[i] = None
+        return src
+
     k_hist = [k_of(vs)]
     change_hist = []
     converged = not cfg.nonlinear
@@ -278,20 +300,15 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         if converged or diverged:
             break
         iterations += 1
-        # the sweep streams over the nodes: node i's source is formed from
-        # the old field when the recurrence reaches it, and the new node and
-        # its field replace the old ones in place, so vm and vs each hold
-        # one trajectory and only two sources are live
-        y, src = acat, src0
-        changes, scales = [norm(acat - vm[0])], [norm(acat)]
-        for i in range(1, cfg.nodes):
-            src_prev, src = src, fcat[i] + _eig_flat(op, F(vs[i]))
-            vs[i] = None
-            y = decay * y + dt * (pa * src_prev + pb * src)
-            changes.append(norm(y - vm[i]))
-            scales.append(norm(y))
+        # the sweep streams over the nodes: the new node and its field
+        # replace the old ones in place, so vm and vs each hold one
+        # trajectory and only two sources are live
+        changes, scales = [budget.norm(acat - vm[0])], [budget.norm(acat)]
+        for i, y in sweep(src0, source):
+            changes.append(budget.norm(y - vm[i]))
+            scales.append(budget.norm(y))
             vm[i] = y
-            vs[i] = _uneig_flat(op, y)
+            vs[i] = op.from_eigen_flat(y)
         change, scale = max(changes), max(scales)
         change_hist.append(change)
         k_hist.append(k_of(vs))
@@ -302,16 +319,9 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         elif change <= cfg.tolerance * max(scale, 1e-300) or change == 0.0:
             converged = True
 
-    ledger = TrajectoryLedger(g)
-    d2_int = fwork_int = 0.0
-    prev = None
-    for t, y, f, v in zip(times, vm, fcat, vs):
-        e2, d2, fw = _budget(w, wmu, h2, y, f if have_f else None)
-        if prev is not None:
-            d2_int += dt * 0.5 * (prev[0] + d2)
-            fwork_int += dt * 0.5 * (prev[1] + fw)
-        ledger.append(t, v, e2, d2, d2_int, fwork_int)
-        prev = d2, fw
+    ledger = TrajectoryLedger(a.grid)
+    for t, y, v in zip(times, vm, vs):
+        ledger.append(t, v, *budget(y, f_at(t) if f_at else None))
     report = PicardReport(converged, diverged, iterations,
                           tuple(k_hist), tuple(change_hist))
     return ledger, report
@@ -337,43 +347,35 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
     # march in the A-eigenbasis: the implicit solve is a diagonal division
     # and the energy norms are plain weighted sums of the coordinates
     ledger = TrajectoryLedger(g)
-    h2 = g.h / 2
     dt = cfg.dt
-    mu, w = op.eigenvalues, op.weights
-    wmu = w * mu
-    y = _eig_flat(op, v)
-    have_f = f_ext is not None
-    # the forcing's fixed parts are transformed once; each time rescales them
-    parts = [_eig_flat(op, p) for p in _terms(f_ext, 0.0)[1]] if have_f else None
-
-    def f_eig(t):
-        return _combine(_terms(f_ext, t)[0], parts) if have_f else 0.0
-
-    d2_int = fwork_int = 0.0
-    fnext = f_eig(0.0)
-    e2, d2, fw = _budget(w, wmu, h2, y, fnext if have_f else None)
-    ledger.append(0.0, v, e2, d2, d2_int, fwork_int)
+    mu = op.eigenvalues
+    budget = _Budget(op, dt)
+    f_at = _forcing_coords(op, f_ext)
+    y = op.to_eigen_flat(v)
+    fnext = f_at(0.0) if f_at else None
+    ledger.append(0.0, v, *budget(y, fnext))
 
     g_prev = None
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(nsteps):
             t = n * dt
-            fn, fnext = fnext, f_eig(t + dt)
-            gn = _eig_flat(op, F(_uneig_flat(op, y))) if cfg.nonlinear else 0.0
-            if cfg.order == 1 or n == 0:
-                y = (y + dt * gn + dt * fnext) / (1 + dt * mu)
-            else:
-                y = (y * (1 - 0.5 * dt * mu) + dt * (1.5 * gn - 0.5 * g_prev)
-                     + 0.5 * dt * (fn + fnext)) / (1 + 0.5 * dt * mu)
+            gn = op.to_eigen_flat(F(op.from_eigen_flat(y))) if cfg.nonlinear else 0.0
+            # backward Euler at order 1 and on the first step, else CN/AB2;
+            # c is the implicit weight
+            euler = cfg.order == 1 or n == 0
+            c = dt if euler else 0.5 * dt
+            rhs = (y + dt * gn if euler
+                   else y * (1 - c * mu) + dt * (1.5 * gn - 0.5 * g_prev))
+            if f_at:
+                fn, fnext = fnext, f_at(t + dt)
+                rhs = rhs + c * (fnext if euler else fn + fnext)
+            y = rhs / (1 + c * mu)
             g_prev = gn
-            e2n, d2n, fwn = _budget(w, wmu, h2, y, fnext if have_f else None)
-            if not (math.isfinite(e2n) and math.isfinite(d2n)):
+            e2, d2, d2_int, fwork_int = budget(y, fnext)
+            if not (math.isfinite(e2) and math.isfinite(d2)):
                 err = NanAbort(f"non-finite state at t = {t + dt:.6g} (step {n + 1})")
                 err.ledger = ledger
                 raise err
-            d2_int += dt * 0.5 * (d2 + d2n)
-            fwork_int += dt * 0.5 * (fw + fwn)
-            e2, d2, fw = e2n, d2n, fwn
             if (n + 1) % cfg.sample_every == 0 or n + 1 == nsteps:
-                ledger.append((n + 1) * dt, _uneig_flat(op, y), e2, d2, d2_int, fwork_int)
+                ledger.append((n + 1) * dt, op.from_eigen_flat(y), e2, d2, d2_int, fwork_int)
     return ledger

@@ -6,8 +6,8 @@ Checkpoint layout: one ASCII header line
 
 followed by little-endian 8-byte floats, coefficients in
 (component, kx, ky, m) row-major order with real and imaginary parts
-interleaved.  Surface pressures use nz = 0 as a sentinel.  The depth h is
-written with repr so a save/load round trip is bit-exact.
+interleaved.  The depth h is written with repr so a save/load round trip
+is bit-exact.
 
 Ledger CSV: the ledger table ({column name: list of floats}, as
 diagnostics.build_records returns it) written as a version comment
@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .fields import SpectralField
 from .grid import Grid
-from .projection import SurfacePressure
 
 LEDGER_VERSION_LINE = "# hydropde-ledger v1"
 
@@ -45,26 +44,18 @@ def _interleave(coeffs):
     return out.astype("<f8")
 
 
-def save_checkpoint(path, obj):
-    """Write a SpectralField or SurfacePressure."""
-    if isinstance(obj, SpectralField):
-        nz, comp, coeffs = obj.grid.nz, obj.components, obj.coeffs
-    elif isinstance(obj, SurfacePressure):
-        nz, comp, coeffs = 0, 1, obj.coeffs[None]
-    else:
-        raise ConfigurationError(f"cannot checkpoint {type(obj).__name__}")
-    g = obj.grid
+def save_checkpoint(path, field: SpectralField):
+    """Write a SpectralField."""
+    if not isinstance(field, SpectralField):
+        raise ConfigurationError(f"cannot checkpoint {type(field).__name__}")
+    g = field.grid
     with open(path, "wb") as fh:
-        fh.write(f"HYDROPDE1 {g.nx} {g.ny} {nz} {g.h!r} {comp}\n".encode("ascii"))
-        fh.write(_interleave(coeffs).tobytes())
+        fh.write(f"HYDROPDE1 {g.nx} {g.ny} {g.nz} {g.h!r} {field.components}\n".encode("ascii"))
+        fh.write(_interleave(field.coeffs).tobytes())
 
 
-def load_checkpoint(path, grid: Grid | None = None):
-    """Read a checkpoint; returns a SpectralField or SurfacePressure.
-
-    For surface pressures (nz = 0 in the header) a grid must be supplied,
-    since the file does not carry a vertical mode count.
-    """
+def load_checkpoint(path, grid: Grid | None = None) -> SpectralField:
+    """Read a checkpoint; a header that no Grid accepts raises ConfigurationError."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
         raw = fh.read()
@@ -77,12 +68,6 @@ def load_checkpoint(path, grid: Grid | None = None):
     coeffs = np.empty(data.size // 2, complex)
     coeffs.real = data[0::2]
     coeffs.imag = data[1::2]
-    if nz == 0:
-        if grid is None:
-            raise ConfigurationError("surface-pressure checkpoint needs an explicit grid")
-        if (grid.nx, grid.ny) != (nx, ny) or grid.h != h:
-            raise ConfigurationError(f"{path}: grid mismatch with checkpoint header")
-        return SurfacePressure(grid, coeffs.reshape(nx, ny))
     if grid is None:
         grid = Grid(nx, ny, nz, h)
     elif (grid.nx, grid.ny, grid.nz, grid.h) != (nx, ny, nz, h):

@@ -191,7 +191,11 @@ class StokesOperator:
     # -- eigenbasis coordinates (for Duhamel integrals and implicit steps) --
 
     def eigenvalues_split(self):
-        """(k=0 diagonal eigenvalues, eigenvalues of the k != 0 rows): views of eigenvalues."""
+        """(k=0 diagonal eigenvalues, eigenvalues of the k != 0 rows): views of eigenvalues.
+
+        The package reads the flat eigenvalues; this pair is kept only for
+        perfbench's set-up hook and per-layer sweep.
+        """
         n0 = 2 * self.grid.nz
         return self.eigenvalues[:n0], self.eigenvalues[n0:].reshape(-1, n0 - 1)
 
@@ -229,16 +233,26 @@ class StokesOperator:
         np.conjugate(c[:, h - 1:0:-1, pos], out=c[:, h + 1:, neg])
         return SpectralField(g, c)
 
+    def to_eigen_flat(self, f: SpectralField):
+        """to_eigen's coordinates as one flat vector, in the order of eigenvalues."""
+        y0, y = self.to_eigen(f)
+        return np.concatenate([y0, y.ravel()])
+
+    def from_eigen_flat(self, y):
+        """The real field with flat coordinates y (inverse of to_eigen_flat)."""
+        n0 = 2 * self.grid.nz
+        return self.from_eigen(y[:n0], y[n0:].reshape(-1, n0 - 1))
+
     def _spectral_map(self, fn, f: SpectralField) -> SpectralField:
         """fn(A) applied to the constrained part of f, for a scalar function fn.
 
         f = H1 + i H2 with real H1 = hermitize(f), H2 = hermitize(-i f), and
         fn = p + i q acts as (p(A) H1 - q(A) H2) + i (q(A) H1 + p(A) H2).
         """
-        fns = [fn(mu) for mu in self.eigenvalues_split()]
-        h1, h2 = self.to_eigen(hermitize(f)), self.to_eigen(hermitize(-1j * f))
-        re = self.from_eigen(*(p.real * a - p.imag * b for p, a, b in zip(fns, h1, h2)))
-        im = self.from_eigen(*(p.imag * a + p.real * b for p, a, b in zip(fns, h1, h2)))
+        p = fn(self.eigenvalues)
+        h1, h2 = (self.to_eigen_flat(hermitize(x)) for x in (f, -1j * f))
+        re = self.from_eigen_flat(p.real * h1 - p.imag * h2)
+        im = self.from_eigen_flat(p.imag * h1 + p.real * h2)
         return re + 1j * im
 
     # -- semigroup and shifted solves --------------------------------------

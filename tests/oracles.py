@@ -16,10 +16,8 @@ from hydropde.evolution import (
     PicardConfig,
     PicardReport,
     TrajectoryLedger,
-    _budget,
-    _eig_flat,
+    _forcing_coords,
     _phi_pair,
-    _uneig_flat,
     forcing_eval,
 )
 from hydropde.fields import (
@@ -93,7 +91,9 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
     trajectory, then its changes and fields, so it holds four trajectories
     at once: the old one, its fields, the sources and the new one.  The
     package's picard_solve streams the same arithmetic over the nodes and
-    must agree with this bit for bit.
+    must agree with this bit for bit.  The forcing's node coordinates come
+    from the package's one transform per run (evolution._forcing_coords);
+    the energy budget is written out here.
     """
     g = a.grid
     times = np.linspace(0.0, cfg.horizon, cfg.nodes)
@@ -103,8 +103,9 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
     pa, pb = _phi_pair(dt * mu)
     h2 = g.h / 2
     have_f = f_ext is not None
-    fcat = [_eig_flat(op, forcing_eval(f_ext, t)) if have_f else 0.0 for t in times]
-    acat = _eig_flat(op, hermitize(a))
+    f_at = _forcing_coords(op, f_ext)
+    fcat = [f_at(t) if have_f else 0.0 for t in times]
+    acat = op.to_eigen_flat(hermitize(a))
 
     def duhamel(src):
         traj = [acat]
@@ -117,9 +118,9 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
         return max(vals) if vals else 0.0
 
     vm = duhamel(fcat)
-    vs = [_uneig_flat(op, y) for y in vm]
+    vs = [op.from_eigen_flat(y) for y in vm]
     v0 = vs[0]
-    src0 = fcat[0] + _eig_flat(op, F(v0)) if cfg.nonlinear else None
+    src0 = fcat[0] + op.to_eigen_flat(F(v0)) if cfg.nonlinear else None
     k_hist = [k_of(vs)]
     change_hist = []
     converged = not cfg.nonlinear
@@ -129,7 +130,7 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
         if converged or diverged:
             break
         iterations += 1
-        vnew = duhamel([src0] + [f + _eig_flat(op, F(v)) for f, v in zip(fcat[1:], vs[1:])])
+        vnew = duhamel([src0] + [f + op.to_eigen_flat(F(v)) for f, v in zip(fcat[1:], vs[1:])])
         change = max(
             math.sqrt(h2 * float(w @ np.abs(ya - yb) ** 2))
             for ya, yb in zip(vnew, vm)
@@ -137,7 +138,7 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
         scale = max(math.sqrt(h2 * float(w @ np.abs(y) ** 2)) for y in vnew)
         change_hist.append(change)
         vm = vnew
-        vs = [v0] + [_uneig_flat(op, y) for y in vm[1:]]
+        vs = [v0] + [op.from_eigen_flat(y) for y in vm[1:]]
         k_hist.append(k_of(vs))
         if k_hist[-1] > 1e6 or not math.isfinite(k_hist[-1]):
             diverged = True
@@ -149,7 +150,9 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
     fwork_int = 0.0
     prev = None
     for t, y, f, v in zip(times, vm, fcat, vs):
-        e2, d2, fw = _budget(w, w * mu, h2, y, f if have_f else None)
+        p2 = np.abs(y) ** 2
+        e2, d2 = h2 * float(w @ p2), h2 * float(w * mu @ p2)
+        fw = h2 * float(w @ (np.conj(f) * y).real) if have_f else 0.0
         if prev is not None:
             d2_int += dt * 0.5 * (prev[0] + d2)
             fwork_int += dt * 0.5 * (prev[1] + fw)

@@ -363,14 +363,21 @@ class TestMms:
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("verb", ["run", "picard"])
-    def test_forced_run_follows_manufactured_solution(self, tmp_path, verb):
+    def test_forced_run_follows_manufactured_solution(self, tmp_path, verb, monkeypatch):
         # forcing = mms drives both integrators along the exact g(t) psi
         body = (SMALL_GRID + "ic = manufactured\namplitude = 1e-2\nseed = 1\n"
                 "forcing = mms\ndt = 1e-3\nt_end = 0.05\n")
         ckpt = tmp_path / "final.ckpt"
         cfg = write_config(tmp_path, body + f"out_ledger = {tmp_path/'run.csv'}\n"
                            f"out_report = {tmp_path/'r.json'}\nout_checkpoint = {ckpt}\n")
+        name = {"run": "imex_run", "picard": "picard_solve"}[verb]
+        integrate, calls = getattr(cli, name), []
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or integrate(*args))
         assert main([verb, "--config", cfg]) == 0
+        # both verbs start from g(0) psi and pass the operator 4th, positionally
+        a, mms, _, op = calls[0]
+        assert np.array_equal(a.coeffs, mms.initial().coeffs)
+        assert isinstance(op, StokesOperator)
         run_cfg = parse_config(body)
         grid = run_cfg.grid()
         psi = manufactured_profile(grid, run_cfg.ic)

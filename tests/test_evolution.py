@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hydropde import evolution
 from hydropde.errors import ConfigurationError, NanAbort
 from hydropde.evolution import (
     ForcingSpec,
@@ -411,6 +412,31 @@ class TestHalfPlaneMarch:
         # the initial state, F at each of the 10 steps, and each fixed part once
         assert len(calls) == 1 + 10 + (1 if kind == "single-mode" else 3)
         _assert_same_march(led, ref, 1e-14)
+
+    @pytest.mark.parametrize("kind", ["single-mode", "manufactured"])
+    def test_picard_forcing_is_transformed_once(self, grid8, op8, kind, monkeypatch):
+        a, forcing = _forcing_case(kind, grid8, op8)
+        cfg = PicardConfig(horizon=1e-2, nodes=9)
+        coords, seen = evolution._forcing_coords, []
+
+        def recorded(op, spec):
+            f_at = coords(op, spec)
+            return lambda t: seen.append((t, f_at(t))) or seen[-1][1]
+
+        calls, f_calls = [], []
+        to_eigen, nonlinear = StokesOperator.to_eigen, evolution.F
+        monkeypatch.setattr(evolution, "_forcing_coords", recorded)
+        monkeypatch.setattr(StokesOperator, "to_eigen",
+                            lambda op, f: calls.append(f) or to_eigen(op, f))
+        monkeypatch.setattr(evolution, "F", lambda v: f_calls.append(v) or nonlinear(v))
+        picard_solve(a, forcing, cfg, op8)
+        monkeypatch.undo()
+        # the initial state, each F, and each fixed part once: no transform per node
+        assert len(calls) == 1 + len(f_calls) + (1 if kind == "single-mode" else 3)
+        assert {t for t, _ in seen} == set(np.linspace(0.0, cfg.horizon, cfg.nodes))
+        for t, y in seen:
+            want = op8.to_eigen_flat(forcing_eval(forcing, t))
+            assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestPicardVsImex:
