@@ -151,9 +151,10 @@ def make_initial(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
 
 
 def keyed_eigenmode(grid: Grid, prefix, kx, ky, m, amplitude) -> SpectralField:
-    """eigenmode(grid, (kx, ky), m), rejecting a mode outside the grid by the
-    config key that sets it: prefix_kx, prefix_ky or prefix_m."""
-    for key, val, allowed in (("kx", kx, grid.kx), ("ky", ky, grid.ky),
+    """eigenmode(grid, (kx, ky), m), rejecting a mode outside the grid or on its
+    Nyquist lines by the config key that sets it: prefix_kx, prefix_ky or prefix_m."""
+    off = grid.off_nyquist
+    for key, val, allowed in (("kx", kx, grid.kx[off[:, 0]]), ("ky", ky, grid.ky[off[0]]),
                               ("m", m, range(grid.nz))):
         if val not in allowed:
             raise ConfigurationError(f"{prefix}_{key} = {val} lies outside "

@@ -123,17 +123,19 @@ def zeros_spectral(grid, components=2):
 # -- transforms ----------------------------------------------------------
 
 
-def mirror_pair(grid, coeffs, modes, block):
-    """c(k) (maybe a view) and conj(c(-k)) (a new array) of coeffs[..., :modes].
+def hermitian_block(grid, coeffs, modes, block):
+    """(c(k) + conj(c(-k))) / 2 of coeffs[..., :modes] on a block, a new array.
 
     block is (rows, K), the whole half or Grid.dealias_block; coeffs is
-    (..., kx, ky, m) and both come back mode-major, (..., m, rows, K).  Half
-    their sum is the Hermitian part, on the whole half the spectrum of the
-    real field Re(sum c exp(2 pi i k.x)); half their difference is the rest.
+    (..., kx, ky, m) and the result is mode-major, (..., m, rows, K).  On the
+    whole half it is the spectrum of the real field Re(sum c exp(2 pi i k.x)).
     """
     (ix, iy), (rows, K) = grid.neg_k, block
     c = np.moveaxis(coeffs[..., :modes], -1, -3)
-    return c[..., rows, :K], np.conj(c[..., ix[rows], iy[:, :K]])
+    herm = np.conj(c[..., ix[rows], iy[:, :K]])
+    herm += c[..., rows, :K]
+    herm *= 0.5
+    return herm
 
 
 def half_to_planes(grid, half, block):
@@ -169,9 +171,7 @@ def synthesize(grid, coeffs, table) -> PhysicalField:
     the result is Re(sum c exp(2 pi i k.x) phi_m) for any c.
     """
     block = slice(None), grid.ny // 2 + 1
-    half, herm = mirror_pair(grid, coeffs, table.shape[0], block)
-    herm += half  # in place on the new array: half may be a view of coeffs
-    herm *= 0.5
+    herm = hermitian_block(grid, coeffs, table.shape[0], block)
     return PhysicalField(grid, np.tensordot(half_to_planes(grid, herm, block), table, (1, 0)))
 
 
@@ -246,7 +246,7 @@ def lp_norm(f: PhysicalField, p) -> float:
     """L^p(Omega) norm by quadrature; p = inf takes the max over nodes."""
     if p != np.inf and p < 1:
         raise DomainError(f"lp_norm requires p >= 1, got {p}")
-    mag2 = np.sum(f.values**2, axis=0)
+    mag2 = np.einsum("c...,c...->...", f.values, f.values)
     if p == np.inf:
         return float(np.sqrt(mag2.max(initial=0.0)))
     g = f.grid

@@ -47,7 +47,7 @@ class Grid:
     nx, ny : horizontal Fourier mode counts (even, >= 4)
     nz     : number of vertical cosine modes (>= 2)
     h      : layer depth (> 0); vertical domain is (-h, 0)
-    dealias_fraction : f in (0, 1]; advect keeps |k| < f n / 2, m < f nz (all at f = 1)
+    dealias_fraction : f in (0, 1]; advect keeps |k| < f n / 2 and m < f nz
     """
 
     nx: int
@@ -148,14 +148,16 @@ class Grid:
         return (-np.arange(self.nx))[:, None] % self.nx, (-np.arange(self.ny))[None, :] % self.ny
 
     @cached_property
-    def half_ik(self):
-        """2 pi i (kx, ky) on dealias_block, each split (off, on) its Nyquist line.
+    def off_nyquist(self):
+        """(nx, ny) mask of the velocity space's wavenumbers: all but the Nyquist
+        row kx = -nx/2 and column ky = -ny/2, whose -k is on the same line."""
+        return (self.kx != -self.nx // 2)[:, None] & (self.ky != -self.ny // 2)
 
-        On it k is its own negative: herm(i k c) = i k anti(c) there, i k herm(c) off it.
-        """
-        kx, ky = self.kx[self.dealias_block[0], None], self.ky[None, : self.dealias_block[1]]
-        return tuple((2j * np.pi * k * (k != -n // 2), 2j * np.pi * k * (k == -n // 2))
-                     for k, n in ((kx, self.nx), (ky, self.ny)))
+    @cached_property
+    def half_ik(self):
+        """2 pi i kx (rows, 1) and 2 pi i ky (1, K) on dealias_block."""
+        rows, K = self.dealias_block
+        return 2j * np.pi * self.kx[rows, None], 2j * np.pi * self.ky[None, :K]
 
     # -- dealiasing ------------------------------------------------------
 
@@ -168,10 +170,10 @@ class Grid:
     def dealias_block(self):
         """(rows, K): the kept kx rows in FFT order and the kept ky >= 0 columns 0 .. K-1.
 
-        For f < 1 the kept |k| < f n / 2, so 3 |k| < n at f = 2/3; f = 1 keeps every k.
+        The kept |k| < f n / 2, so 3 |k| < n at f = 2/3 and, at f = 1, every
+        wavenumber off the Nyquist lines.
         """
-        f = self.dealias_fraction
-        Kx, K = (n // 2 + 1 if f == 1 else int(np.ceil(f * n / 2)) for n in (self.nx, self.ny))
+        Kx, K = (int(np.ceil(self.dealias_fraction * n / 2)) for n in (self.nx, self.ny))
         return np.flatnonzero(np.abs(self.kx) < Kx), K
 
     # -- convenience ------------------------------------------------------

@@ -55,23 +55,29 @@ def save_checkpoint(path, field: SpectralField):
 
 
 def load_checkpoint(path, grid: Grid | None = None) -> SpectralField:
-    """Read a checkpoint; a header that no Grid accepts raises ConfigurationError."""
+    """Read a checkpoint; a malformed file, or a header that no Grid accepts or
+    that differs from grid, raises ConfigurationError naming the file."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        header = fh.readline().split()
         raw = fh.read()
-    if len(header) != 6 or header[0] != "HYDROPDE1":
-        raise ConfigurationError(f"{path}: not a HYDROPDE1 checkpoint")
-    nx, ny, nz, comp = int(header[1]), int(header[2]), int(header[3]), int(header[5])
-    h = float(header[4])
-    data = np.frombuffer(raw, dtype="<f8")
+    try:
+        if len(header) != 6 or header[0] != b"HYDROPDE1":
+            raise ValueError("not a HYDROPDE1 checkpoint")
+        nx, ny, nz, comp = (int(header[i]) for i in (1, 2, 3, 5))
+        h = float(header[4])
+        data = np.frombuffer(raw, dtype="<f8")
+        if comp not in (1, 2) or data.size != 2 * comp * nx * ny * nz:
+            raise ValueError(f"{data.size} floats for a {comp}x{nx}x{ny}x{nz} complex field")
+        if grid is None:
+            grid = Grid(nx, ny, nz, h)
+        elif (grid.nx, grid.ny, grid.nz, grid.h) != (nx, ny, nz, h):
+            raise ValueError("grid mismatch with checkpoint header")
+    except ValueError as err:  # ConfigurationError from Grid included
+        raise ConfigurationError(f"{path}: {err}") from None
     # assign parts separately so signed zeros survive the round trip
     coeffs = np.empty(data.size // 2, complex)
     coeffs.real = data[0::2]
     coeffs.imag = data[1::2]
-    if grid is None:
-        grid = Grid(nx, ny, nz, h)
-    elif (grid.nx, grid.ny, grid.nz, grid.h) != (nx, ny, nz, h):
-        raise ConfigurationError(f"{path}: grid mismatch with checkpoint header")
     return SpectralField(grid, coeffs.reshape(comp, nx, ny, nz))
 
 

@@ -30,8 +30,8 @@ from .errors import ConfigurationError
 from .fields import (
     SpectralField,
     half_to_planes,
+    hermitian_block,
     l2_norm,
-    mirror_pair,
     planes_to_coeffs,
     random_spectral,
     sobolev_norm,
@@ -65,10 +65,8 @@ def advect(v: SpectralField) -> SpectralField:
     if v.components != 2:
         raise ConfigurationError("advect needs a 2-component velocity")
     mk, n, block, nodes = g.dealias_modes, g.nx * g.ny, g.dealias_block, g.advect_nodes
-    half, rev = mirror_pair(g, v.coeffs, mk, block)
-    hv, av = 0.5 * (half + rev), 0.5 * (half - rev)  # Hermitian and anti-Hermitian parts
-    (dx, dx_nyq), (dy, dy_nyq) = g.half_ik
-    stack = np.concatenate([hv, dx * hv + dx_nyq * av, dy * hv + dy_nyq * av])
+    hv, (dx, dy) = hermitian_block(g, v.coeffs, mk, block), g.half_ik
+    stack = np.concatenate([hv, dx * hv, dy * hv])
     planes = half_to_planes(g, stack, block).reshape(6, mk, n)
     C, Dz, W = (t[:mk].T for t in (nodes.cos, nodes.dz, nodes.wint))
     modes = np.empty((2, mk, n))

@@ -16,11 +16,11 @@ block k != 0 in two:
   4 pi^2 |k|^2, so one (nz - 1)-sized eigendecomposition serves every k.
 
 For k = 0 the constraint is vacuous and the block is already diagonal.  A
-real field is kept by one Hermitian half of its wavenumbers, with weights
-for the mirrored rows (see StokesOperator).  Semigroup, shifted solves and
-resolvent are scalar functions of A, diagonal in these coordinates, so the
-semigroup law and decay bounds hold at rounding accuracy on the discrete
-operator.  The dense per-wavenumber assembly (assemble_block) is kept as
+real field is kept by one Hermitian half of its wavenumbers off the Nyquist
+lines, with weights for the mirrored rows (see StokesOperator).  Semigroup,
+shifted solves and resolvent are scalar functions of A, diagonal in these
+coordinates, so the semigroup law and decay bounds hold at rounding accuracy
+on the discrete operator.  The dense per-wavenumber assembly (assemble_block) is kept as
 the reference the tests compare against.
 """
 
@@ -30,9 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularResolventError
-from .fields import SpectralField, hermitize, sobolev_norm
+from .fields import SpectralField, hermitize, sobolev_norm, vertical_average
 from .grid import Grid
-from .projection import SurfacePressure, constrain
+from .projection import constrain, solve_surface_poisson
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,21 @@ def eigenmode(grid: Grid, k, m, amplitude=1.0) -> SpectralField:
     """Exact eigenfunction: a cos(2 pi k.x) phi_m(z) with a = (-ky, kx)/|k|.
 
     Eigenvalue 4 pi^2 |k|^2 + lam_m^2.  At k = 0 every direction is on the
-    constraint manifold and a = (1, 0).
+    constraint manifold and a = (1, 0).  k must lie off the Nyquist lines
+    (Grid.off_nyquist), where the velocity space has no modes.
     """
     kx, ky = int(k[0]), int(k[1])
     if m < 0 or m >= grid.nz:
         raise ConfigurationError(f"vertical mode {m} outside 0..{grid.nz - 1}")
     if kx not in grid.kx or ky not in grid.ky:
         raise ConfigurationError(f"wavenumber {k} outside grid {grid.nx}x{grid.ny}")
+    ix, iy = list(grid.kx).index(kx), list(grid.ky).index(ky)
+    if not grid.off_nyquist[ix, iy]:
+        raise ConfigurationError(f"wavenumber {k} lies on a Nyquist line")
     d = np.array([1.0, 0.0]) if kx == 0 and ky == 0 else np.array([-ky, kx], float)
     d = d / np.linalg.norm(d)
     c = np.zeros((2, grid.nx, grid.ny, grid.nz), complex)
-    c[:, list(grid.kx).index(kx), list(grid.ky).index(ky), m] = amplitude * d
+    c[:, ix, iy, m] = amplitude * d
     return hermitize(SpectralField(grid, c))
 
 
@@ -123,8 +127,8 @@ class StokesOperator:
     The eigen-coordinates hold a real field by one Hermitian half: k = (0, 0),
     the stacked (u, v) coefficients, then one row [across k (nz) | along k in
     the columns of W (nz - 1)] per wavenumber of `rows`.  from_eigen fills the
-    other ky < 0 entries by the mirror c(-k) = conj(c(k)), and `weights`
-    counts the rows it mirrors twice.
+    ky < 0 entries by the mirror c(-k) = conj(c(k)) and leaves the Nyquist
+    lines zero, and `weights` counts the rows it mirrors twice.
     """
 
     def __init__(self, grid: Grid):
@@ -132,13 +136,10 @@ class StokesOperator:
 
     @cached_property
     def rows(self):
-        """(ix, iy) of the rows k != 0, in C order: columns 0 .. ny/2 of each kx
-        row, and all of the Nyquist row kx = -nx/2, whose bases at k and -k
-        are not conjugate pairs."""
+        """(ix, iy) of the rows k != 0, in C order: the ky >= 0 columns
+        0 .. ny/2 - 1 of every kx row off the Nyquist lines."""
         g = self.grid
-        keep = (np.arange(g.ny) <= g.ny // 2) | (np.arange(g.nx)[:, None] == g.nx // 2)
-        keep[0, 0] = False
-        return np.nonzero(keep)
+        return np.nonzero(g.off_nyquist & (g.ky >= 0) & (g.k2 > 0))
 
     @cached_property
     def _khat(self):
@@ -170,10 +171,10 @@ class StokesOperator:
     @cached_property
     def weights(self):
         """Multiplicity of each coordinate, flat like eigenvalues: 2 on the
-        rows whose -k the mirror fills, 1 where k and -k are both rows."""
-        (ix, iy), g = self.rows, self.grid
-        paired = (iy > 0) & (iy < g.ny // 2) & (ix != g.nx // 2)
-        return np.concatenate([np.ones(2 * g.nz), np.repeat(1.0 + paired, 2 * g.nz - 1)])
+        rows ky > 0, whose -k the mirror fills, 1 on ky = 0, where k and -k
+        are both rows."""
+        n0 = 2 * self.grid.nz
+        return np.concatenate([np.ones(n0), np.repeat(1.0 + (self.rows[1] > 0), n0 - 1)])
 
     @property
     def beta(self):
@@ -216,7 +217,7 @@ class StokesOperator:
         return f.coeffs[:, 0, 0].flatten(), y
 
     def from_eigen(self, y0, y) -> SpectralField:
-        """The real field with coordinates (y0, y)."""
+        """The real field with coordinates (y0, y), zero on the Nyquist lines."""
         g = self.grid
         nz, h, ix, iy = g.nz, g.nx // 2, *self.rows
         kx, ky = self._khat
@@ -226,7 +227,8 @@ class StokesOperator:
         c[:, 0, 0] = np.reshape(y0, (2, nz))
         c[0, ix, iy] = kx * along - ky * across
         c[1, ix, iy] = ky * along + kx * across
-        # other ky < 0: conj of -k, rows reversed and rolled by one, the Nyquist row h kept
+        c[:, ~g.off_nyquist] = 0.0
+        # ky < 0: conj of -k, rows reversed and rolled by one
         neg, pos = slice(g.ny // 2 + 1, None), slice(g.ny // 2 - 1, 0, -1)
         np.conjugate(c[:, :1, pos], out=c[:, :1, neg])
         np.conjugate(c[:, :h:-1, pos], out=c[:, 1:h, neg])
@@ -283,27 +285,22 @@ class StokesOperator:
                 f"lambda = {lam} lies in (or within rounding of) the spectrum"
             )
         v = self._spectral_map(lambda mu: 1 / (lam + mu), f)
-        # pressure from the momentum residual: r = P f - (lam + Lambda) v is
-        # parallel to the constraint normal n = k (x) a, whose fold has
-        # column 4 pi i n
-        r = constrain(f).coeffs - (lam + g.laplace_symbol) * v.coeffs
+        # pressure from the momentum residual r = P f - (lam + Lambda) v,
+        # which is parallel to the constraint normal k (x) a: pi solves
+        # Delta_H pi = div_H of its vertical average over 2 a.a
         a = g.avg_factor
-        kx = g.kx[:, None].astype(float)
-        ky = g.ky[None, :].astype(float)
-        n2 = (kx**2 + ky**2) * (a @ a)
-        n2[0, 0] = 1.0  # k = 0 carries no pressure
-        pihat = (kx * (r[0] @ a) + ky * (r[1] @ a)) / (4j * np.pi * n2)
-        return v, SurfacePressure(g, pihat)
+        r = constrain(f) - SpectralField(g, (lam + g.laplace_symbol) * v.coeffs)
+        return v, solve_surface_poisson((0.5 / (a @ a)) * vertical_average(r))
 
     # -- reports -----------------------------------------------------------
 
     def spectrum(self) -> SpectrumReport:
-        """Eigenvalues per wavenumber, ascending at each k != 0."""
+        """Eigenvalues per wavenumber off the Nyquist lines, ascending at each k != 0."""
         g = self.grid
-        mu = np.sort(self._row_eigenvalues(g.k2.reshape(-1)[1:]), axis=1)
-        ks = zip(np.repeat(g.kx, g.ny)[1:], np.tile(g.ky, g.nx)[1:])
+        ix, iy = np.nonzero(g.off_nyquist & (g.k2 > 0))
+        mu = np.sort(self._row_eigenvalues(g.k2[ix, iy]), axis=1)
         entries = [((0, 0), self.eigenvalues[:2 * g.nz].copy())]
-        entries += [((int(kx), int(ky)), row) for (kx, ky), row in zip(ks, mu)]
+        entries += [((int(g.kx[i]), int(g.ky[j])), row) for i, j, row in zip(ix, iy, mu)]
         return SpectrumReport(beta=self.beta, entries=tuple(entries))
 
     def sector_sweep(self, eps, lambdas=None) -> SectorSweepReport:

@@ -49,10 +49,9 @@ def grad_norm(f: SpectralField) -> float:
 
 
 def dealias_mask(grid: Grid):
-    """Keep-mask over (kx, ky, m) of the 2/3 rule: |k| < f n / 2 and m < f nz, all at f = 1."""
+    """Keep-mask over (kx, ky, m) of the 2/3 rule: |k| < f n / 2 and m < f nz."""
     f = grid.dealias_fraction
-    keep_x, keep_y = ((np.abs(k) < f * n / 2) | (f == 1)
-                      for k, n in ((grid.kx, grid.nx), (grid.ky, grid.ny)))
+    keep_x, keep_y = (np.abs(k) < f * n / 2 for k, n in ((grid.kx, grid.nx), (grid.ky, grid.ny)))
     return keep_x[:, None, None] & keep_y[:, None] & (np.arange(grid.nz) < f * grid.nz)
 
 

@@ -139,11 +139,14 @@ class TestBadInput:
         ("run", "forcing = single-mode\nforcing_m = 99\n", "forcing_m", None),
         ("run", "forcing = single-mode\nforcing_kx = 7\n", "forcing_kx", None),
         ("picard", "forcing = single-mode\nforcing_ky = -5\n", "forcing_ky", None),
+        ("run", "ic_kx = -4\nic_ky = 1\n", "ic_kx", None),
+        ("run", "forcing = single-mode\nforcing_ky = -4\n", "forcing_ky", None),
         ("run", "nx = 16\n", "nx", "line 4: nx is already set on line 1"),
     ], ids=["seed-random-band", "seed-manufactured", "shear-nyquist", "shear-zero",
             "picard-max-iterations", "h-inf", "amplitude-inf", "forcing-amplitude-nan",
             "ic-m-off-grid", "ic-kx-off-grid", "shear-m-off-grid", "forcing-m-off-grid",
-            "forcing-kx-off-grid", "forcing-ky-off-grid", "repeated-key"])
+            "forcing-kx-off-grid", "forcing-ky-off-grid", "ic-kx-nyquist",
+            "forcing-ky-nyquist", "repeated-key"])
     def test_exits_one_naming_the_key(self, tmp_path, capsys, verb, body, key, line):
         ledger = tmp_path / "run.csv"
         cfg = write_config(
@@ -241,8 +244,9 @@ class TestSpectrum:
         assert abs(beta - np.pi**2 / 4) < 1e-10
         lines = out.read_text().splitlines()
         assert lines[0] == "kx,ky,eigenvalue"
-        # 2 nz eigenvalues at k = 0, 2 nz - 1 at each of the other 63 modes
-        assert len(lines) == 1 + 2 * 4 + 63 * (2 * 4 - 1)
+        # 2 nz eigenvalues at k = 0, 2 nz - 1 at each of the other 48
+        # wavenumbers off the Nyquist lines kx = -4 and ky = -4
+        assert len(lines) == 1 + 2 * 4 + 48 * (2 * 4 - 1)
         evs = [float(l.split(",")[2]) for l in lines[1:]]
         assert min(evs) == pytest.approx(np.pi**2 / 4)
 

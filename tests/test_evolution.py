@@ -17,7 +17,7 @@ from hydropde.evolution import (
     make_manufactured,
     picard_solve,
 )
-from hydropde.fields import l2_inner, l2_norm, random_spectral, zeros_spectral
+from hydropde.fields import hermitize, l2_inner, l2_norm, random_spectral, zeros_spectral
 from hydropde.grid import Grid
 from hydropde.nonlinear import F
 from hydropde.projection import constrain, divergence_of_average
@@ -394,6 +394,18 @@ class TestHalfPlaneMarch:
         cfg = ImexConfig(dt=1e-3, t_end=8e-3, sample_every=3)
         led = imex_run(a, forcing, cfg, op)
         _assert_same_march(led, reference_march(a, forcing, cfg, op, full_plane=True), 1e-14)
+
+    @pytest.mark.parametrize("f", [2 / 3, 1.0], ids=["f2/3", "f1"])
+    def test_marched_states_stay_hermitian(self, f):
+        # kmax = 4 fills the Nyquist lines of 8^2x4, which the velocity space drops
+        g = Grid(8, 8, 4, dealias_fraction=f)
+        op = StokesOperator(g)
+        a = random_spectral(g, 2, np.random.default_rng(0), kmax=4)
+        led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=2e-2, sample_every=5), op)
+        pled, _ = picard_solve(a, None, PicardConfig(horizon=2e-2, nodes=9), op)
+        for v in led.states + pled.states:
+            gap = np.max(np.abs(hermitize(v).coeffs - v.coeffs))
+            assert gap <= 1e-15 * np.max(np.abs(v.coeffs))
 
     @pytest.mark.parametrize("kind", ["single-mode", "manufactured"])
     def test_forcing_is_transformed_once(self, grid8, op8, kind, monkeypatch):

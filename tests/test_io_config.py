@@ -70,11 +70,17 @@ class TestCheckpoint:
 
     def test_bad_header(self, grid16, tmp_path):
         p = tmp_path / "junk.ckpt"
-        # a wrong magic word, and the nz = 0 header surface pressures once had
-        for header in (b"NOTACKPT 1 2 3 4 5\n", b"HYDROPDE1 16 16 0 1.0 1\n"):
-            p.write_bytes(header + bytes(16 * 16 * 16))
+        # a wrong magic word, the nz = 0 header surface pressures once had, a
+        # field that is not a number, data shorter than the header says, and
+        # three components
+        for header, size in ((b"NOTACKPT 1 2 3 4 5\n", 16 * 16 * 16),
+                             (b"HYDROPDE1 16 16 0 1.0 1\n", 16 * 16 * 16),
+                             (b"HYDROPDE1 8 8 x 1.0 2\n", 64),
+                             (b"HYDROPDE1 8 8 4 1.0 2\n", 64),
+                             (b"HYDROPDE1 8 8 4 1.0 3\n", 3 * 8 * 8 * 4 * 16)):
+            p.write_bytes(header + bytes(size))
             for grid in (None, grid16):
-                with pytest.raises(ConfigurationError):
+                with pytest.raises(ConfigurationError, match="junk.ckpt"):
                     load_checkpoint(p, grid)
 
     def test_rejects_unknown_object(self, grid16, tmp_path):

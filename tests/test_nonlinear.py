@@ -2,8 +2,7 @@
 
 reference_advect is the test oracle for advect, as stokes.assemble_block is
 for the Stokes operator: five full-spectrum syntheses and one complex FFT
-back, with none of advect's half-spectrum, mode truncation or Nyquist
-bookkeeping.
+back, with none of advect's half-spectrum or mode truncation.
 """
 
 import numpy as np
@@ -134,9 +133,11 @@ class TestAdvect:
 
     @pytest.mark.parametrize("n", [12, 16])
     def test_full_fraction_keeps_every_mode(self, n):
+        # every mode of the velocity space, which has no Nyquist lines
         g = Grid(n, n, 4, dealias_fraction=1.0)
-        assert dealias_mask(g).all()
-        assert g.dealias_block[1] == n // 2 + 1 and len(g.dealias_block[0]) == n
+        mask = dealias_mask(g)
+        assert np.array_equal(mask, np.broadcast_to(g.off_nyquist[..., None], mask.shape))
+        assert g.dealias_block[1] == n // 2 and len(g.dealias_block[0]) == n - 1
 
     def test_wrong_component_count_rejected(self, grid16):
         bad = SpectralField(grid16, np.zeros((1, 16, 16, 8), complex))
@@ -180,7 +181,7 @@ class TestAdvectOracle:
     def test_matches_reference(self, grid, kind):
         v = nyquist_velocity(grid, kind, np.random.default_rng(7))
         if kind == "non-hermitian":
-            # the Nyquist term acts only on a non-Hermitian part
+            # advect reads only the Hermitian part, the real field's spectrum
             assert np.max(np.abs(hermitize(v).coeffs - v.coeffs)) > 0.1
         ref = reference_advect(v, v)
         assert np.max(np.abs(advect(v).coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -201,9 +201,11 @@ class TestConstrain:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nyquist_lines_stay_hermitian(self, seed):
         # kmax = nx/2 fills the Nyquist row and column, where -n/2 also
-        # stands for +n/2; the constrained field must still be real
+        # stands for +n/2; the constrained field must still be real, and
+        # zero on both lines, which the velocity space drops
         g = Grid(8, 8, 4)
         v = constrain(random_spectral(g, 2, np.random.default_rng(seed), kmax=4))
+        assert not np.any(v.coeffs[:, 4]) and not np.any(v.coeffs[:, :, 4])
         assert np.max(np.abs(hermitize(v).coeffs - v.coeffs)) < 1e-15 * l2_norm(v)
         assert np.max(np.abs(divergence_of_average(v).coeffs)) < 1e-12 * l2_norm(v)
         assert np.max(np.abs(constrain(v).coeffs - v.coeffs)) < 1e-13 * l2_norm(v)

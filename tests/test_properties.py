@@ -54,17 +54,6 @@ def random_velocity(grid, seed):
                            kmax=grid.nx // 2, mmax=grid.nz)
 
 
-def off_nyquist(f):
-    """f with its Nyquist row and column zeroed.
-
-    There constrain also keeps only the Hermitian part, which the eigenbasis
-    of each single wavenumber does not; everywhere else the two agree.
-    """
-    g = f.grid
-    keep = (g.kx != -g.nx // 2)[:, None] & (g.ky != -g.ny // 2)[None, :]
-    return SpectralField(g, f.coeffs * keep[None, :, :, None])
-
-
 @few
 @given(grids, seeds)
 def test_eigen_round_trip_is_constrain(grid, seed):
@@ -72,7 +61,7 @@ def test_eigen_round_trip_is_constrain(grid, seed):
     f = random_velocity(grid, seed)
     pf = constrain(f)
     back = op.from_eigen(*op.to_eigen(f))
-    assert l2_norm(off_nyquist(back - pf)) <= 1e-12 * l2_norm(f)
+    assert l2_norm(back - pf) <= 1e-12 * l2_norm(f)
     assert l2_norm(constrain(back) - pf) <= 1e-12 * l2_norm(f)
     assert l2_norm(op.from_eigen(*op.to_eigen(pf)) - pf) <= 1e-12 * l2_norm(f)
 
@@ -85,7 +74,7 @@ def test_eigenvalues_times_coordinates_is_apply(grid, seed):
     mu0, mu = op.eigenvalues_split()
     direct = op.apply(f)
     y0, y = op.to_eigen(f)
-    assert l2_norm(off_nyquist(op.from_eigen(mu0 * y0, mu * y) - direct)) <= 1e-11 * l2_norm(direct)
+    assert l2_norm(op.from_eigen(mu0 * y0, mu * y) - direct) <= 1e-11 * l2_norm(direct)
     y0, y = op.to_eigen(constrain(f))
     assert l2_norm(constrain(op.from_eigen(mu0 * y0, mu * y)) - direct) <= 1e-11 * l2_norm(direct)
 

@@ -31,6 +31,11 @@ HALF_PLANE_GRIDS = [Grid(n, n, n // 2, dealias_fraction=f) for n in (8, 16) for 
 HALF_PLANE_IDS = ["8x8x4-f2/3", "8x8x4-f1", "16x16x8-f2/3", "16x16x8-f1"]
 
 
+def off_lines(f):
+    """The coefficients of f with the Nyquist lines zeroed."""
+    return f.coeffs * f.grid.off_nyquist[:, :, None]
+
+
 def oracle_eigenvalues(grid, k):
     """Dense reduced-block eigenvalues built independently with scipy."""
     nz, h = grid.nz, grid.h
@@ -74,7 +79,7 @@ class TestBlocks:
     def test_batched_decomposition_matches_reference(self, grid16, op16):
         g = grid16
         _, mu = op16.eigenvalues_split()
-        # the last row is a ky < 0 entry of the Nyquist row
+        # the last row is k = (-1, 7), the last ky >= 0 column of the last kx row
         for row in (0, 5, 100, mu.shape[0] - 1):
             ix, iy = (int(r[row]) for r in op16.rows)
             k = (int(g.kx[ix]), int(g.ky[iy]))
@@ -142,9 +147,7 @@ class TestSpectrum:
 
 class TestEigenmodes:
     def test_eigenmode_is_eigenfunction(self, grid16, op16):
-        # (-8, .) and (., -8) are the Nyquist lines, where -k is k itself
-        for k, m in (((0, 0), 0), ((1, 0), 0), ((2, 1), 3), ((0, -2), 1),
-                     ((-8, 0), 0), ((-8, -8), 2)):
+        for k, m in (((0, 0), 0), ((1, 0), 0), ((2, 1), 3), ((0, -2), 1)):
             v = eigenmode(grid16, k, m)
             mu = eigenmode_eigenvalue(grid16, k, m)
             av = op16.apply(v)
@@ -156,8 +159,10 @@ class TestEigenmodes:
         assert np.max(np.abs(pv.coeffs - v.coeffs)) < 1e-14
 
     def test_eigenmode_validation(self, grid16):
-        with pytest.raises(ConfigurationError):
-            eigenmode(grid16, (1, 0), 99)
+        # (-8, .) and (., -8) are the Nyquist lines, which the velocity space drops
+        for k, m in (((1, 0), 99), ((-8, 0), 0), ((-8, -8), 2), ((3, -8), 1)):
+            with pytest.raises(ConfigurationError):
+                eigenmode(grid16, k, m)
 
 
 class TestResolvent:
@@ -280,7 +285,8 @@ class TestBlockMachineryConsistency:
 
 class TestHalfPlane:
     """The coordinates of one Hermitian half against the full plane, where
-    every k != 0 was a row (tests/oracles.py keeps those maps)."""
+    every k != 0 was a row (tests/oracles.py keeps those maps), compared off
+    the Nyquist lines, which the half drops."""
 
     @staticmethod
     def nyquist_field(grid, seed=0):
@@ -301,7 +307,7 @@ class TestHalfPlane:
         assert len(y) < len(z) and np.array_equal(y0, z0)
         assert np.max(np.abs(y - z[self.full_rows(op)])) <= 1e-14 * np.max(np.abs(z))
         got = op.from_eigen(y0, y).coeffs
-        want = full_plane_from_eigen(op, z0, z).coeffs
+        want = off_lines(full_plane_from_eigen(op, z0, z))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         mu = full_plane_eigenvalues(op)
         full_mu = mu[2 * grid.nz:].reshape(z.shape)
@@ -310,12 +316,12 @@ class TestHalfPlane:
     @pytest.mark.parametrize("grid", HALF_PLANE_GRIDS, ids=HALF_PLANE_IDS)
     def test_weights_count_each_wavenumber_once(self, grid):
         op = StokesOperator(grid)
-        # the kept rows and the mirror cover every k != 0 once
+        # the kept rows and the mirror cover every k != 0 off the Nyquist lines once
         w = op.weights[2 * grid.nz::2 * grid.nz - 1]
-        assert w.sum() == grid.nx * grid.ny - 1
+        assert w.sum() == (grid.nx - 1) * (grid.ny - 1) - 1
         f = self.nyquist_field(grid, seed=1)
         y0, y = op.to_eigen(f)
-        z0, z = full_plane_to_eigen(op, f)
+        z0, z = full_plane_to_eigen(op, SpectralField(grid, off_lines(f)))
         half = op.weights @ np.abs(np.concatenate([y0, y.ravel()])) ** 2
         full = np.sum(np.abs(z0) ** 2) + np.sum(np.abs(z) ** 2)
         assert half == pytest.approx(full, rel=1e-14)
@@ -331,7 +337,8 @@ class TestHalfPlane:
         n0 = 2 * grid16.nz
         want = full_plane_from_eigen(op16, z0 / (lam + mu[:n0]), z / (lam + mu[n0:]).reshape(z.shape))
         got, _ = op16.resolvent_solve(lam, f)
-        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
+        want = off_lines(want)
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestSectorSweep:
