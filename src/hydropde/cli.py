@@ -2,9 +2,9 @@
 
 Verbs: run, picard, spectrum, resolvent-sweep, diagnose, mms.
 Exit codes: 0 success, 1 I/O or configuration failure, 2 blow-up (non-finite
-state) abort, 3 Picard non-convergence.  For `pe run`, dt must divide t_end
-and sample_every must be >= 1, and `pe mms --levels` must be >= 1; other
-values exit 1.  numpy is the only runtime dependency.
+state) abort, 3 Picard non-convergence or divergence.  For `pe run`, dt must
+divide t_end and sample_every must be >= 1, and `pe mms --levels` must be
+>= 1; other values exit 1.  numpy is the only runtime dependency.
 """
 
 import argparse
@@ -18,6 +18,7 @@ from .config import (RunConfig, keyed_eigenmode, make_initial, manufactured_prof
                      parse_config)
 from .errors import ConfigurationError, DomainError, NanAbort
 from .evolution import (
+    K_CEILING,
     ForcingSpec,
     ImexConfig,
     PicardConfig,
@@ -62,13 +63,13 @@ def _emit_outputs(cfg, ledger, forcing, extra=None):
 
 def _trim_overflowed(ledger, forcing):
     """Drop trailing samples whose diagnostics overflow (blow-up aborts only)."""
-    while len(ledger.states) > 1:
+    while len(ledger.coords) > 1:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                diag.ledger_sample(ledger, len(ledger.states) - 1, forcing)
+                diag.ledger_sample(ledger, len(ledger.coords) - 1, forcing)
             break
         except ConfigurationError:
-            for col in (*ledger.columns.values(), ledger.states):
+            for col in (*ledger.columns.values(), ledger.coords):
                 col.pop()
     return ledger
 
@@ -108,14 +109,17 @@ def cmd_picard(args):
                         tolerance=cfg.picard_tolerance)
     ledger, report = picard_solve(a, forcing, pcfg, op)
     extra = {
-        "status": "converged" if report.converged else "non-convergence",
+        "status": ("converged" if report.converged
+                   else "diverged" if report.diverged else "non-convergence"),
         "picard_iterations": report.iterations,
         "picard_k_history": list(report.k_history),
         "picard_changes": list(report.change_history),
     }
     _emit_outputs(cfg, ledger, forcing, extra=extra)
     if not report.converged:
-        print("Picard iteration did not converge", file=sys.stderr)
+        why = (f"diverged: k = {report.k_history[-1]:.6e} passed the ceiling {K_CEILING:g}"
+               if report.diverged else "did not converge")
+        print(f"Picard iteration {why}", file=sys.stderr)
         return 3
     print(f"converged in {report.iterations} iterations, "
           f"final k = {report.k_history[-1]:.6e}")

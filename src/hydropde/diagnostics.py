@@ -109,26 +109,20 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> dict:
 def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None) -> dict:
     """Row of sample i: record's norms and the split residuals, from one balance m.
 
-    dt v is the centered difference of the neighbouring samples; the end
-    samples of a trajectory with >= 2 samples take the one-sided difference
-    for dtv2 and the semi-discrete right-hand side for the split residuals.
+    dt v is the centered difference of the neighbouring samples, one field
+    formed from their coordinates' difference; the end samples of a
+    trajectory with >= 2 samples take the one-sided difference for dtv2 and
+    the semi-discrete right-hand side for the split residuals.
     """
-    times = ledger.columns["t"]
-    n = len(times)
-    t = times[i]
-    state = ledger.states[i]
-    dt_v = None
-    if n >= 3 and 0 < i < n - 1:
-        dv = ledger.states[i + 1] - ledger.states[i - 1]
-        span = times[i + 1] - times[i - 1]
+    times, y = ledger.columns["t"], ledger.coords
+    lo, hi = max(i - 1, 0), min(i + 1, len(y) - 1)
+    dtv2, dt_v = 0.0, None
+    if hi > lo:
+        span = times[hi] - times[lo]
+        dv = ledger.op.from_eigen_flat(y[hi] - y[lo])
         dtv2 = (l2_norm(dv) / span) ** 2
-        dt_v = (1.0 / span) * dv
-    elif n >= 2:
-        j = 1 if i == 0 else i
-        dv = ledger.states[j] - ledger.states[j - 1]
-        dtv2 = (l2_norm(dv) / (times[j] - times[j - 1])) ** 2
-    else:
-        dtv2 = 0.0
+        dt_v = (1.0 / span) * dv if hi - lo == 2 else None
+    t, state = times[i], ledger.states[i]
     m = _momentum_balance(state, forcing_eval(forcing, t) if forcing is not None else None)
     pi = trajectory_pressure(state, balance=m)
     return {**record(state, t, pi, dtv2), **split_residuals(state, pi, dt_v=dt_v, balance=m)}
@@ -141,7 +135,7 @@ def build_records(ledger: TrajectoryLedger, forcing: Forcing | None = None) -> d
     ledger_sample returns: together the io.LEDGER_COLUMNS order of the CSV.
     """
     table = {name: list(col) for name, col in ledger.columns.items()}
-    for i in range(len(ledger.states)):
+    for i in range(len(ledger.coords)):
         for name, val in ledger_sample(ledger, i, forcing).items():
             table.setdefault(name, []).append(val)
     return table

@@ -14,13 +14,13 @@ and the nonlinearity explicitly (Adams-Bashforth 2 / forward Euler).
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, NanAbort
-from .fields import SpectralField, hermitize, sobolev_norm, to_physical
-from .grid import Grid
+from .fields import SpectralField, hermitize, to_physical
 from .nonlinear import F
 from .projection import constrain
 from .stokes import StokesOperator
@@ -74,13 +74,25 @@ class ImexConfig:
         steps = self.t_end / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigurationError(
-                f"step size {self.dt} does not divide end time {self.t_end}"
-            )
+                f"step size {self.dt} does not divide end time {self.t_end}")
+
+
+class _Fields(Sequence):
+    """A ledger's sampled fields, each formed from its coordinates when read."""
+
+    def __init__(self, ledger):
+        self.ledger = ledger
+
+    def __len__(self):
+        return len(self.ledger.coords)
+
+    def __getitem__(self, i):
+        return self.ledger.op.from_eigen_flat(self.ledger.coords[i])
 
 
 @dataclass
 class TrajectoryLedger:
-    """Sampled trajectory: its states and the integrator's ledger columns.
+    """Sampled trajectory: its op.to_eigen_flat coordinates and the integrator's columns.
 
     columns holds one list of floats per series: the sample times t, the
     energy e2 = ||v||^2 and dissipation d2 = ||grad v||^2, d2_int carrying
@@ -89,16 +101,17 @@ class TrajectoryLedger:
     cadence does not degrade the energy-budget check.
     """
 
-    grid: Grid
-    states: list = field(default_factory=list)
+    op: StokesOperator
+    coords: list = field(default_factory=list)
     columns: dict = field(default_factory=lambda: {
         name: [] for name in ("t", "e2", "d2", "d2_int", "fwork_int")})
+    states = property(_Fields, doc="The sampled fields (read-only), formed when read.")
 
-    def append(self, t, state, e2, d2, d2_int, fwork_int):
+    def append(self, t, y, e2, d2, d2_int, fwork_int):
         times = self.columns["t"]
         if times and not t > times[-1]:
             raise ConfigurationError("ledger times must be strictly increasing")
-        self.states.append(state)
+        self.coords.append(y)
         for col, val in zip(self.columns.values(), (t, e2, d2, d2_int, fwork_int)):
             col.append(float(val))
 
@@ -218,6 +231,8 @@ class _Budget:
 
 # -- Picard iteration ----------------------------------------------------
 
+K_CEILING = 1e6  # the iterate norm k past which picard_solve reports divergence
+
 
 def _phi_pair(x):
     """Exact exponential moments of a linear interpolant on one subinterval.
@@ -273,25 +288,21 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
             y = decay * y + dt * (pa * src_prev + pb * src)
             yield i, y
 
-    def k_of(states):
+    def k_of(traj):
         # sup_t t^{1-gamma} ||v(t)||_{H^{2 gamma}} with gamma = 3/4: the
         # time-weighted norm in which the mild-solution iteration contracts
-        vals = [t ** 0.25 * sobolev_norm(v, 1.5) for t, v in zip(times[1:], states[1:])]
-        return max(vals) if vals else 0.0
+        return max(t ** 0.25 * op.sobolev_norm(y, 1.5) for t, y in zip(times[1:], traj[1:]))
 
-    # each iterate's node fields serve its k, the next F and the ledger;
-    # node 0 is constrain(a) in every iterate, so its field and F are formed once
+    # an iterate is its node coordinates alone; node 0 is constrain(a) in
+    # every iterate, so its F is formed once
     vm = [acat, *(y for _, y in sweep(forcing(0), forcing))]
-    vs = [op.from_eigen_flat(y) for y in vm]
-    src0 = forcing(0) + op.to_eigen_flat(F(vs[0])) if cfg.nonlinear else None
+    src0 = forcing(0) + op.to_eigen_flat(F(op.from_eigen_flat(acat))) if cfg.nonlinear else None
 
     def source(i):
-        # node i's source is formed from the old field, which is then dropped
-        src = forcing(i) + op.to_eigen_flat(F(vs[i]))
-        vs[i] = None
-        return src
+        # node i's field is formed from the old node just before F reads it
+        return forcing(i) + op.to_eigen_flat(F(op.from_eigen_flat(vm[i])))
 
-    k_hist = [k_of(vs)]
+    k_hist = [k_of(vm)]
     change_hist = []
     converged = not cfg.nonlinear
     diverged = False
@@ -300,28 +311,26 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         if converged or diverged:
             break
         iterations += 1
-        # the sweep streams over the nodes: the new node and its field
-        # replace the old ones in place, so vm and vs each hold one
-        # trajectory and only two sources are live
+        # the sweep streams over the nodes: the new node replaces the old
+        # one in place, so vm holds one trajectory and two sources are live
         changes, scales = [budget.norm(acat - vm[0])], [budget.norm(acat)]
         for i, y in sweep(src0, source):
             changes.append(budget.norm(y - vm[i]))
             scales.append(budget.norm(y))
             vm[i] = y
-            vs[i] = op.from_eigen_flat(y)
         change, scale = max(changes), max(scales)
         change_hist.append(change)
-        k_hist.append(k_of(vs))
-        # the weighted norm k past 1e6 has left the small-data regime in
-        # which the iteration contracts
-        if k_hist[-1] > 1e6 or not math.isfinite(k_hist[-1]):
+        k_hist.append(k_of(vm))
+        # the weighted norm k past K_CEILING has left the small-data regime
+        # in which the iteration contracts
+        if k_hist[-1] > K_CEILING or not math.isfinite(k_hist[-1]):
             diverged = True
         elif change <= cfg.tolerance * max(scale, 1e-300) or change == 0.0:
             converged = True
 
-    ledger = TrajectoryLedger(a.grid)
-    for t, y, v in zip(times, vm, vs):
-        ledger.append(t, v, *budget(y, f_at(t) if f_at else None))
+    ledger = TrajectoryLedger(op)
+    for t, y in zip(times, vm):
+        ledger.append(t, y, *budget(y, f_at(t) if f_at else None))
     report = PicardReport(converged, diverged, iterations,
                           tuple(k_hist), tuple(change_hist))
     return ledger, report
@@ -334,26 +343,25 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
              op: StokesOperator | None = None) -> TrajectoryLedger:
     """March from t = 0 to t_end; raises NanAbort (with .ledger) on blow-up."""
     op = op or StokesOperator(a.grid)
-    g = a.grid
     nsteps = round(cfg.t_end / cfg.dt)
     v = hermitize(constrain(a))
 
     vmax = float(np.max(np.abs(to_physical(v).values), initial=0.0))
-    if cfg.dt * vmax * max(g.nx, g.ny) > cfg.cfl_limit:
+    if cfg.dt * vmax * max(a.grid.nx, a.grid.ny) > cfg.cfl_limit:
         raise ConfigurationError(
-            f"step size {cfg.dt} too large for data of amplitude {vmax:.3g}"
-        )
+            f"step size {cfg.dt} too large for data of amplitude {vmax:.3g}")
 
     # march in the A-eigenbasis: the implicit solve is a diagonal division
     # and the energy norms are plain weighted sums of the coordinates
-    ledger = TrajectoryLedger(g)
+    ledger = TrajectoryLedger(op)
     dt = cfg.dt
     mu = op.eigenvalues
     budget = _Budget(op, dt)
     f_at = _forcing_coords(op, f_ext)
     y = op.to_eigen_flat(v)
+    del v  # the march and its ledger hold coordinates alone
     fnext = f_at(0.0) if f_at else None
-    ledger.append(0.0, v, *budget(y, fnext))
+    ledger.append(0.0, y, *budget(y, fnext))
 
     g_prev = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -377,5 +385,5 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
                 err.ledger = ledger
                 raise err
             if (n + 1) % cfg.sample_every == 0 or n + 1 == nsteps:
-                ledger.append((n + 1) * dt, op.from_eigen_flat(y), e2, d2, d2_int, fwork_int)
+                ledger.append((n + 1) * dt, y, e2, d2, d2_int, fwork_int)
     return ledger

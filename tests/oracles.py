@@ -7,6 +7,7 @@ stays in the package, since the north star keeps it there).
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from hydropde.fields import (
     PhysicalField,
     SpectralField,
     hermitize,
-    sobolev_norm,
     synthesize,
     zeros_spectral,
 )
@@ -91,8 +91,9 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
     at once: the old one, its fields, the sources and the new one.  The
     package's picard_solve streams the same arithmetic over the nodes and
     must agree with this bit for bit.  The forcing's node coordinates come
-    from the package's one transform per run (evolution._forcing_coords);
-    the energy budget is written out here.
+    from the package's one transform per run (evolution._forcing_coords),
+    and k reads the operator's coordinate norm (StokesOperator.sobolev_norm)
+    as the package does; the energy budget is written out here.
     """
     g = a.grid
     times = np.linspace(0.0, cfg.horizon, cfg.nodes)
@@ -112,15 +113,14 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
             traj.append(decay * traj[-1] + dt * (pa * src[i] + pb * src[i + 1]))
         return traj
 
-    def k_of(states):
-        vals = [t ** 0.25 * sobolev_norm(v, 1.5) for t, v in zip(times[1:], states[1:])]
-        return max(vals) if vals else 0.0
+    def k_of(traj):
+        return max(t ** 0.25 * op.sobolev_norm(y, 1.5) for t, y in zip(times[1:], traj[1:]))
 
     vm = duhamel(fcat)
     vs = [op.from_eigen_flat(y) for y in vm]
     v0 = vs[0]
     src0 = fcat[0] + op.to_eigen_flat(F(v0)) if cfg.nonlinear else None
-    k_hist = [k_of(vs)]
+    k_hist = [k_of(vm)]
     change_hist = []
     converged = not cfg.nonlinear
     diverged = False
@@ -138,24 +138,24 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
         change_hist.append(change)
         vm = vnew
         vs = [v0] + [op.from_eigen_flat(y) for y in vm[1:]]
-        k_hist.append(k_of(vs))
+        k_hist.append(k_of(vm))
         if k_hist[-1] > 1e6 or not math.isfinite(k_hist[-1]):
             diverged = True
         elif change <= cfg.tolerance * max(scale, 1e-300) or change == 0.0:
             converged = True
 
-    ledger = TrajectoryLedger(g)
+    ledger = TrajectoryLedger(op)
     d2_int = 0.0
     fwork_int = 0.0
     prev = None
-    for t, y, f, v in zip(times, vm, fcat, vs):
+    for t, y, f in zip(times, vm, fcat):
         p2 = np.abs(y) ** 2
         e2, d2 = h2 * float(w @ p2), h2 * float(w * mu @ p2)
         fw = h2 * float(w @ (np.conj(f) * y).real) if have_f else 0.0
         if prev is not None:
             d2_int += dt * 0.5 * (prev[0] + d2)
             fwork_int += dt * 0.5 * (prev[1] + fw)
-        ledger.append(t, v, e2, d2, d2_int, fwork_int)
+        ledger.append(t, y, e2, d2, d2_int, fwork_int)
         prev = d2, fw
     report = PicardReport(converged, diverged, iterations,
                           tuple(k_hist), tuple(change_hist))
@@ -220,12 +220,13 @@ def full_plane_from_eigen(op: StokesOperator, y0, y) -> SpectralField:
 
 
 def reference_march(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
-                    op: StokesOperator, full_plane: bool) -> TrajectoryLedger:
+                    op: StokesOperator, full_plane: bool) -> SimpleNamespace:
     """evolution.imex_run as it was before the half plane and the forcing's
     one transform: every step transforms forcing_eval(f_ext, t).
 
     With full_plane the coordinates are the full-plane ones above, weighted
-    1; otherwise the operator's half with its weights.
+    1; otherwise the operator's half with its weights.  Returns the samples
+    as fields, `states`, and the ledger's `columns`.
     """
     g = a.grid
     if full_plane:
@@ -255,11 +256,11 @@ def reference_march(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
     dt, h2 = cfg.dt, g.h / 2
     v = constrain(a)
     y = eig(v)
-    ledger = TrajectoryLedger(g)
+    ledger, states = TrajectoryLedger(op), [v]
     d2_int = fwork_int = 0.0
     fnext = f_eig(0.0)
     e2, d2, fw = budget(y, fnext)
-    ledger.append(0.0, v, e2, d2, d2_int, fwork_int)
+    ledger.append(0.0, None, e2, d2, d2_int, fwork_int)
     g_prev = None
     for n in range(nsteps):
         t = n * dt
@@ -276,5 +277,6 @@ def reference_march(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
         fwork_int += dt * 0.5 * (fw + fwn)
         e2, d2, fw = e2n, d2n, fwn
         if (n + 1) % cfg.sample_every == 0 or n + 1 == nsteps:
-            ledger.append((n + 1) * dt, uneig(y), e2, d2, d2_int, fwork_int)
-    return ledger
+            ledger.append((n + 1) * dt, None, e2, d2, d2_int, fwork_int)
+            states.append(uneig(y))
+    return SimpleNamespace(states=states, columns=ledger.columns)

@@ -198,6 +198,24 @@ class TestPicard:
         assert main(["picard", "--config", cfg]) == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_divergence_exits_three_saying_so(self, tmp_path, capsys):
+        # k passes the ceiling 1e6 at the second iteration (1.3e8)
+        report = tmp_path / "p.json"
+        cfg = write_config(
+            tmp_path,
+            SMALL_GRID
+            + "t_end = 0.05\npicard_nodes = 9\nic = random-band\namplitude = 200\n"
+            + f"out_ledger = {tmp_path/'p.csv'}\nout_report = {report}\n",
+        )
+        assert main(["picard", "--config", cfg]) == 3
+        data = json.loads(report.read_text())
+        assert data["status"] == "diverged"
+        assert data["picard_iterations"] == 2
+        k = data["picard_k_history"][-1]
+        assert k > 1e6
+        err = capsys.readouterr().err
+        assert "diverged" in err and f"k = {k:.6e}" in err and "ceiling 1e+06" in err
+
     def test_forced_energy_ledger_closes(self, tmp_path):
         # the forcing work <Pf, v> enters the budget: a forced run closes it
         # about as well as its unforced twin

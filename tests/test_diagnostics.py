@@ -257,7 +257,7 @@ class TestSummarize:
 
 def poincare_slack(ledger):
     """max over samples of lam_0^2 E2 - D2, which the Poincare inequality keeps <= 0."""
-    lam0sq = (0.5 * np.pi / ledger.grid.h) ** 2
+    lam0sq = (0.5 * np.pi / ledger.op.grid.h) ** 2
     return max(lam0sq * e - d for e, d in zip(ledger.columns["e2"], ledger.columns["d2"]))
 
 

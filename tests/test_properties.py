@@ -2,11 +2,16 @@
 
 The eigen-coordinates of the Stokes operator and the vertical transform are
 checked against the projection, the operator's direct application, the dense
-per-wavenumber oracle and the vertical synthesis of to_physical.  The
+per-wavenumber oracle and the vertical synthesis of to_physical, and the
+operator's coordinate Sobolev norm against the norm of the field.  The
 transform pair (synthesize, to_spectral) is checked against the direct sum
 of the basis functions at the collocation nodes and against the complex
 FFT, and advect against its full-spectrum oracle, also with dealiasing.
+Checkpoints round-trip bit for bit, and constrain is idempotent.
 """
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,11 +22,13 @@ from hydropde.fields import (
     SpectralField,
     l2_norm,
     random_spectral,
+    sobolev_norm,
     synthesize,
     to_physical,
     to_spectral,
 )
 from hydropde.grid import Grid
+from hydropde.io import load_checkpoint, save_checkpoint
 from hydropde.nonlinear import advect
 from hydropde.projection import constrain
 from hydropde.stokes import StokesOperator, assemble_block
@@ -88,6 +95,44 @@ def test_eigenvalues_match_dense_oracle(grid, data):
     ix, iy = (r[row] for r in op.rows)
     ref = assemble_block(grid, (grid.kx[ix], grid.ky[iy])).eigenvalues
     assert np.max(np.abs(np.sort(mu[row]) - np.sort(ref))) <= 1e-12 * ref.max()
+
+
+@few
+@given(grids, seeds, st.sampled_from([0.0, 0.75, 1.5, 2.0]))
+def test_coordinate_sobolev_norm_is_the_field_norm(grid, seed, s):
+    op = StokesOperator(grid)
+    y = op.to_eigen_flat(random_velocity(grid, seed))
+    want = sobolev_norm(op.from_eigen_flat(y), s)
+    assert abs(op.sobolev_norm(y, s) - want) <= 1e-14 * want
+
+
+@few
+@given(grids, seeds)
+def test_constrain_is_idempotent(grid, seed):
+    raw = SpectralField(grid, random_coeffs((2, grid.nx, grid.ny, grid.nz), seed))
+    for f in (raw, random_velocity(grid, seed)):
+        p = constrain(f)
+        # not bitwise: re-projecting moves values by rounding (1.8e-16 seen)
+        assert np.max(np.abs(constrain(p).coeffs - p.coeffs)) <= 1e-15 * np.max(np.abs(p.coeffs))
+
+
+@few
+@given(grids, components, seeds)
+def test_checkpoint_round_trip_is_bit_exact(grid, comps, seed):
+    c = random_coeffs((comps, grid.nx, grid.ny, grid.nz), seed)
+    # signed zeros in both parts, and a zero of each sign in each part
+    c.real[..., 0] = -0.0
+    c.imag[..., 1] = -0.0
+    c.real[:, 0, 0] = 0.0
+    f = SpectralField(grid, c)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.ckpt")
+        save_checkpoint(path, f)
+        back = load_checkpoint(path)
+    assert (back.grid.nx, back.grid.ny, back.grid.nz, back.grid.h) == (
+        grid.nx, grid.ny, grid.nz, grid.h)
+    assert back.coeffs.shape == c.shape
+    assert back.coeffs.tobytes() == c.tobytes()
 
 
 @few
