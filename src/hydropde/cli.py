@@ -95,6 +95,7 @@ def cmd_run(args):
                       extra={"status": "nan-abort"})
         print(f"aborted: {err}", file=sys.stderr)
         return 2
+    del a  # the output stage reads the ledger alone
     _emit_outputs(cfg, ledger, forcing, extra={"status": "completed"})
     t, e2 = ledger.columns["t"][-1], ledger.columns["e2"][-1]
     print(f"completed t = {t:g}, E2 = {e2:.6e}")
@@ -172,8 +173,13 @@ def cmd_mms(args):
     errors = []
     dt = args.dt
     for _ in range(args.levels):
-        icfg = ImexConfig(dt=dt, t_end=args.t_end, sample_every=10**9)
-        ledger = imex_run(mms.initial(), mms, icfg, op)
+        icfg = ImexConfig(dt=dt, t_end=args.t_end, sample_every=10**9,
+                          cfl_limit=cfg.cfl_limit)
+        try:
+            ledger = imex_run(mms.initial(), mms, icfg, op)
+        except NanAbort as err:
+            print(f"aborted: {err}", file=sys.stderr)
+            return 2
         exact = mms.solution(ledger.columns["t"][-1])
         errors.append(l2_norm(ledger.states[-1] - exact) / l2_norm(exact))
         dt /= 2

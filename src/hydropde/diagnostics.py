@@ -119,13 +119,18 @@ def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None) -
     dtv2, dt_v = 0.0, None
     if hi > lo:
         span = times[hi] - times[lo]
-        dv = ledger.op.from_eigen_flat(y[hi] - y[lo])
-        dtv2 = (l2_norm(dv) / span) ** 2
-        dt_v = (1.0 / span) * dv if hi - lo == 2 else None
+        dt_v = ledger.op.from_eigen_flat(y[hi] - y[lo])
+        dtv2 = (l2_norm(dt_v) / span) ** 2
+        if hi - lo == 2:
+            np.multiply(dt_v.coeffs, 1.0 / span, out=dt_v.coeffs)
+        else:
+            dt_v = None
     t, state = times[i], ledger.states[i]
     m = _momentum_balance(state, forcing_eval(forcing, t) if forcing is not None else None)
     pi = trajectory_pressure(state, balance=m)
-    return {**record(state, t, pi, dtv2), **split_residuals(state, pi, dt_v=dt_v, balance=m)}
+    split = split_residuals(state, pi, dt_v=dt_v, balance=m)
+    del dt_v, m  # gone before record's syntheses, the sample's largest arrays
+    return {**record(state, t, pi, dtv2), **split}
 
 
 def build_records(ledger: TrajectoryLedger, forcing: Forcing | None = None) -> dict:
@@ -271,7 +276,7 @@ def split_residuals(state: SpectralField, pi, dt_v: SpectralField | None = None,
     r_bar = vertical_average(r) + pi.gradient()
     scale = max(l2_norm(state), 1e-300)
     return {"bar_residual": r_bar.l2_norm() / scale,
-            "tilde_residual": l2_norm(fluctuation(r)) / scale}
+            "tilde_residual": l2_norm(fluctuation(r, out=r.coeffs)) / scale}
 
 
 # -- report summary -------------------------------------------------------

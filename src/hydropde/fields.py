@@ -138,13 +138,13 @@ def hermitian_block(grid, coeffs, modes, block):
     return herm
 
 
-def half_to_planes(grid, half, block):
-    """Real planes (..., m, x_i, y_j) of a Hermitian block (..., m, rows, K)."""
-    if half.shape[-2] < grid.nx:  # zero-fill the rows to nx
-        full = np.zeros(half.shape[:-2] + (grid.nx, half.shape[-1]), complex)
-        full[..., block[0], :] = half
-        half = full
-    return np.fft.irfft(np.fft.ifft(half, axis=-2, norm="forward"), grid.ny, norm="forward")
+def half_to_planes(grid, half):
+    """Real planes (..., m, x_i, y_j) of a Hermitian half (..., m, nx, K).
+
+    Consumes half: the inverse transform along x runs in place on it.
+    """
+    np.fft.ifft(half, axis=-2, norm="forward", out=half)
+    return np.fft.irfft(half, grid.ny, norm="forward")
 
 
 def planes_to_coeffs(grid, planes, block):
@@ -172,7 +172,7 @@ def synthesize(grid, coeffs, table) -> PhysicalField:
     """
     block = slice(None), grid.ny // 2 + 1
     herm = hermitian_block(grid, coeffs, table.shape[0], block)
-    return PhysicalField(grid, np.tensordot(half_to_planes(grid, herm, block), table, (1, 0)))
+    return PhysicalField(grid, np.tensordot(half_to_planes(grid, herm), table, (1, 0)))
 
 
 def to_physical(f: SpectralField) -> PhysicalField:
@@ -224,19 +224,20 @@ def vertical_average(f: SpectralField) -> AveragedField:
     return AveragedField(f.grid, f.coeffs @ f.grid.avg_factor)
 
 
-def fluctuation(f: SpectralField) -> SpectralField:
+def fluctuation(f: SpectralField, out=None) -> SpectralField:
     """f minus the in-basis representative of its vertical average.
 
     The subtracted profile is the least-squares representation of a
     z-constant within the retained cosine modes, scaled so its own vertical
     average reproduces vertical_average(f) exactly.  This makes
-    vertical_average(fluctuation(f)) vanish identically.
+    vertical_average(fluctuation(f)) vanish identically.  out, as in numpy,
+    receives the coefficients; f.coeffs itself forms the fluctuation in place.
     """
     g = f.grid
     a = g.avg_factor
     avg = f.coeffs @ a
     profile = a / np.sum(a**2)
-    return SpectralField(g, f.coeffs - avg[..., None] * profile)
+    return SpectralField(g, np.subtract(f.coeffs, avg[..., None] * profile, out=out))
 
 
 # -- norms ----------------------------------------------------------------
@@ -251,7 +252,8 @@ def lp_norm(f: PhysicalField, p) -> float:
         return float(np.sqrt(mag2.max(initial=0.0)))
     g = f.grid
     hw = 1.0 / (g.nx * g.ny)
-    total = hw * np.sum(mag2 ** (p / 2) @ g.wq)
+    mag2 **= p / 2
+    total = hw * np.sum(mag2 @ g.wq)
     return float(total ** (1.0 / p))
 
 

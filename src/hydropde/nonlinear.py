@@ -37,7 +37,7 @@ from .fields import (
     sobolev_norm,
 )
 from .grid import Grid
-from .projection import constrain
+from .projection import constrain, constrain_coeffs
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,16 @@ def advect(v: SpectralField) -> SpectralField:
     if v.components != 2:
         raise ConfigurationError("advect needs a 2-component velocity")
     mk, n, block, nodes = g.dealias_modes, g.nx * g.ny, g.dealias_block, g.advect_nodes
-    hv, (dx, dy) = hermitian_block(g, v.coeffs, mk, block), g.half_ik
-    stack = np.concatenate([hv, dx * hv, dy * hv])
-    planes = half_to_planes(g, stack, block).reshape(6, mk, n)
+    hv, (dx, dy), (rows, K) = hermitian_block(g, v.coeffs, mk, block), g.half_ik, block
+    # v, dx v and dy v go straight onto the block rows of one zero-filled
+    # transform buffer, which the inverse transform then consumes
+    buf = np.zeros((6, mk, g.nx, K), complex)
+    buf[:2, :, rows] = hv
+    buf[2:4, :, rows] = dx * hv
+    buf[4:, :, rows] = dy * hv
+    del hv
+    planes = half_to_planes(g, buf).reshape(6, mk, n)
+    del buf
     C, Dz, W = (t[:mk].T for t in (nodes.cos, nodes.dz, nodes.wint))
     modes = np.empty((2, mk, n))
     for s in range(0, n, TILE):
@@ -81,12 +88,13 @@ def advect(v: SpectralField) -> SpectralField:
         term *= W @ (p[2] + p[5])  # w from div_H v = dx u + dy v
         prod += term
         modes[..., s:s + TILE] = g.vertical_to_modes(prod, mk, z_major=True)
+    del planes, p  # the node planes go before the forward transform's arrays come
     return SpectralField(g, planes_to_coeffs(g, modes.reshape(2, mk, g.nx, g.ny), block))
 
 
 def F(v: SpectralField, ws: NonlinearWorkspace | None = None) -> SpectralField:
-    """Constrained nonlinearity -P(v . grad_H v + w dz v) (ws is ignored)."""
-    c = constrain(advect(v)).coeffs
+    """Constrained nonlinearity -P(v . grad_H v + w dz v), formed in place (ws is ignored)."""
+    c = constrain_coeffs(v.grid, advect(v).coeffs)
     return SpectralField(v.grid, np.negative(c, out=c))
 
 

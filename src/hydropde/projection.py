@@ -93,20 +93,27 @@ def constrain(v: SpectralField) -> SpectralField:
     kx = -nx/2 and the column ky = -ny/2, +n/2 aliases to -n/2, so -k lies on
     the same line, and the projection sets both lines to zero.
     """
-    g = v.grid
     if v.components != 2:
         raise ConfigurationError("constrain needs a 2-component velocity")
+    return SpectralField(v.grid, constrain_coeffs(v.grid, v.coeffs.copy()))
+
+
+def constrain_coeffs(g: Grid, c: np.ndarray) -> np.ndarray:
+    """constrain's projection of velocity coefficients c, in place; returns c.
+
+    For a caller that owns a fresh array, such as F with advect's output.
+    """
     a = g.avg_factor
     kx = g.kx[:, None].astype(float)
     ky = g.ky[None, :].astype(float)
-    c = v.coeffs * g.off_nyquist[:, :, None]
+    c *= g.off_nyquist[:, :, None]
     s = kx * (c[0] @ a) + ky * (c[1] @ a)
     k2i = kx**2 + ky**2
     k2i[0, 0] = 1.0
     coef = s / (k2i * np.sum(a**2))
     c[0] -= (kx * coef)[:, :, None] * a
     c[1] -= (ky * coef)[:, :, None] * a
-    return SpectralField(g, c)
+    return c
 
 
 def divergence_of_average(v: SpectralField, mean: AveragedField | None = None) -> AveragedField:

@@ -384,6 +384,23 @@ class TestMms:
         assert "--levels" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_blow_up_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_GRID + "ic = manufactured\namplitude = 40\n")
+        assert main(["mms", "--config", cfg, "--levels", "2", "--t-end", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("aborted: non-finite state") and "Traceback" not in err
+
+    def test_honours_cfl_limit(self, tmp_path, capsys):
+        # a limit the default data passes only without the check
+        cfg = write_config(tmp_path, SMALL_GRID + "ic = manufactured\ncfl_limit = 1e-6\n")
+        assert main(["mms", "--config", cfg, "--levels", "2", "--t-end", "0.05"]) == 1
+        assert "too large for data" in capsys.readouterr().err
+        # cfl_limit = inf switches it off: this data then runs into its blow-up
+        cfg = write_config(tmp_path, SMALL_GRID + "ic = manufactured\namplitude = 400\n"
+                           "cfl_limit = inf\n")
+        assert main(["mms", "--config", cfg, "--levels", "2", "--t-end", "0.05"]) == 2
+        assert "too large" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["run", "picard"])
     def test_forced_run_follows_manufactured_solution(self, tmp_path, verb, monkeypatch):
         # forcing = mms drives both integrators along the exact g(t) psi

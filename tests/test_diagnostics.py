@@ -1,5 +1,7 @@
 """Estimate ledger, energy budget, Gronwall monitor, decay fit, split."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hydropde.diagnostics import (
     decay_fit,
     energy_budget,
     gronwall_monitor,
+    ledger_sample,
     record,
     split_residuals,
     summarize,
@@ -237,6 +240,23 @@ class TestBuildRecords:
             oracle = split_residuals(state, trajectory_pressure(state, f),
                                      dt_v=dt_v, f_field=f)
             assert {name: table[name][i] for name in oracle} == oracle
+
+    def test_interior_sample_peak_memory(self, rng):
+        # ledger_sample scales dt v in place and drops it and the balance m
+        # before record's syntheses; keeping both through record peaks near
+        # 7.9 field sizes at 32^2x16, this near 5.7
+        g = Grid(32, 32, 16)
+        a = constrain(random_spectral(g, 2, rng, amplitude=1e-3))
+        led = imex_run(a, None, ImexConfig(dt=1e-5, t_end=3e-5, sample_every=1),
+                       StokesOperator(g))
+        ledger_sample(led, 1)  # fill the grid's lazy tables before measuring
+        tracemalloc.start()
+        try:
+            ledger_sample(led, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * a.coeffs.nbytes
 
 
 class TestSummarize:

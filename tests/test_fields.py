@@ -143,6 +143,12 @@ class TestFluctuation:
     def test_zero(self, grid16):
         assert np.all(fluctuation(zeros_spectral(grid16)).coeffs == 0)
 
+    def test_in_place_matches(self, grid16, rng):
+        f = random_spectral(grid16, 2, rng)
+        ref = fluctuation(f).coeffs
+        out = fluctuation(f, out=f.coeffs)
+        assert out.coeffs is f.coeffs and np.array_equal(out.coeffs, ref)
+
     def test_lift_of_average_plus_fluctuation_recombines(self, grid16, rng):
         # lift(avg f) + fluctuation(f) = f, with the lift the in-basis
         # representative of the z-constant average

@@ -5,6 +5,8 @@ for the Stokes operator: five full-spectrum syntheses and one complex FFT
 back, with none of advect's half-spectrum or mode truncation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,22 @@ class TestAdvect:
         mask = dealias_mask(g)
         assert np.array_equal(mask, np.broadcast_to(g.off_nyquist[..., None], mask.shape))
         assert g.dealias_block[1] == n // 2 and len(g.dealias_block[0]) == n - 1
+
+    def test_peak_memory_under_four_fields(self, rng):
+        # advect writes v, dx v and dy v into one transform buffer, which the
+        # inverse transform consumes, and drops the buffer and the node planes
+        # before the forward transform; a concatenated stack with a zero-filled
+        # copy beside it peaks near 4.9 field sizes at 32^2x16, this near 3.3
+        g = Grid(32, 32, 16)
+        v = constrain(random_spectral(g, 2, rng, amplitude=1e-3))
+        advect(v)  # fill the grid's lazy tables before measuring
+        tracemalloc.start()
+        try:
+            advect(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * v.coeffs.nbytes
 
     def test_wrong_component_count_rejected(self, grid16):
         bad = SpectralField(grid16, np.zeros((1, 16, 16, 8), complex))

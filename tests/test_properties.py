@@ -6,8 +6,9 @@ per-wavenumber oracle and the vertical synthesis of to_physical, and the
 operator's coordinate Sobolev norm against the norm of the field.  The
 transform pair (synthesize, to_spectral) is checked against the direct sum
 of the basis functions at the collocation nodes and against the complex
-FFT, and advect against its full-spectrum oracle, also with dealiasing.
-Checkpoints round-trip bit for bit, and constrain is idempotent.
+FFT, and advect against its full-spectrum oracle, also with dealiasing;
+F is -constrain(advect) bit for bit.  Checkpoints round-trip bit for bit,
+and constrain is idempotent.
 """
 
 import os
@@ -29,7 +30,7 @@ from hydropde.fields import (
 )
 from hydropde.grid import Grid
 from hydropde.io import load_checkpoint, save_checkpoint
-from hydropde.nonlinear import advect
+from hydropde.nonlinear import F, advect
 from hydropde.projection import constrain
 from hydropde.stokes import StokesOperator, assemble_block
 from oracles import averaged_to_physical
@@ -184,6 +185,15 @@ def test_to_spectral_inverts_to_physical(grid, comps, seed):
                         kmax=grid.nx // 2, mmax=grid.nz)
     back = to_spectral(to_physical(f))
     assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
+
+
+@few
+@given(grids, seeds)
+def test_F_is_minus_constrain_of_advect(grid, seed):
+    # F projects advect's output in place through constrain's projection
+    raw = SpectralField(grid, random_coeffs((2, grid.nx, grid.ny, grid.nz), seed))
+    for v in (raw, constrain(random_velocity(grid, seed))):
+        assert np.array_equal(F(v).coeffs, -constrain(advect(v)).coeffs)
 
 
 @few
