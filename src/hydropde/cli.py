@@ -4,7 +4,8 @@ Verbs: run, picard, spectrum, resolvent-sweep, diagnose, mms.
 Exit codes: 0 success, 1 I/O or configuration failure, 2 blow-up (non-finite
 state) abort, 3 Picard non-convergence or divergence.  For `pe run`, dt must
 divide t_end and sample_every must be >= 1, and `pe mms --levels` must be
->= 1; other values exit 1.  numpy is the only runtime dependency.
+>= 1; other values exit 1.  `pe mms` marches with the config's scheme (not
+picard).  numpy is the only runtime dependency.
 """
 
 import argparse
@@ -79,15 +80,19 @@ def _load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
-def cmd_run(args):
-    cfg = _load_config(args.config)
+def _imex_config(cfg: RunConfig, dt, t_end, sample_every) -> ImexConfig:
+    """cfg's march to t_end in steps of dt: its scheme sets the order, picard is refused."""
     if cfg.scheme == "picard":
         raise ConfigurationError("scheme = picard is the mild-solution iteration: "
                                  "run it with `pe picard`")
+    return ImexConfig(dt=dt, t_end=t_end, order=1 if cfg.scheme == "imex1" else 2,
+                      sample_every=sample_every, cfl_limit=cfg.cfl_limit)
+
+
+def cmd_run(args):
+    cfg = _load_config(args.config)
+    icfg = _imex_config(cfg, cfg.dt, cfg.t_end, cfg.sample_every)
     op, a, forcing = _set_up(cfg)
-    icfg = ImexConfig(dt=cfg.dt, t_end=cfg.t_end,
-                      order=1 if cfg.scheme == "imex1" else 2,
-                      sample_every=cfg.sample_every, cfl_limit=cfg.cfl_limit)
     try:
         ledger = imex_run(a, forcing, icfg, op)
     except NanAbort as err:
@@ -173,8 +178,7 @@ def cmd_mms(args):
     errors = []
     dt = args.dt
     for _ in range(args.levels):
-        icfg = ImexConfig(dt=dt, t_end=args.t_end, sample_every=10**9,
-                          cfl_limit=cfg.cfl_limit)
+        icfg = _imex_config(cfg, dt, args.t_end, sample_every=10**9)
         try:
             ledger = imex_run(mms.initial(), mms, icfg, op)
         except NanAbort as err:

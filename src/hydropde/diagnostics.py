@@ -109,22 +109,19 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> dict:
 def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None) -> dict:
     """Row of sample i: record's norms and the split residuals, from one balance m.
 
-    dt v is the centered difference of the neighbouring samples, one field
-    formed from their coordinates' difference; the end samples of a
-    trajectory with >= 2 samples take the one-sided difference for dtv2 and
-    the semi-discrete right-hand side for the split residuals.
+    dt v is the difference quotient dy of the neighbouring samples'
+    coordinates and dtv2 its norm; only a centred sample forms dy's field,
+    for the split residuals, and the end samples of a trajectory with >= 2
+    samples take the semi-discrete right-hand side there instead.
     """
-    times, y = ledger.columns["t"], ledger.coords
+    times, y, op = ledger.columns["t"], ledger.coords, ledger.op
     lo, hi = max(i - 1, 0), min(i + 1, len(y) - 1)
     dtv2, dt_v = 0.0, None
     if hi > lo:
-        span = times[hi] - times[lo]
-        dt_v = ledger.op.from_eigen_flat(y[hi] - y[lo])
-        dtv2 = (l2_norm(dt_v) / span) ** 2
+        dy = (y[hi] - y[lo]) / (times[hi] - times[lo])
+        dtv2 = op.norm(dy) ** 2
         if hi - lo == 2:
-            np.multiply(dt_v.coeffs, 1.0 / span, out=dt_v.coeffs)
-        else:
-            dt_v = None
+            dt_v = op.from_eigen_flat(dy)
     t, state = times[i], ledger.states[i]
     m = _momentum_balance(state, forcing_eval(forcing, t) if forcing is not None else None)
     pi = trajectory_pressure(state, balance=m)

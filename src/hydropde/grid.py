@@ -46,7 +46,7 @@ class Grid:
 
     nx, ny : horizontal Fourier mode counts (even, >= 4)
     nz     : number of vertical cosine modes (>= 2)
-    h      : layer depth (> 0); vertical domain is (-h, 0)
+    h      : layer depth (finite, > (nz - 1/2) pi 1e-77); vertical domain is (-h, 0)
     dealias_fraction : f in (0, 1]; advect keeps |k| < f n / 2 and m < f nz
     """
 
@@ -63,8 +63,12 @@ class Grid:
             )
         if self.nz < 2:
             raise ConfigurationError(f"nz must be >= 2, got {self.nz}")
-        if not self.h > 0:
-            raise ConfigurationError(f"layer depth must be positive, got {self.h}")
+        # below hmin the top mode's lam = (nz - 1/2) pi / h passes 1e77: its H^2
+        # weight (1 + 4 pi^2 |k|^2 + lam^2)^2 and the vertical eigenproblem overflow
+        hmin = (self.nz - 0.5) * np.pi * 1e-77
+        if not (np.isfinite(self.h) and self.h > hmin):
+            raise ConfigurationError(f"layer depth h must be finite and > {hmin:.3g}, "
+                                     f"got {self.h}")
         if not 0 < self.dealias_fraction <= 1:
             raise ConfigurationError(
                 f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"

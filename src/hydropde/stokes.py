@@ -245,14 +245,9 @@ class StokesOperator:
         n0 = 2 * self.grid.nz
         return self.from_eigen(y[:n0], y[n0:].reshape(-1, n0 - 1))
 
-    def sobolev_norm(self, y, s):
-        """fields.sobolev_norm(self.from_eigen_flat(y), s), read off the flat coordinates y."""
-        g, nz = self.grid, self.grid.nz
-        y0, y = y[:2 * nz], y[2 * nz:].reshape(-1, 2 * nz - 1)
-        p2 = np.abs(y[:, :nz]) ** 2 + np.abs(y[:, nz:] @ self._along_basis[1].T) ** 2
-        w = self.weights[2 * nz::2 * nz - 1, None] * g.sobolev_symbol[self.rows] ** s
-        total = np.sum(w * p2) + np.tile(g.sobolev_symbol[0, 0] ** s, 2) @ np.abs(y0) ** 2
-        return float(np.sqrt(g.h / 2 * total))
+    def norm(self, y):
+        """((h/2) sum w |y|^2)^(1/2): the L^2 norm of the field with flat coordinates y."""
+        return float(np.sqrt(self.grid.h / 2 * (self.weights @ np.abs(y) ** 2)))
 
     def _spectral_map(self, fn, f: SpectralField) -> SpectralField:
         """fn(A) applied to the constrained part of f, for a scalar function fn.

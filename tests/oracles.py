@@ -92,8 +92,8 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
     package's picard_solve streams the same arithmetic over the nodes and
     must agree with this bit for bit.  The forcing's node coordinates come
     from the package's one transform per run (evolution._forcing_coords),
-    and k reads the operator's coordinate norm (StokesOperator.sobolev_norm)
-    as the package does; the energy budget is written out here.
+    and k reads the operator's coordinate norm (StokesOperator.norm) of
+    (1 + mu)^(3/4) y as the package does; the energy budget is written out here.
     """
     g = a.grid
     times = np.linspace(0.0, cfg.horizon, cfg.nodes)
@@ -101,6 +101,7 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
     mu, w = op.eigenvalues, op.weights
     decay = np.exp(-dt * mu)
     pa, pb = _phi_pair(dt * mu)
+    s = (1 + mu) ** 0.75
     h2 = g.h / 2
     have_f = f_ext is not None
     f_at = _forcing_coords(op, f_ext)
@@ -114,7 +115,7 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
         return traj
 
     def k_of(traj):
-        return max(t ** 0.25 * op.sobolev_norm(y, 1.5) for t, y in zip(times[1:], traj[1:]))
+        return max(t ** 0.25 * op.norm(s * y) for t, y in zip(times[1:], traj[1:]))
 
     vm = duhamel(fcat)
     vs = [op.from_eigen_flat(y) for y in vm]

@@ -130,6 +130,7 @@ class TestBadInput:
         ("picard", "t_end = 0.01\npicard_max_iterations = 0\n",
          "picard_max_iterations", "line 5"),
         ("run", "h = inf\n", "h", "line 4"),
+        ("run", "h = 1e-300\n", "layer depth h", None),
         ("run", "ic = random-band\namplitude = inf\n", "amplitude", "line 5"),
         ("run", "forcing = single-mode\nforcing_amplitude = nan\n", "forcing_amplitude",
          "line 5"),
@@ -143,9 +144,9 @@ class TestBadInput:
         ("run", "forcing = single-mode\nforcing_ky = -4\n", "forcing_ky", None),
         ("run", "nx = 16\n", "nx", "line 4: nx is already set on line 1"),
     ], ids=["seed-random-band", "seed-manufactured", "shear-nyquist", "shear-zero",
-            "picard-max-iterations", "h-inf", "amplitude-inf", "forcing-amplitude-nan",
-            "ic-m-off-grid", "ic-kx-off-grid", "shear-m-off-grid", "forcing-m-off-grid",
-            "forcing-kx-off-grid", "forcing-ky-off-grid", "ic-kx-nyquist",
+            "picard-max-iterations", "h-inf", "h-overflow", "amplitude-inf",
+            "forcing-amplitude-nan", "ic-m-off-grid", "ic-kx-off-grid", "shear-m-off-grid",
+            "forcing-m-off-grid", "forcing-kx-off-grid", "forcing-ky-off-grid", "ic-kx-nyquist",
             "forcing-ky-nyquist", "repeated-key"])
     def test_exits_one_naming_the_key(self, tmp_path, capsys, verb, body, key, line):
         ledger = tmp_path / "run.csv"
@@ -268,6 +269,14 @@ class TestSpectrum:
         evs = [float(l.split(",")[2]) for l in lines[1:]]
         assert min(evs) == pytest.approx(np.pi**2 / 4)
 
+    @pytest.mark.parametrize("h", ["inf", "1e-300"])
+    def test_extreme_depth_exits_one(self, capsys, h):
+        # at h = inf lam = 0 and the average factors are nan; at h = 1e-300
+        # the vertical eigenproblem overflows
+        assert main(["spectrum", "--nx", "8", "--ny", "8", "--nz", "4", "--h", h]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer depth h") and "Traceback" not in err
+
 
 class TestResolventSweep:
     def test_sweep_report(self, tmp_path, capsys):
@@ -377,6 +386,24 @@ class TestMms:
         assert len(data["errors"]) == 3
         for order in data["observed_orders"]:
             assert 1.8 <= order <= 2.2
+
+    def test_observed_first_order_for_imex1(self, tmp_path, capsys):
+        # pe mms marches with the config's scheme, as pe run does
+        cfg = write_config(tmp_path, SMALL_GRID + "ic = manufactured\namplitude = 1e-2\n"
+                           "seed = 1\nforcing = mms\nscheme = imex1\n")
+        out = tmp_path / "mms.json"
+        assert main(["mms", "--config", cfg, "--dt", "2e-3", "--levels", "3",
+                     "--t-end", "0.2", "--out", str(out)]) == 0
+        for order in json.loads(out.read_text())["observed_orders"]:
+            assert 0.9 <= order <= 1.1
+
+    def test_picard_scheme_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_GRID + "scheme = picard\n")
+        out = tmp_path / "mms.json"
+        assert main(["mms", "--config", cfg, "--levels", "2", "--t-end", "0.05",
+                     "--out", str(out)]) == 1
+        assert "pe picard" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("levels", ["0", "-2"])
     def test_levels_below_one_exit_one(self, tmp_path, capsys, levels):

@@ -241,10 +241,20 @@ class TestBuildRecords:
                                      dt_v=dt_v, f_field=f)
             assert {name: table[name][i] for name in oracle} == oracle
 
+    def test_forms_dt_v_at_interior_samples_alone(self, short_run, monkeypatch):
+        # one field per sample for its state, one more per interior sample
+        # for dt v: the end samples read dtv2 off the coordinates
+        calls, form = [], StokesOperator.from_eigen_flat
+        monkeypatch.setattr(StokesOperator, "from_eigen_flat",
+                            lambda op, y: calls.append(y) or form(op, y))
+        build_records(short_run)
+        n = len(short_run.coords)
+        assert n >= 3 and len(calls) == 2 * n - 2
+
     def test_interior_sample_peak_memory(self, rng):
-        # ledger_sample scales dt v in place and drops it and the balance m
-        # before record's syntheses; keeping both through record peaks near
-        # 7.9 field sizes at 32^2x16, this near 5.7
+        # ledger_sample forms dt v from the coordinates and drops it and the
+        # balance m before record's syntheses; keeping both through record
+        # peaks near 7.9 field sizes at 32^2x16, this near 5.7
         g = Grid(32, 32, 16)
         a = constrain(random_spectral(g, 2, rng, amplitude=1e-3))
         led = imex_run(a, None, ImexConfig(dt=1e-5, t_end=3e-5, sample_every=1),

@@ -197,6 +197,16 @@ class TestPicard:
             assert c["d2"][i] == pytest.approx(grad_norm(state) ** 2, rel=1e-12, abs=0)
             assert c["fwork_int"][i] == pytest.approx(fwork[i], rel=1e-12, abs=0)
 
+    def test_k_is_the_iteration_norm(self, grid8, op8):
+        # k = sup_t t^(1/4) ||(1 + A)^(3/4) v(t)||, the time-weighted norm of
+        # the mild-solution iteration; (1 + A)^(3/4) applied to the field is
+        # the reference for the weight picard_solve puts on the coordinates
+        a = random_spectral(grid8, 2, np.random.default_rng(6), kmax=4, amplitude=0.05)
+        ledger, report = picard_solve(a, None, PicardConfig(horizon=1e-2, nodes=9), op8)
+        want = max(t ** 0.25 * l2_norm(op8._spectral_map(lambda mu: (1 + mu) ** 0.75, v))
+                   for t, v in zip(ledger.columns["t"], ledger.states) if t > 0)
+        assert abs(report.k_history[-1] - want) <= 1e-13 * want
+
     def test_non_convergence_reported_not_raised(self, grid8, op8):
         # huge data on a short budget: the iteration must report failure
         a = 200.0 * constrain(random_spectral(grid8, 2, np.random.default_rng(5)))
@@ -479,11 +489,12 @@ class TestCoordinateLedger:
             assert not hasattr(led.states, "append")
 
     def test_first_sample_is_the_marched_state(self, op8, ledgers):
-        # imex_run marches the coordinates of the constrained Hermitian part
-        # of its data, picard_solve those of its Hermitian part
+        # both integrators start from the coordinates of a's Hermitian part:
+        # to_eigen reads its constrained part alone
         a, led, pled = ledgers
-        assert np.array_equal(led.coords[0], op8.to_eigen_flat(hermitize(constrain(a))))
-        assert np.array_equal(pled.coords[0], op8.to_eigen_flat(hermitize(a)))
+        want = op8.to_eigen_flat(hermitize(a))
+        assert np.array_equal(led.coords[0], want)
+        assert np.array_equal(pled.coords[0], want)
 
 
 class TestPicardVsImex:

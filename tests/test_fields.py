@@ -26,6 +26,7 @@ from hydropde.fields import (
     zeros_spectral,
 )
 from hydropde.grid import Grid
+from hydropde.stokes import StokesOperator
 from oracles import averaged_to_physical
 
 
@@ -45,6 +46,16 @@ class TestGrid:
             Grid(16, 16, 1)
         with pytest.raises(ConfigurationError):
             Grid(16, 16, 8, dealias_fraction=0.0)
+
+    def test_depth_bound_keeps_the_spectrum_finite(self):
+        # h = inf leaves lam = 0 and the average factors nan; below
+        # (nz - 1/2) pi 1e-77 the top mode's H^2 weight overflows
+        for h in (np.inf, np.nan, 1e-300, 1e-76):
+            with pytest.raises(ConfigurationError, match="layer depth h"):
+                Grid(8, 8, 4, h=h)
+        g = Grid(8, 8, 4, h=1.2e-76)
+        assert np.all(np.isfinite(g.sobolev_symbol**2))
+        assert np.all(np.isfinite(StokesOperator(g).eigenvalues))
 
     def test_vertical_basis_boundary_conditions(self, grid16):
         # phi_m'(0) = 0 and phi_m(-h) = 0 exactly
