@@ -47,15 +47,14 @@ def _set_up(cfg: RunConfig):
                                cfg.forcing_m, cfg.forcing_amplitude)
         return op, a, ForcingSpec(base, cfg.forcing_rate)
     mms = make_manufactured(op, manufactured_profile(grid, cfg.ic))
-    return op, mms.initial() if cfg.ic.kind == "manufactured" else a, mms
+    return op, mms.solution(0.0) if cfg.ic.kind == "manufactured" else a, mms
 
 
-def _emit_outputs(cfg, ledger, forcing, extra=None):
+def _emit_outputs(cfg, ledger, forcing, extra):
     table = diag.build_records(ledger, forcing)
     write_ledger_csv(cfg.out_ledger, table)
     report = diag.summarize(table)
-    if extra:
-        report.update(extra)
+    report.update(extra)
     write_report_json(cfg.out_report, report)
     if cfg.out_checkpoint:
         save_checkpoint(cfg.out_checkpoint, ledger.states[-1])
@@ -132,12 +131,8 @@ def cmd_picard(args):
     return 0
 
 
-def _grid_from_args(args):
-    return Grid(args.nx, args.ny, args.nz, args.h)
-
-
 def cmd_spectrum(args):
-    op = StokesOperator(_grid_from_args(args))
+    op = StokesOperator(Grid(args.nx, args.ny, args.nz, args.h))
     rep = op.spectrum()
     print(f"beta = {rep.beta!r}")
     if args.out:
@@ -150,7 +145,7 @@ def cmd_spectrum(args):
 
 
 def cmd_resolvent_sweep(args):
-    op = StokesOperator(_grid_from_args(args))
+    op = StokesOperator(Grid(args.nx, args.ny, args.nz, args.h))
     rep = op.sector_sweep(args.eps)
     with open(args.out, "w") as fh:
         fh.write("re_lambda,im_lambda,M_lambda\n")
@@ -180,7 +175,7 @@ def cmd_mms(args):
     for _ in range(args.levels):
         icfg = _imex_config(cfg, dt, args.t_end, sample_every=10**9)
         try:
-            ledger = imex_run(mms.initial(), mms, icfg, op)
+            ledger = imex_run(mms.solution(0.0), mms, icfg, op)
         except NanAbort as err:
             print(f"aborted: {err}", file=sys.stderr)
             return 2

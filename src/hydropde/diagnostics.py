@@ -74,7 +74,7 @@ def tilde_values(state: SpectralField):
     """
     g = state.grid
     vals = to_physical(state).values
-    vals -= (vals @ g.wq)[..., None] / g.h
+    vals -= (vals @ g.nodes.w)[..., None] / g.h
     return vals
 
 
@@ -97,7 +97,7 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> dict:
         "vz2": float(np.sum(g.lam**2 * p2)),
         "tilde4": lp_norm(PhysicalField(g, tilde_values(state)), 4) ** 4,
         "grad_pi": float(np.sum(g.k2 * np.abs(pi.coeffs) ** 2)) if pi is not None else 0.0,
-        "vz3": lp_norm(synthesize(g, state.coeffs, g.dz_table), 3) ** 3,
+        "vz3": lp_norm(synthesize(g, state.coeffs, g.nodes.dz), 3) ** 3,
         "dtv2": float(dtv2),
         "h1": float(np.sum(g.sobolev_symbol * p2)),
         "h2": float(np.sum(g.sobolev_symbol**2 * p2)),

@@ -87,6 +87,8 @@ class _Fields(Sequence):
         return len(self.ledger.coords)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.ledger.op.from_eigen_flat(y) for y in self.ledger.coords[i]]
         return self.ledger.op.from_eigen_flat(self.ledger.coords[i])
 
 
@@ -141,12 +143,6 @@ class ManufacturedSolution:
 
     def solution(self, t) -> SpectralField:
         return self.envelope(t)[0] * self.psi
-
-    def initial(self) -> SpectralField:
-        return self.solution(0.0)
-
-    def forcing(self, t) -> SpectralField:
-        return forcing_eval(self, t)
 
 
 def make_manufactured(op: StokesOperator, psi: SpectralField) -> ManufacturedSolution:
@@ -303,14 +299,12 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
     change_hist = []
     converged = not cfg.nonlinear
     diverged = False
-    iterations = 0
     for _ in range(cfg.max_iterations):
         if converged or diverged:
             break
-        iterations += 1
         # the sweep streams over the nodes: the new node replaces the old
         # one in place, so vm holds one trajectory and two sources are live
-        changes, scales = [op.norm(acat - vm[0])], [op.norm(acat)]
+        changes, scales = [0.0], [op.norm(acat)]  # node 0 is a in every iterate
         for i, y in sweep(src0, source):
             changes.append(op.norm(y - vm[i]))
             scales.append(op.norm(y))
@@ -328,7 +322,7 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
     ledger = TrajectoryLedger(op)
     for t, y in zip(times, vm):
         ledger.append(t, y, *budget(y, f_at(t) if f_at else None))
-    report = PicardReport(converged, diverged, iterations,
+    report = PicardReport(converged, diverged, len(change_hist),
                           tuple(k_hist), tuple(change_hist))
     return ledger, report
 

@@ -21,7 +21,7 @@ L^p norms raise the squared magnitude |f|^2 to the power p/2.  With
 |G| = 1 the total measure is h, so a constant c has L^p norm |c| h^(1/p).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class SpectralField(_Linear):
         _check_shape(self.coeffs, (self.grid.nx, self.grid.ny, self.grid.nz), "SpectralField")
         if not np.iscomplexobj(self.coeffs):
             object.__setattr__(self, "coeffs", self.coeffs.astype(complex))
-
-    def copy(self):
-        return replace(self, coeffs=self.coeffs.copy())
 
 
 @dataclass(frozen=True)
@@ -164,9 +161,9 @@ def planes_to_coeffs(grid, planes, block):
 def synthesize(grid, coeffs, table) -> PhysicalField:
     """Values at the collocation nodes of coefficients (comp, kx, ky, m).
 
-    table maps the modes to the nodes, shape (modes, nzq): cos_table for the
-    field itself, dz_table for its z-derivative, w_table for its integral
-    from z to 0.  The Hermitian half of the mode planes goes through the
+    table maps the modes to the nodes, shape (modes, nzq): grid.nodes.cos for
+    the field itself, .dz for its z-derivative, .wint for its integral from
+    z to 0.  The Hermitian half of the mode planes goes through the
     inverse transform and the real table is applied to the real planes, so
     the result is Re(sum c exp(2 pi i k.x) phi_m) for any c.
     """
@@ -176,13 +173,13 @@ def synthesize(grid, coeffs, table) -> PhysicalField:
 
 
 def to_physical(f: SpectralField) -> PhysicalField:
-    return synthesize(f.grid, f.coeffs, f.grid.cos_table)
+    return synthesize(f.grid, f.coeffs, f.grid.nodes.cos)
 
 
 def to_spectral(g: PhysicalField) -> SpectralField:
     """Cosine-Fourier coefficients of collocation values.
 
-    The inverse of synthesize with cos_table: the real node values are
+    The inverse of synthesize with grid.nodes.cos: the real node values are
     projected onto the vertical modes first (Grid.vertical_to_modes), then
     the nz mode planes go through the forward transform (planes_to_coeffs).
     """
@@ -253,7 +250,7 @@ def lp_norm(f: PhysicalField, p) -> float:
     g = f.grid
     hw = 1.0 / (g.nx * g.ny)
     mag2 **= p / 2
-    total = hw * np.sum(mag2 @ g.wq)
+    total = hw * np.sum(mag2 @ g.nodes.w)
     return float(total ** (1.0 / p))
 
 

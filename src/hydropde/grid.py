@@ -105,12 +105,6 @@ class Grid:
         n = min(3 * mk + 12, self.nzq)
         return self.nodes if n == self.nzq else VerticalNodes(self.lam[:mk], self.h, n)
 
-    zq = property(lambda self: self.nodes.z, doc="Quadrature nodes in (-h, 0), ascending.")
-    wq = property(lambda self: self.nodes.w, doc="Positive quadrature weights summing to h.")
-    cos_table = property(lambda self: self.nodes.cos, doc="cos(lam_m z_q), shape (nz, nzq).")
-    dz_table = property(lambda self: self.nodes.dz, doc="dz phi_m at the nodes, shape (nz, nzq).")
-    w_table = property(lambda self: self.nodes.wint, doc="int_z^0 phi_m at the nodes, (nz, nzq).")
-
     @cached_property
     def avg_factor(self):
         """(1/h) * int_{-h}^0 phi_m dz = (-1)^m / (lam_m h), shape (nz,)."""

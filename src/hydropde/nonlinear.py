@@ -44,7 +44,7 @@ from .projection import constrain, constrain_coeffs
 class NonlinearWorkspace:
     """Holds only the grid; F accepts one and ignores it.
 
-    The vertical tables are on Grid (cos_table, dz_table, w_table).  The
+    The vertical tables are on Grid.nodes (cos, dz, wint).  The
     class and F's ws argument are kept only because perfbench/child.py's
     sweep builds one and calls F(a, ws); they go once that caller stops.
     """

@@ -47,11 +47,6 @@ class StokesBlock:
     eigenvectors: np.ndarray   # (r, r)
 
 
-def _constraint_vector(grid, k):
-    a = grid.avg_factor
-    return np.concatenate([k[0] * a, k[1] * a])
-
-
 def _householder_basis(n):
     """Orthonormal basis of the hyperplane orthogonal to n (n != 0)."""
     nhat = n / np.linalg.norm(n)
@@ -71,7 +66,7 @@ def assemble_block(grid: Grid, k) -> StokesBlock:
     if kx == 0 and ky == 0:
         Q = np.eye(2 * grid.nz)
     else:
-        Q = _householder_basis(_constraint_vector(grid, (kx, ky)))
+        Q = _householder_basis(np.concatenate([kx * grid.avg_factor, ky * grid.avg_factor]))
     R = (Q.T * lam_diag) @ Q
     R = 0.5 * (R + R.T)
     w, U = np.linalg.eigh(R)

@@ -442,7 +442,7 @@ class TestMms:
         assert main([verb, "--config", cfg]) == 0
         # both verbs start from g(0) psi and pass the operator 4th, positionally
         a, mms, _, op = calls[0]
-        assert np.array_equal(a.coeffs, mms.initial().coeffs)
+        assert np.array_equal(a.coeffs, mms.solution(0.0).coeffs)
         assert isinstance(op, StokesOperator)
         run_cfg = parse_config(body)
         grid = run_cfg.grid()

@@ -86,7 +86,7 @@ class TestRecord:
         # subtracts the quadrature mean of the node values
         vals = to_physical(v).values - averaged_to_physical(vertical_average(v)).values
         mag2 = np.sum(vals**2, axis=0)
-        direct = float(np.sum((mag2**2) @ g.wq) / (g.nx * g.ny))
+        direct = float(np.sum((mag2**2) @ g.nodes.w) / (g.nx * g.ny))
         assert direct > 0
         assert abs(r["tilde4"] - direct) < 1e-12 * direct
 
@@ -149,6 +149,29 @@ class TestDecayFit:
     def test_unknown_quantity(self, short_run):
         with pytest.raises(ConfigurationError):
             decay_fit(short_run.columns, "enstrophy")
+
+    def test_tail_is_cut_at_first_nonpositive_sample(self):
+        # 40 samples, tail from sample 20: 10 positive samples, then 0, then
+        # positive samples off the curve that the fit must not read
+        t = 0.1 * np.arange(40)
+        e2 = np.exp(-2 * t)
+        e2[30] = 0.0
+        e2[31:] = 5.0
+        fit = decay_fit({"t": list(t), "e2": list(e2)}, "e2")
+        assert abs(fit.rate - 2) <= 1e-12
+        assert abs(fit.amplitude - 1) <= 1e-12
+
+    def test_too_few_positive_tail_samples(self, short_run):
+        t = 0.1 * np.arange(40)
+        e2 = np.exp(-2 * t)
+        e2[29] = 0.0
+        with pytest.raises(ConfigurationError, match=">= 10 positive tail samples"):
+            decay_fit({"t": list(t), "e2": list(e2)}, "e2")
+        table = build_records(short_run)
+        start = len(table["t"]) // 2
+        table["e2"][start + 9] = 0.0
+        rates = summarize(table)["decay_rates"]
+        assert rates["e2"] is None and rates["d2"] > 0
 
 
 class TestSplitResiduals:

@@ -119,7 +119,7 @@ class TestForcing:
         vm = mms.solution(t - delta)
         dvdt = (1.0 / (2 * delta)) * (vp - vm)
         v = mms.solution(t)
-        lhs = mms.forcing(t)
+        lhs = forcing_eval(mms, t)
         rhs = dvdt + op8.apply(v) - F(v)
         scale = max(np.max(np.abs(lhs.coeffs)), 1e-30)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-6 * scale
@@ -227,7 +227,7 @@ def _picard_case(name, grid, op):
     if name == "manufactured":
         psi = random_spectral(grid, 2, np.random.default_rng(3), kmax=2, mmax=2, amplitude=1e-2)
         mms = make_manufactured(op, psi)
-        return mms.initial(), mms, cfg
+        return mms.solution(0.0), mms, cfg
     if name == "linear":
         return a, None, PicardConfig(horizon=0.1, nodes=9, nonlinear=False)
     # amplitude 200 passes the ceiling k > 1e6 at the second iteration
@@ -380,7 +380,7 @@ def _forcing_case(kind, grid, op):
         psi = random_spectral(grid, 2, np.random.default_rng(5), kmax=grid.nx // 2,
                               mmax=grid.nz, amplitude=0.02)
         mms = make_manufactured(op, psi)
-        return mms.initial(), mms
+        return mms.solution(0.0), mms
     return a, None
 
 
@@ -488,6 +488,14 @@ class TestCoordinateLedger:
                 led.states = []
             assert not hasattr(led.states, "append")
 
+    @pytest.mark.parametrize("cut", [slice(1, None), slice(None, None, -1), slice(1, 2)])
+    def test_states_can_be_sliced(self, op8, ledgers, cut):
+        for led in ledgers[1:]:
+            got = led.states[cut]
+            assert isinstance(got, list)
+            assert [s.coeffs.tobytes() for s in got] == [
+                op8.from_eigen_flat(y).coeffs.tobytes() for y in led.coords[cut]]
+
     def test_first_sample_is_the_marched_state(self, op8, ledgers):
         # both integrators start from the coordinates of a's Hermitian part:
         # to_eigen reads its constrained part alone
@@ -515,7 +523,7 @@ class TestManufactured:
         t_end = 0.25
         errs = []
         for dt in (2e-3, 1e-3):
-            led = imex_run(mms.initial(), mms, ImexConfig(dt=dt, t_end=t_end, sample_every=10**9), op8)
+            led = imex_run(mms.solution(0.0), mms, ImexConfig(dt=dt, t_end=t_end, sample_every=10**9), op8)
             exact = mms.solution(t_end)
             errs.append(l2_norm(led.states[-1] - exact) / l2_norm(exact))
         assert 3.0 < errs[0] / errs[1] < 5.0

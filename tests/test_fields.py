@@ -10,6 +10,7 @@ import pytest
 
 from hydropde.config import InitialConditionSpec, make_initial
 from hydropde.errors import ConfigurationError, DomainError
+from hydropde.evolution import ImexConfig
 from hydropde.fields import (
     AveragedField,
     PhysicalField,
@@ -26,7 +27,7 @@ from hydropde.fields import (
     zeros_spectral,
 )
 from hydropde.grid import Grid
-from hydropde.stokes import StokesOperator
+from hydropde.stokes import StokesOperator, eigenmode
 from oracles import averaged_to_physical
 
 
@@ -64,15 +65,15 @@ class TestGrid:
         assert np.max(np.abs(np.cos(lam * (-grid16.h)))) < 1e-13
 
     def test_quadrature_weights(self, grid16):
-        assert grid16.wq.min() > 0
-        assert abs(grid16.wq.sum() - grid16.h) < 1e-13
-        assert grid16.zq.min() > -grid16.h and grid16.zq.max() < 0
+        assert grid16.nodes.w.min() > 0
+        assert abs(grid16.nodes.w.sum() - grid16.h) < 1e-13
+        assert grid16.nodes.z.min() > -grid16.h and grid16.nodes.z.max() < 0
 
     def test_quadrature_orthogonality(self):
         for nz in (2, 8, 16, 32):
             g = Grid(8, 8, nz)
-            C = g.cos_table
-            gram = (2.0 / g.h) * (C * g.wq) @ C.T
+            C = g.nodes.cos
+            gram = (2.0 / g.h) * (C * g.nodes.w) @ C.T
             assert np.max(np.abs(gram - np.eye(nz))) < 1e-13
 
 
@@ -80,7 +81,7 @@ class TestTransforms:
     def test_single_basis_function(self, grid16):
         f = single_mode(grid16, 0, 0, 0, 0, 1.0, components=1)
         phys = to_physical(f)
-        expected = np.cos(grid16.lam[0] * grid16.zq)
+        expected = np.cos(grid16.lam[0] * grid16.nodes.z)
         assert np.max(np.abs(phys.values[0] - expected[None, None, :])) < 1e-13
 
     def test_round_trip(self, grid16, rng):
@@ -203,7 +204,7 @@ class TestNorms:
             return (hw * np.sum(a**p, axis=(0, 1))) ** (1 / p)
 
         def depth_norm(s, q):
-            return s.max() if q == np.inf else np.sum(g.wq * s**q) ** (1 / q)
+            return s.max() if q == np.inf else np.sum(g.nodes.w * s**q) ** (1 / q)
 
         assert lp_norm(f, p) == pytest.approx(depth_norm(slab_norm(mag, p), p), rel=1e-13)
 
@@ -243,7 +244,7 @@ class TestNorms:
         quad = float(
             np.sum(
                 np.sum(to_physical(f).values * to_physical(g).values, axis=0)
-                @ grid16.wq
+                @ grid16.nodes.w
             )
             / (grid16.nx * grid16.ny)
         )
@@ -264,6 +265,32 @@ class TestAveragedField:
         assert np.allclose(s.coeffs, 2 * f.coeffs - g.coeffs)
         with pytest.raises(ConfigurationError):
             f + to_physical(g)
+
+
+G8 = Grid(8, 8, 4)
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ImexConfig(dt=1e-3, t_end=0), "end time must be > 0"),
+        (lambda: eigenmode(G8, (5, 0), 0), "outside grid 8x8"),
+        (lambda: StokesOperator(G8).to_eigen(zeros_spectral(G8, components=1)),
+         "acts on 2-component velocities"),
+        (lambda: zeros_spectral(G8) + zeros_spectral(Grid(8, 8, 6)),
+         "fields live on different grids"),
+    ], ids=["imex-t-end", "eigenmode-k", "to-eigen-components", "add-grids"])
+    def test_raises_naming_the_fault(self, call, message):
+        with pytest.raises(ConfigurationError, match=message):
+            call()
+
+    @pytest.mark.parametrize("cls, shape", [(SpectralField, (2, 8, 8, 4)),
+                                            (AveragedField, (2, 8, 8))],
+                             ids=["spectral", "averaged"])
+    def test_real_coefficients_are_stored_complex(self, cls, shape):
+        real = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        f = cls(G8, real)
+        assert f.coeffs.dtype == complex
+        assert np.array_equal(f.coeffs, real)
 
 
 class TestRandomSpectral:

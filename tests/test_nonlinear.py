@@ -43,10 +43,10 @@ def reference_advect(v, v_adv):
     def nodes(c, table):
         return np.fft.ifft2(c, axes=(1, 2), norm="forward").real @ table
 
-    va = nodes(ca, g.cos_table)
-    w = nodes((ikx * ca[0] + iky * ca[1])[None], g.w_table)[0]
-    prod = (va[0] * nodes(ikx * cv, g.cos_table) + va[1] * nodes(iky * cv, g.cos_table)
-            + w * nodes(cv, g.dz_table))
+    va = nodes(ca, g.nodes.cos)
+    w = nodes((ikx * ca[0] + iky * ca[1])[None], g.nodes.wint)[0]
+    prod = (va[0] * nodes(ikx * cv, g.nodes.cos) + va[1] * nodes(iky * cv, g.nodes.cos)
+            + w * nodes(cv, g.nodes.dz))
     return np.fft.fft2(g.vertical_to_modes(prod), axes=(1, 2), norm="forward") * mask
 
 
@@ -110,7 +110,7 @@ class TestAdvect:
         v = sine_x_mode(g)
         out = to_physical(advect(v))
         ones = g.vertical_to_modes(np.ones(g.nzq)) * dealias_mask(g)[0, 0]
-        profile = ones @ g.cos_table
+        profile = ones @ g.nodes.cos
         x = np.arange(g.nx) / g.nx
         exact = np.pi * np.sin(4 * np.pi * x)[:, None, None] * profile[None, None, :]
         assert np.max(np.abs(out.values[0] - exact)) < 1e-10

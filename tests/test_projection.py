@@ -139,7 +139,7 @@ class TestProject:
                 np.fft.ifft2(m1.coeffs, axes=(1, 2), norm="forward")
             )[..., None]
             norm_out = float(
-                np.sqrt(np.sum(np.sum(phys**2, axis=0) @ g.wq) / (g.nx * g.ny))
+                np.sqrt(np.sum(np.sum(phys**2, axis=0) @ g.nodes.w) / (g.nx * g.ny))
             )
             assert norm_out <= l2_norm(v) * (1 + 1e-10)
 

@@ -139,7 +139,7 @@ def test_checkpoint_round_trip_is_bit_exact(grid, comps, seed):
 @given(grids, seeds)
 def test_vertical_to_modes_inverts_synthesis(grid, seed):
     c = np.random.default_rng(seed).standard_normal((3, grid.nz))
-    back = grid.vertical_to_modes(c @ grid.cos_table)
+    back = grid.vertical_to_modes(c @ grid.nodes.cos)
     assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
 
 
@@ -159,12 +159,12 @@ def horizontal_sum(grid, c):
 @given(grids, components, seeds)
 def test_synthesis_is_the_direct_sum(grid, comps, seed):
     c = random_coeffs((comps, grid.nx, grid.ny, grid.nz), seed)
-    lz = np.outer(grid.lam, grid.zq)
+    lz = np.outer(grid.lam, grid.nodes.z)
     tol = 1e-12 * np.sum(np.abs(c))
     phi = horizontal_sum(grid, c @ np.cos(lz))
     assert np.max(np.abs(to_physical(SpectralField(grid, c)).values - phi)) <= tol
     dz_phi = horizontal_sum(grid, c @ (-grid.lam[:, None] * np.sin(lz)))
-    assert np.max(np.abs(synthesize(grid, c, grid.dz_table).values - dz_phi)) <= tol
+    assert np.max(np.abs(synthesize(grid, c, grid.nodes.dz).values - dz_phi)) <= tol
 
 
 @few
@@ -199,7 +199,7 @@ def test_F_is_minus_constrain_of_advect(grid, seed):
 @given(grids, components, seeds)
 def test_to_physical_is_the_real_part_of_ifft2(grid, comps, seed):
     c = random_coeffs((comps, grid.nx, grid.ny, grid.nz), seed)
-    ref = np.fft.ifft2(c, axes=(1, 2), norm="forward").real @ grid.cos_table
+    ref = np.fft.ifft2(c, axes=(1, 2), norm="forward").real @ grid.nodes.cos
     got = to_physical(SpectralField(grid, c)).values
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
