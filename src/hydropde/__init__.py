@@ -11,7 +11,7 @@ from .fields import (
     to_spectral,
 )
 from .projection import SurfacePressure, constrain, project, solve_surface_poisson
-from .stokes import StokesOperator, assemble_block, eigenmode
+from .stokes import StokesOperator, eigenmode
 from .nonlinear import F, advect
 from .evolution import (
     ForcingSpec,
@@ -44,7 +44,6 @@ __all__ = [
     "SurfacePressure",
     "TrajectoryLedger",
     "advect",
-    "assemble_block",
     "constrain",
     "eigenmode",
     "imex_run",

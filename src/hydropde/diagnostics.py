@@ -47,7 +47,7 @@ def _check_entries(row: dict):
             raise ConfigurationError(f"estimate record entry {name} = {val}")
 
 
-def _momentum_balance(state: SpectralField, f_field: SpectralField | None = None):
+def momentum_balance(state: SpectralField, f_field: SpectralField | None = None):
     """m = advect(v) - Delta v - f, so that dt v + m + grad_H pi = 0."""
     g = state.grid
     m = advect(state).coeffs + g.laplace_symbol * state.coeffs
@@ -56,13 +56,13 @@ def _momentum_balance(state: SpectralField, f_field: SpectralField | None = None
     return SpectralField(g, m)
 
 
-def trajectory_pressure(state: SpectralField, f_field: SpectralField | None = None,
-                        balance: SpectralField | None = None):
+def trajectory_pressure(state: SpectralField, balance: SpectralField | None = None):
     """Surface pressure: Delta_H pi = -div_H avg(m) for the momentum balance m.
 
-    balance is m = _momentum_balance(state, f_field) if the caller has it.
+    balance is m = momentum_balance(state, f_field) if the caller has it,
+    and the unforced balance otherwise.
     """
-    m = _momentum_balance(state, f_field) if balance is None else balance
+    m = momentum_balance(state) if balance is None else balance
     return solve_surface_poisson(-vertical_average(m))
 
 
@@ -96,7 +96,7 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> dict:
         "grad_h_bar": float(np.sum(g.k2[None] * np.abs(vbar.coeffs) ** 2)),
         "vz2": float(np.sum(g.lam**2 * p2)),
         "tilde4": lp_norm(PhysicalField(g, tilde_values(state)), 4) ** 4,
-        "grad_pi": float(np.sum(g.k2 * np.abs(pi.coeffs) ** 2)) if pi is not None else 0.0,
+        "grad_pi": float(np.sum(g.k2 * np.abs(pi.coeffs) ** 2)),
         "vz3": lp_norm(synthesize(g, state.coeffs, g.nodes.dz), 3) ** 3,
         "dtv2": float(dtv2),
         "h1": float(np.sum(g.sobolev_symbol * p2)),
@@ -123,9 +123,9 @@ def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None) -
         if hi - lo == 2:
             dt_v = op.from_eigen_flat(dy)
     t, state = times[i], ledger.states[i]
-    m = _momentum_balance(state, forcing_eval(forcing, t) if forcing is not None else None)
-    pi = trajectory_pressure(state, balance=m)
-    split = split_residuals(state, pi, dt_v=dt_v, balance=m)
+    m = momentum_balance(state, forcing_eval(forcing, t) if forcing is not None else None)
+    pi = trajectory_pressure(state, m)
+    split = split_residuals(state, pi, m, dt_v)
     del dt_v, m  # gone before record's syntheses, the sample's largest arrays
     return {**record(state, t, pi, dtv2), **split}
 
@@ -224,7 +224,6 @@ def gronwall_monitor(table) -> GronwallReport:
 class DecayFit:
     rate: float
     amplitude: float
-    residual: float
 
 
 def decay_fit(table, quantity="e2") -> DecayFit:
@@ -247,28 +246,23 @@ def decay_fit(table, quantity="e2") -> DecayFit:
         t, q = t[:stop], q[:stop]
     if len(t) < 10:
         raise ConfigurationError("decay fit needs >= 10 positive tail samples")
-    coef, res = np.polynomial.polynomial.polyfit(t, np.log(q), 1, full=True)
-    rate = -float(coef[1])
-    amplitude = math.exp(float(coef[0]))
-    residual = float(res[0][0]) if len(res[0]) else 0.0
-    return DecayFit(rate, amplitude, residual)
+    coef = np.polynomial.polynomial.polyfit(t, np.log(q), 1)
+    return DecayFit(-float(coef[1]), math.exp(float(coef[0])))
 
 
 # -- barotropic / baroclinic split ---------------------------------------
 
 
-def split_residuals(state: SpectralField, pi, dt_v: SpectralField | None = None,
-                    f_field: SpectralField | None = None,
-                    balance: SpectralField | None = None) -> dict:
+def split_residuals(state: SpectralField, pi, m: SpectralField,
+                    dt_v: SpectralField | None = None) -> dict:
     """Residuals of the averaged (L^2(G)) and fluctuation (L^2) momentum equations.
 
-    r = dt v + m for the momentum balance m (balance, if the caller has it).
+    r = dt v + m for the momentum balance m = momentum_balance(state, f).
     With dt_v omitted, dt v is -P m (P = constrain), the semi-discrete
     right-hand side of a state on the constraint manifold, and both residuals
     vanish to rounding; along a marched trajectory pass dt_v from finite
     differences to test the integrator.
     """
-    m = _momentum_balance(state, f_field) if balance is None else balance
     r = m - constrain(m) if dt_v is None else dt_v + m
     r_bar = vertical_average(r) + pi.gradient()
     scale = max(l2_norm(state), 1e-300)

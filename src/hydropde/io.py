@@ -4,10 +4,10 @@ Checkpoint layout: one ASCII header line
 
     HYDROPDE1 nx ny nz h components
 
-followed by little-endian 8-byte floats, coefficients in
-(component, kx, ky, m) row-major order with real and imaginary parts
-interleaved.  The depth h is written with repr so a save/load round trip
-is bit-exact.
+followed by the coefficients as little-endian complex128 (real and
+imaginary float64 parts interleaved) in (component, kx, ky, m) row-major
+order.  The depth h is written with repr so a save/load round trip is
+bit-exact.
 
 Ledger CSV: the ledger table ({column name: list of floats}, as
 diagnostics.build_records returns it) written as a version comment
@@ -36,14 +36,6 @@ LEDGER_COLUMNS = (
 )
 
 
-def _interleave(coeffs):
-    flat = np.ascontiguousarray(coeffs).ravel()
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out.astype("<f8")
-
-
 def save_checkpoint(path, field: SpectralField):
     """Write a SpectralField."""
     if not isinstance(field, SpectralField):
@@ -51,7 +43,7 @@ def save_checkpoint(path, field: SpectralField):
     g = field.grid
     with open(path, "wb") as fh:
         fh.write(f"HYDROPDE1 {g.nx} {g.ny} {g.nz} {g.h!r} {field.components}\n".encode("ascii"))
-        fh.write(_interleave(field.coeffs).tobytes())
+        fh.write(np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes())
 
 
 def load_checkpoint(path, grid: Grid | None = None) -> SpectralField:
@@ -65,19 +57,15 @@ def load_checkpoint(path, grid: Grid | None = None) -> SpectralField:
             raise ValueError("not a HYDROPDE1 checkpoint")
         nx, ny, nz, comp = (int(header[i]) for i in (1, 2, 3, 5))
         h = float(header[4])
-        data = np.frombuffer(raw, dtype="<f8")
-        if comp not in (1, 2) or data.size != 2 * comp * nx * ny * nz:
-            raise ValueError(f"{data.size} floats for a {comp}x{nx}x{ny}x{nz} complex field")
+        if comp not in (1, 2) or len(raw) != 16 * comp * nx * ny * nz:
+            raise ValueError(f"{len(raw)} bytes for a {comp}x{nx}x{ny}x{nz} complex field")
         if grid is None:
             grid = Grid(nx, ny, nz, h)
         elif (grid.nx, grid.ny, grid.nz, grid.h) != (nx, ny, nz, h):
             raise ValueError("grid mismatch with checkpoint header")
     except ValueError as err:  # ConfigurationError from Grid included
         raise ConfigurationError(f"{path}: {err}") from None
-    # assign parts separately so signed zeros survive the round trip
-    coeffs = np.empty(data.size // 2, complex)
-    coeffs.real = data[0::2]
-    coeffs.imag = data[1::2]
+    coeffs = np.frombuffer(raw, dtype="<c16").astype(complex)  # a writable copy of every bit
     return SpectralField(grid, coeffs.reshape(comp, nx, ny, nz))
 
 

@@ -41,9 +41,6 @@ class SurfacePressure:
         gy = 2j * np.pi * g.ky[None, :] * self.coeffs
         return AveragedField(g, np.stack([gx, gy]))
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
-
 
 def solve_surface_poisson(f: AveragedField) -> SurfacePressure:
     """Solve Delta_H pi = div_H f on G with zero mean.

@@ -20,8 +20,7 @@ real field is kept by one Hermitian half of its wavenumbers off the Nyquist
 lines, with weights for the mirrored rows (see StokesOperator).  Semigroup,
 shifted solves and resolvent are scalar functions of A, diagonal in these
 coordinates, so the semigroup law and decay bounds hold at rounding accuracy
-on the discrete operator.  The dense per-wavenumber assembly (assemble_block) is kept as
-the reference the tests compare against.
+on the discrete operator.
 """
 
 from dataclasses import dataclass
@@ -35,18 +34,6 @@ from .grid import Grid
 from .projection import constrain, solve_surface_poisson
 
 
-@dataclass(frozen=True)
-class StokesBlock:
-    """Dense realization at a single wavenumber, reduced to the constraint manifold."""
-
-    k: tuple
-    lam_diag: np.ndarray       # (2 nz,) diagonal of Lambda
-    basis: np.ndarray          # (2 nz, r) orthonormal basis of the constraint manifold
-    reduced: np.ndarray        # (r, r) SPD reduced block
-    eigenvalues: np.ndarray    # (r,) ascending
-    eigenvectors: np.ndarray   # (r, r)
-
-
 def _householder_basis(n):
     """Orthonormal basis of the hyperplane orthogonal to n (n != 0)."""
     nhat = n / np.linalg.norm(n)
@@ -55,22 +42,6 @@ def _householder_basis(n):
     u = nhat + e
     H = np.eye(len(n)) - 2.0 * np.outer(u, u) / (u @ u)
     return H[:, 1:]
-
-
-def assemble_block(grid: Grid, k) -> StokesBlock:
-    """Reference (single-wavenumber) block assembly."""
-    kx, ky = int(k[0]), int(k[1])
-    if kx not in grid.kx or ky not in grid.ky:
-        raise ConfigurationError(f"wavenumber {k} outside grid {grid.nx}x{grid.ny}")
-    lam_diag = np.tile(4 * np.pi**2 * (kx**2 + ky**2) + grid.lam**2, 2)
-    if kx == 0 and ky == 0:
-        Q = np.eye(2 * grid.nz)
-    else:
-        Q = _householder_basis(np.concatenate([kx * grid.avg_factor, ky * grid.avg_factor]))
-    R = (Q.T * lam_diag) @ Q
-    R = 0.5 * (R + R.T)
-    w, U = np.linalg.eigh(R)
-    return StokesBlock((kx, ky), lam_diag, Q, R, w, U)
 
 
 def eigenmode(grid: Grid, k, m, amplitude=1.0) -> SpectralField:

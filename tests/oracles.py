@@ -2,8 +2,8 @@
 
 Each oracle is the plain, field-form, whole-list or full-plane version of
 something the package computes a faster way, kept here rather than in
-`src/` because only the tests call it (the dense `stokes.assemble_block`
-stays in the package, since the north star keeps it there).
+`src/` because only the tests call it.  The dense oracle of the Stokes
+operator's eigenvalues is `test_stokes.oracle_eigenvalues`.
 """
 
 import math

@@ -11,6 +11,7 @@ from hydropde.diagnostics import (
     energy_budget,
     gronwall_monitor,
     ledger_sample,
+    momentum_balance,
     record,
     split_residuals,
     summarize,
@@ -63,9 +64,9 @@ class TestRecord:
         z = zeros_spectral(grid8)
         nan = SpectralField(grid8, np.full_like(z.coeffs, np.nan))
         with pytest.raises(ConfigurationError):
-            record(nan, 0.0, None)
+            record(nan, 0.0, trajectory_pressure(z))
         with pytest.raises(ConfigurationError, match="dtv2"):
-            record(z, 0.0, None, dtv2=-1.0)
+            record(z, 0.0, trajectory_pressure(z), dtv2=-1.0)
 
     def test_d2_splits_into_parts(self, grid8, rng):
         # ||grad v||^2 = horizontal part + vertical part; vz2 is the vertical
@@ -177,8 +178,8 @@ class TestDecayFit:
 class TestSplitResiduals:
     def test_semi_discrete_residuals_vanish(self, grid8, rng):
         v = constrain(random_spectral(grid8, 2, rng, amplitude=0.1))
-        pi = trajectory_pressure(v)
-        s = split_residuals(v, pi)
+        m = momentum_balance(v)
+        s = split_residuals(v, trajectory_pressure(v, m), m)
         assert s["bar_residual"] < 1e-10
         assert s["tilde_residual"] < 1e-10
 
@@ -196,9 +197,10 @@ class TestSplitResiduals:
             adv = advect(v)
             dt_v = -op8.apply(v) - constrain(adv) + constrain(f)
             r = dt_v + adv - SpectralField(grid8, lap * v.coeffs) - f
-            pi = trajectory_pressure(v, f if forced else None)
+            m = momentum_balance(v, f if forced else None)
+            pi = trajectory_pressure(v, m)
             for p in (pi, SurfacePressure(grid8, 2 * pi.coeffs)):
-                got = split_residuals(v, p, f_field=f if forced else None)
+                got = split_residuals(v, p, m)
                 want = {"bar_residual": (vertical_average(r) + p.gradient()).l2_norm(),
                         "tilde_residual": l2_norm(fluctuation(r))}
                 for name, val in want.items():
@@ -207,7 +209,7 @@ class TestSplitResiduals:
 
     def test_zero_state(self, grid8):
         z = zeros_spectral(grid8)
-        s = split_residuals(z, trajectory_pressure(z))
+        s = split_residuals(z, trajectory_pressure(z), momentum_balance(z))
         assert s["bar_residual"] == s["tilde_residual"] == 0.0
 
     def test_marched_trajectory_residuals_small(self, grid8, op8):
@@ -218,8 +220,8 @@ class TestSplitResiduals:
         dt_v = (1.0 / (led.columns["t"][i + 1] - led.columns["t"][i - 1])) * (
             led.states[i + 1] - led.states[i - 1]
         )
-        pi = trajectory_pressure(led.states[i])
-        s = split_residuals(led.states[i], pi, dt_v=dt_v)
+        m = momentum_balance(led.states[i])
+        s = split_residuals(led.states[i], trajectory_pressure(led.states[i], m), m, dt_v)
         assert s["bar_residual"] < 1e-4
         assert s["tilde_residual"] < 1e-4
 
@@ -246,8 +248,9 @@ class TestBuildRecords:
         assert all(np.isfinite(x) for x in table["h2"])
 
     def test_split_matches_standalone_oracle(self, grid8, op8):
-        # the sampler shares one advect between pressure and split residuals;
-        # the standalone functions, each advecting on its own, are the reference
+        # the sampler shares one momentum balance between pressure and split
+        # residuals; the standalone functions, each given a balance of its
+        # own, are the reference
         spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=0.01))
         a = eigenmode(grid8, (1, 0), 0, amplitude=0.01)
         led = imex_run(a, spec, ImexConfig(dt=1e-3, t_end=0.02, sample_every=4), op8)
@@ -260,8 +263,8 @@ class TestBuildRecords:
                 dt_v = (1.0 / (led.columns["t"][i + 1] - led.columns["t"][i - 1])) * (
                     led.states[i + 1] - led.states[i - 1])
             f = forcing_eval(spec, led.columns["t"][i])
-            oracle = split_residuals(state, trajectory_pressure(state, f),
-                                     dt_v=dt_v, f_field=f)
+            pi = trajectory_pressure(state, momentum_balance(state, f))
+            oracle = split_residuals(state, pi, momentum_balance(state, f), dt_v)
             assert {name: table[name][i] for name in oracle} == oracle
 
     def test_forms_dt_v_at_interior_samples_alone(self, short_run, monkeypatch):

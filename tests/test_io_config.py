@@ -42,6 +42,8 @@ class TestCheckpoint:
         back = load_checkpoint(p)
         assert back.grid == grid16
         assert np.array_equal(back.coeffs, v.coeffs)
+        # a complex128 array of its own, not a read-only view of the file
+        assert back.coeffs.dtype == np.complex128 and back.coeffs.flags.writeable
         # byte-identical on rewrite
         p2 = tmp_path / "state2.ckpt"
         save_checkpoint(p2, back)
@@ -71,12 +73,16 @@ class TestCheckpoint:
     def test_bad_header(self, grid16, tmp_path):
         p = tmp_path / "junk.ckpt"
         # a wrong magic word, the nz = 0 header surface pressures once had, a
-        # field that is not a number, data shorter than the header says, and
-        # three components
+        # field that is not a number, data shorter than the header says, data
+        # that is not a whole number of complex values (half a value short,
+        # one byte too long), and three components
+        n = 2 * 8 * 8 * 4
         for header, size in ((b"NOTACKPT 1 2 3 4 5\n", 16 * 16 * 16),
                              (b"HYDROPDE1 16 16 0 1.0 1\n", 16 * 16 * 16),
                              (b"HYDROPDE1 8 8 x 1.0 2\n", 64),
                              (b"HYDROPDE1 8 8 4 1.0 2\n", 64),
+                             (b"HYDROPDE1 8 8 4 1.0 2\n", 16 * n - 8),
+                             (b"HYDROPDE1 8 8 4 1.0 2\n", 16 * n + 1),
                              (b"HYDROPDE1 8 8 4 1.0 3\n", 3 * 8 * 8 * 4 * 16)):
             p.write_bytes(header + bytes(size))
             for grid in (None, grid16):

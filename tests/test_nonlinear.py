@@ -1,8 +1,9 @@
 """Transport nonlinearity: polarization, energy neutrality, hand examples, node sets.
 
-reference_advect is the test oracle for advect, as stokes.assemble_block is
-for the Stokes operator: five full-spectrum syntheses and one complex FFT
-back, with none of advect's half-spectrum or mode truncation.
+reference_advect is the test oracle for advect, as
+test_stokes.oracle_eigenvalues is for the Stokes operator: five
+full-spectrum syntheses and one complex FFT back, with none of advect's
+half-spectrum or mode truncation.
 """
 
 import tracemalloc
