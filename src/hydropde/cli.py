@@ -50,8 +50,8 @@ def _set_up(cfg: RunConfig):
     return op, mms.solution(0.0) if cfg.ic.kind == "manufactured" else a, mms
 
 
-def _emit_outputs(cfg, ledger, forcing, extra):
-    table = diag.build_records(ledger, forcing)
+def _emit_outputs(cfg, ledger, extra):
+    table = diag.build_records(ledger)
     write_ledger_csv(cfg.out_ledger, table)
     report = diag.summarize(table)
     report.update(extra)
@@ -61,12 +61,12 @@ def _emit_outputs(cfg, ledger, forcing, extra):
     return report
 
 
-def _trim_overflowed(ledger, forcing):
+def _trim_overflowed(ledger):
     """Drop trailing samples whose diagnostics overflow (blow-up aborts only)."""
     while len(ledger.coords) > 1:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                diag.ledger_sample(ledger, len(ledger.coords) - 1, forcing)
+                diag.ledger_sample(ledger, len(ledger.coords) - 1)
             break
         except ConfigurationError:
             for col in (*ledger.columns.values(), ledger.coords):
@@ -95,12 +95,11 @@ def cmd_run(args):
     try:
         ledger = imex_run(a, forcing, icfg, op)
     except NanAbort as err:
-        _emit_outputs(cfg, _trim_overflowed(err.ledger, forcing), forcing,
-                      extra={"status": "nan-abort"})
+        _emit_outputs(cfg, _trim_overflowed(err.ledger), extra={"status": "nan-abort"})
         print(f"aborted: {err}", file=sys.stderr)
         return 2
     del a  # the output stage reads the ledger alone
-    _emit_outputs(cfg, ledger, forcing, extra={"status": "completed"})
+    _emit_outputs(cfg, ledger, extra={"status": "completed"})
     t, e2 = ledger.columns["t"][-1], ledger.columns["e2"][-1]
     print(f"completed t = {t:g}, E2 = {e2:.6e}")
     return 0
@@ -120,7 +119,7 @@ def cmd_picard(args):
         "picard_k_history": list(report.k_history),
         "picard_changes": list(report.change_history),
     }
-    _emit_outputs(cfg, ledger, forcing, extra=extra)
+    _emit_outputs(cfg, ledger, extra=extra)
     if not report.converged:
         why = (f"diverged: k = {report.k_history[-1]:.6e} passed the ceiling {K_CEILING:g}"
                if report.diverged else "did not converge")

@@ -33,7 +33,7 @@ from .fields import (
 )
 from .nonlinear import advect
 from .projection import constrain, solve_surface_poisson
-from .evolution import Forcing, TrajectoryLedger, forcing_eval
+from .evolution import TrajectoryLedger, forcing_eval
 
 
 def _check_entries(row: dict):
@@ -106,13 +106,14 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> dict:
     return row
 
 
-def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None) -> dict:
+def ledger_sample(ledger: TrajectoryLedger, i) -> dict:
     """Row of sample i: record's norms and the split residuals, from one balance m.
 
-    dt v is the difference quotient dy of the neighbouring samples'
-    coordinates and dtv2 its norm; only a centred sample forms dy's field,
-    for the split residuals, and the end samples of a trajectory with >= 2
-    samples take the semi-discrete right-hand side there instead.
+    m is formed under ledger.forcing, the trajectory's own.  dt v is the
+    difference quotient dy of the neighbouring samples' coordinates and dtv2
+    its norm; only a centred sample forms dy's field, for the split
+    residuals, and the end samples of a trajectory with >= 2 samples take
+    the semi-discrete right-hand side there instead.
     """
     times, y, op = ledger.columns["t"], ledger.coords, ledger.op
     lo, hi = max(i - 1, 0), min(i + 1, len(y) - 1)
@@ -122,15 +123,15 @@ def ledger_sample(ledger: TrajectoryLedger, i, forcing: Forcing | None = None) -
         dtv2 = op.norm(dy) ** 2
         if hi - lo == 2:
             dt_v = op.from_eigen_flat(dy)
-    t, state = times[i], ledger.states[i]
-    m = momentum_balance(state, forcing_eval(forcing, t) if forcing is not None else None)
+    t, state, f = times[i], ledger.states[i], ledger.forcing
+    m = momentum_balance(state, None if f is None else forcing_eval(f, t))
     pi = trajectory_pressure(state, m)
     split = split_residuals(state, pi, m, dt_v)
     del dt_v, m  # gone before record's syntheses, the sample's largest arrays
     return {**record(state, t, pi, dtv2), **split}
 
 
-def build_records(ledger: TrajectoryLedger, forcing: Forcing | None = None) -> dict:
+def build_records(ledger: TrajectoryLedger) -> dict:
     """One pass over a sampled trajectory: the full ledger table.
 
     The ledger's columns (copied) come first, then the columns of the rows
@@ -138,7 +139,7 @@ def build_records(ledger: TrajectoryLedger, forcing: Forcing | None = None) -> d
     """
     table = {name: list(col) for name, col in ledger.columns.items()}
     for i in range(len(ledger.coords)):
-        for name, val in ledger_sample(ledger, i, forcing).items():
+        for name, val in ledger_sample(ledger, i).items():
             table.setdefault(name, []).append(val)
     return table
 

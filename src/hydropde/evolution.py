@@ -38,8 +38,8 @@ class PicardConfig:
     nonlinear: bool = True
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ConfigurationError(f"Picard horizon must be > 0, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigurationError(f"Picard horizon must be finite and > 0, got {self.horizon}")
         if self.nodes < 4:
             raise ConfigurationError(f"Picard needs >= 4 nodes, got {self.nodes}")
         if self.max_iterations < 1:
@@ -60,8 +60,8 @@ class ImexConfig:
     nonlinear: bool = True
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigurationError(f"step size must be > 0, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigurationError(f"step size must be finite and > 0, got {self.dt}")
         if not self.t_end > 0:
             raise ConfigurationError(f"end time must be > 0, got {self.t_end}")
         if self.order not in (1, 2):
@@ -96,6 +96,7 @@ class _Fields(Sequence):
 class TrajectoryLedger:
     """Sampled trajectory: its op.to_eigen_flat coordinates and the integrator's columns.
 
+    forcing is the Forcing (None for none) the trajectory was integrated under.
     columns holds one list of floats per series: the sample times t, the
     energy e2 = ||v||^2 and dissipation d2 = ||grad v||^2, d2_int carrying
     int_0^t ||grad v||^2 ds and fwork_int carrying int_0^t <P f, v> ds.  The
@@ -104,6 +105,7 @@ class TrajectoryLedger:
     """
 
     op: StokesOperator
+    forcing: "Forcing | None"
     coords: list = field(default_factory=list)
     columns: dict = field(default_factory=lambda: {
         name: [] for name in ("t", "e2", "d2", "d2_int", "fwork_int")})
@@ -319,7 +321,7 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
         elif change <= cfg.tolerance * max(scale, 1e-300) or change == 0.0:
             converged = True
 
-    ledger = TrajectoryLedger(op)
+    ledger = TrajectoryLedger(op, f_ext)
     for t, y in zip(times, vm):
         ledger.append(t, y, *budget(y, f_at(t) if f_at else None))
     report = PicardReport(converged, diverged, len(change_hist),
@@ -344,7 +346,7 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
         raise ConfigurationError(
             f"step size {cfg.dt} too large for data of amplitude {vmax:.3g}")
 
-    ledger = TrajectoryLedger(op)
+    ledger = TrajectoryLedger(op, f_ext)
     dt = cfg.dt
     mu = op.eigenvalues
     budget = _Budget(op, dt)

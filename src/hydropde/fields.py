@@ -37,29 +37,29 @@ def _check_shape(array, tail, what):
 
 
 class _Linear:
-    """Vector-space operations of a field on its one array, named by _array."""
+    """Vector-space operations of a coefficient field on its coeffs."""
 
     def _other(self, other):
         _require_same_grid(self, other, type(self))
-        return getattr(other, self._array)
+        return other.coeffs
 
     @property
     def components(self):
-        return getattr(self, self._array).shape[0]
+        return self.coeffs.shape[0]
 
     def __add__(self, other):
-        return type(self)(self.grid, getattr(self, self._array) + self._other(other))
+        return type(self)(self.grid, self.coeffs + self._other(other))
 
     def __sub__(self, other):
-        return type(self)(self.grid, getattr(self, self._array) - self._other(other))
+        return type(self)(self.grid, self.coeffs - self._other(other))
 
     def __mul__(self, scalar):
-        return type(self)(self.grid, getattr(self, self._array) * scalar)
+        return type(self)(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return type(self)(self.grid, -getattr(self, self._array))
+        return type(self)(self.grid, -self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class SpectralField(_Linear):
 
     grid: Grid
     coeffs: np.ndarray
-    _array = "coeffs"
 
     def __post_init__(self):
         _check_shape(self.coeffs, (self.grid.nx, self.grid.ny, self.grid.nz), "SpectralField")
@@ -77,12 +76,11 @@ class SpectralField(_Linear):
 
 
 @dataclass(frozen=True)
-class PhysicalField(_Linear):
+class PhysicalField:
     """Collocation values f[comp, x_i, y_j, z_q] on the quadrature grid."""
 
     grid: Grid
     values: np.ndarray
-    _array = "values"
 
     def __post_init__(self):
         _check_shape(self.values, (self.grid.nx, self.grid.ny, self.grid.nzq), "PhysicalField")
@@ -94,7 +92,6 @@ class AveragedField(_Linear):
 
     grid: Grid
     coeffs: np.ndarray
-    _array = "coeffs"
 
     def __post_init__(self):
         _check_shape(self.coeffs, (self.grid.nx, self.grid.ny), "AveragedField")

@@ -119,13 +119,12 @@ def bilinear_estimate_probe(grid: Grid, samples=20, seed=0) -> BilinearProbeRepo
     prev = None
     for _ in range(samples):
         v = constrain(random_spectral(grid, 2, rng, kmax=3, mmax=3))
-        nv = sobolev_norm(v, 1.5)
-        ratios.append(l2_norm(F(v)) / nv**2)
+        fv, nv = F(v), sobolev_norm(v, 1.5)
+        ratios.append(l2_norm(fv) / nv**2)
         if prev is not None:
-            diff = l2_norm(F(v) - F(prev))
-            denom = (sobolev_norm(v, 1.5) + sobolev_norm(prev, 1.5)) * sobolev_norm(v - prev, 1.5)
-            lip.append(diff / denom)
-        prev = v
+            u, fu, nu = prev
+            lip.append(l2_norm(fv - fu) / ((nv + nu) * sobolev_norm(v - u, 1.5)))
+        prev = v, fv, nv
     return BilinearProbeReport(
         ratios=tuple(ratios),
         m_hat=max(ratios),

@@ -145,7 +145,7 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
         elif change <= cfg.tolerance * max(scale, 1e-300) or change == 0.0:
             converged = True
 
-    ledger = TrajectoryLedger(op)
+    ledger = TrajectoryLedger(op, f_ext)
     d2_int = 0.0
     fwork_int = 0.0
     prev = None
@@ -257,7 +257,7 @@ def reference_march(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
     dt, h2 = cfg.dt, g.h / 2
     v = constrain(a)
     y = eig(v)
-    ledger, states = TrajectoryLedger(op), [v]
+    ledger, states = TrajectoryLedger(op, f_ext), [v]
     d2_int = fwork_int = 0.0
     fnext = f_eig(0.0)
     e2, d2, fw = budget(y, fnext)

@@ -22,7 +22,6 @@ from hydropde.fields import (
     l2_inner,
     l2_norm,
     random_spectral,
-    to_physical,
 )
 from hydropde.grid import Grid
 from hydropde.io import load_checkpoint, read_ledger_csv, save_checkpoint

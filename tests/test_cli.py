@@ -428,6 +428,15 @@ class TestMms:
         assert main(["mms", "--config", cfg, "--levels", "2", "--t-end", "0.05"]) == 2
         assert "too large" not in capsys.readouterr().err
 
+    def test_infinite_step_exits_one(self, tmp_path, capsys):
+        # with the CFL check switched off, dt = inf would march no step and
+        # report the initial data's error as the scheme's
+        cfg = write_config(tmp_path, SMALL_GRID + "ic = manufactured\nforcing = mms\n"
+                           "cfl_limit = inf\n")
+        assert main(["mms", "--config", cfg, "--dt", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert "step size must be finite" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("verb", ["run", "picard"])
     def test_forced_run_follows_manufactured_solution(self, tmp_path, verb, monkeypatch):
         # forcing = mms drives both integrators along the exact g(t) psi

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hydropde.config import manufactured_profile, parse_config
 from hydropde.diagnostics import (
     build_records,
     decay_fit,
@@ -18,7 +19,15 @@ from hydropde.diagnostics import (
     trajectory_pressure,
 )
 from hydropde.errors import ConfigurationError
-from hydropde.evolution import ForcingSpec, ImexConfig, forcing_eval, imex_run
+from hydropde.evolution import (
+    ForcingSpec,
+    ImexConfig,
+    PicardConfig,
+    forcing_eval,
+    imex_run,
+    make_manufactured,
+    picard_solve,
+)
 from hydropde.fields import (
     SpectralField,
     fluctuation,
@@ -244,8 +253,22 @@ class TestBuildRecords:
         spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=0.01))
         a = eigenmode(grid8, (1, 0), 0, amplitude=0.01)
         led = imex_run(a, spec, ImexConfig(dt=1e-3, t_end=0.05, sample_every=10), op8)
-        table = build_records(led, spec)
+        table = build_records(led)
         assert all(np.isfinite(x) for x in table["h2"])
+
+    def test_ledger_carries_its_forcing(self):
+        # the manufactured run's momentum balance closes only under its own
+        # forcing, which both integrators record on the ledger they return
+        cfg = parse_config("nx = 8\nny = 8\nnz = 4\nic = manufactured\nforcing = mms\n")
+        grid = cfg.grid()
+        op = StokesOperator(grid)
+        mms = make_manufactured(op, manufactured_profile(grid, cfg.ic))
+        a = mms.solution(0.0)
+        led = imex_run(a, mms, ImexConfig(dt=1e-3, t_end=5e-2, sample_every=5), op)
+        assert led.forcing is mms
+        assert summarize(build_records(led))["split_residual_max"] < 1e-4
+        led, _ = picard_solve(a, mms, PicardConfig(horizon=5e-2, max_iterations=2), op)
+        assert led.forcing is mms
 
     def test_split_matches_standalone_oracle(self, grid8, op8):
         # the sampler shares one momentum balance between pressure and split
@@ -254,7 +277,7 @@ class TestBuildRecords:
         spec = ForcingSpec(eigenmode(grid8, (1, 0), 0, amplitude=0.01))
         a = eigenmode(grid8, (1, 0), 0, amplitude=0.01)
         led = imex_run(a, spec, ImexConfig(dt=1e-3, t_end=0.02, sample_every=4), op8)
-        table = build_records(led, spec)
+        table = build_records(led)
         n = len(led.columns["t"])
         assert n >= 3 and len(table["bar_residual"]) == n
         for i, state in enumerate(led.states):

@@ -59,6 +59,13 @@ class TestConfigs:
             ImexConfig(dt=-1e-3, t_end=1.0)
         with pytest.raises(ConfigurationError):
             ImexConfig(dt=1e-3, t_end=1.0, order=3)
+        # a non-finite step or horizon would march no step, or form no node grid
+        for dt in (np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="step size must be finite and > 0"):
+                ImexConfig(dt=dt, t_end=1.0, cfl_limit=np.inf)
+        for horizon in (np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="horizon must be finite and > 0"):
+                PicardConfig(horizon=horizon)
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_picard_max_iterations_below_one_rejected(self, iterations):
@@ -93,7 +100,7 @@ class TestConfigs:
             ImexConfig(dt=dt, t_end=t_end)
 
     def test_ledger_requires_increasing_times(self, op8):
-        led = TrajectoryLedger(op8)
+        led = TrajectoryLedger(op8, None)
         led.append(0.0, None, 1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ConfigurationError):
             led.append(0.0, None, 1.0, 1.0, 0.0, 0.0)

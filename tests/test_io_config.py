@@ -19,7 +19,7 @@ from hydropde.config import (
 from hydropde.diagnostics import build_records
 from hydropde.errors import ConfigurationError
 from hydropde.evolution import ImexConfig, imex_run
-from hydropde.fields import l2_norm, random_spectral
+from hydropde.fields import random_spectral
 from hydropde.grid import Grid
 from hydropde.io import (
     LEDGER_COLUMNS,
@@ -30,7 +30,7 @@ from hydropde.io import (
     write_ledger_csv,
     write_report_json,
 )
-from hydropde.projection import SurfacePressure, constrain, divergence_of_average
+from hydropde.projection import SurfacePressure, divergence_of_average
 from hydropde.stokes import eigenmode
 
 

@@ -13,7 +13,6 @@ from hydropde.fields import (
     lp_norm,
     random_spectral,
     to_physical,
-    vertical_average,
 )
 from hydropde.grid import Grid
 from hydropde.projection import (
