@@ -62,8 +62,8 @@ class ImexConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigurationError(f"step size must be finite and > 0, got {self.dt}")
-        if not self.t_end > 0:
-            raise ConfigurationError(f"end time must be > 0, got {self.t_end}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ConfigurationError(f"end time must be finite and > 0, got {self.t_end}")
         if self.order not in (1, 2):
             raise ConfigurationError(f"scheme order must be 1 or 2, got {self.order}")
         if self.sample_every < 1:

@@ -9,9 +9,9 @@ vertical direction uses the cosine family
 which satisfies phi_m'(0) = 0 and phi_m(-h) = 0 exactly, so the rigid-lid /
 no-slip-bottom boundary conditions are built into the basis.  Vertical
 quadrature is Gauss-Legendre on (-h, 0); the node count is chosen so that
-triple products of basis functions integrate to near machine precision
-(needed for the discrete energy-neutrality of the advection term), with a
-smaller set for the dealiased modes the advection term keeps.
+triple products of basis functions integrate to near machine precision.
+The advection term projects its products of the dealiased modes exactly on
+a smaller set, Gauss-Legendre in t = -sin(pi z / 2h).
 """
 
 from dataclasses import dataclass
@@ -23,21 +23,21 @@ from .errors import ConfigurationError
 
 
 class VerticalNodes:
-    """Gauss-Legendre nodes z on (-h, 0), weights w, and the modes lam there.
+    """Nodes z on (-h, 0), weights w, and the modes lam there.
 
     cos, dz and wint: phi_m, dz phi_m = -lam_m sin(lam_m z) and int_z^0 phi_m =
     -sin(lam_m z) / lam_m at the nodes, shape (modes, nodes).  to_modes, shape
-    (nodes, modes): the quadrature projection times the inverse of the
-    ~identity quadrature Gram matrix, so that it inverts the cos synthesis exactly.
+    (nodes, modes): the quadrature projection (2/h) w cos, or with gram its
+    product with the inverse of the ~identity quadrature Gram matrix, so that
+    it inverts the cos synthesis exactly.
     """
 
-    def __init__(self, lam, h, n):
-        x, w = np.polynomial.legendre.leggauss(n)
-        self.z, self.w = -h / 2 + (h / 2) * x, w * (h / 2)
-        self.cos, sin = np.cos(np.outer(lam, self.z)), np.sin(np.outer(lam, self.z))
+    def __init__(self, lam, h, z, w, gram=False):
+        self.z, self.w = z, w
+        self.cos, sin = np.cos(np.outer(lam, z)), np.sin(np.outer(lam, z))
         self.dz, self.wint = -lam[:, None] * sin, -sin / lam[:, None]
-        B = (2.0 / h) * self.cos * self.w
-        self.to_modes = np.linalg.solve(B @ self.cos.T, B).T
+        B = (2.0 / h) * self.cos * w
+        self.to_modes = (np.linalg.solve(B @ self.cos.T, B) if gram else B).T
 
 
 @dataclass(frozen=True)
@@ -85,25 +85,44 @@ class Grid:
     def nzq(self):
         """Vertical quadrature node count of the grid (the L^p norms use it).
 
-        3*nz + 8 integrates products of three basis functions to ~1e-13, not
-        1e-14: at f = 1, advect is 2-5e-13 off a 6*nz + 40-node reference.
+        3*nz + 8 integrates products of three basis functions to ~1e-13.
         """
         return 3 * self.nz + 8
 
     @cached_property
     def nodes(self):
-        """The grid's vertical node set: nzq nodes, the tables of all nz modes."""
-        return VerticalNodes(self.lam, self.h, self.nzq)
+        """The grid's vertical node set: nzq Gauss-Legendre nodes, the tables of all nz modes."""
+        x, w = np.polynomial.legendre.leggauss(self.nzq)
+        return VerticalNodes(self.lam, self.h, -self.h / 2 + (self.h / 2) * x, w * (self.h / 2),
+                             gram=True)
 
     @cached_property
     def advect_nodes(self):
-        """advect's set: min(3 mk + 12, nzq) nodes for m < mk; nodes itself at nzq (f = 1).
+        """advect's set, which projects products of the modes m < mk exactly.
 
-        3 mk + 8 would be 7e-13 off a 6*nz + 40-node reference at nz <= 16.
+        Projected onto phi_m, such a product is a sum of cos((j + 1/2) pi z / h),
+        j <= 3 mk - 2, which z = -(2h/pi) arcsin t turns into even polynomials of
+        degree 2j in t: the ceil(n/2) nodes t >= 0 of the n = 3 mk - 1 point
+        Gauss-Legendre rule integrate them exactly, and to_modes is the plain
+        projection.  leggauss leaves s = 1 - t near t = 1 only ~1e-13 relative, so
+        Newton steps on P_n(1 - s), formed in s, refine s, and the weight
+        W = 2 / ((1 - t^2) P_n'(t)^2) is taken there.
         """
         mk = self.dealias_modes
-        n = min(3 * mk + 12, self.nzq)
-        return self.nodes if n == self.nzq else VerticalNodes(self.lam[:mk], self.h, n)
+        n = 3 * mk - 1
+        s = 1 - np.polynomial.legendre.leggauss(n)[0][n // 2:]
+        for _ in range(3):
+            P, d = np.ones_like(s), np.zeros_like(s)  # P_j(1 - s) and P_j - P_(j-1)
+            for j in range(n):
+                d = (j * d - (2 * j + 1) * s * P) / (j + 1)
+                P = P + d
+            dP = n * (d - s * P) / (s * (s - 2))  # P_n'(t)
+            s = s + P / dP
+        q = s * (2 - s)  # 1 - t^2
+        W = 2 / (q * dP**2)
+        c = np.where(np.arange(len(s)) == 0, 2 - n % 2, 2)  # symmetric rule: t > 0 counts twice
+        z = -self.h + (4 * self.h / np.pi) * np.arcsin(np.sqrt(s / 2))
+        return VerticalNodes(self.lam[:mk], self.h, z, (self.h / np.pi) * c * W / np.sqrt(q))
 
     @cached_property
     def avg_factor(self):

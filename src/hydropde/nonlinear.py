@@ -13,7 +13,8 @@ along y; the product's rfft along y and fft along x on the kept columns fill
 the block and its -ky mirror.  dz v takes v's planes through the dz table,
 w the dx u + dy v planes through the sine antiderivative table.
 
-The vertical stage runs on Grid.advect_nodes, the node set sized for m < mk,
+The vertical stage runs on Grid.advect_nodes, ceil((3 mk - 1) / 2) nodes on
+which the products of the modes m < mk project exactly (33 at 64^2x32),
 tile by tile over the flattened horizontal points: each TILE columns of the
 planes meet its cos, dz and w tables as z-major matmuls, form the three
 products and are projected onto m < mk before the next tile starts, so the
@@ -44,7 +45,7 @@ from .projection import constrain, constrain_coeffs
 class NonlinearWorkspace:
     """Holds only the grid; F accepts one and ignores it.
 
-    The vertical tables are on Grid.nodes (cos, dz, wint).  The
+    The vertical tables are on Grid.advect_nodes (cos, dz, wint).  The
     class and F's ws argument are kept only because perfbench/child.py's
     sweep builds one and calls F(a, ws); they go once that caller stops.
     """
@@ -53,10 +54,10 @@ class NonlinearWorkspace:
 
 
 # Horizontal points per tile of advect's vertical stage.  A tile's node
-# values, about four arrays of 2 * nodes * TILE doubles (1.3 MB at the 78
+# values, about four arrays of 2 * nodes * TILE doubles (1.1 MB at the 33
 # advect nodes of 64^2x32), fit in a 2 MB per-core L2 cache; much smaller
 # tiles shrink the matmuls until their call overhead shows.
-TILE = 256
+TILE = 512
 
 
 def advect(v: SpectralField) -> SpectralField:

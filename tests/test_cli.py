@@ -437,6 +437,13 @@ class TestMms:
         captured = capsys.readouterr()
         assert "step size must be finite" in captured.err and captured.out == ""
 
+    def test_infinite_end_time_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "mms.json"
+        assert main(["mms", "--t-end", "inf", "--levels", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "end time must be finite and > 0" in captured.err and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["run", "picard"])
     def test_forced_run_follows_manufactured_solution(self, tmp_path, verb, monkeypatch):
         # forcing = mms drives both integrators along the exact g(t) psi

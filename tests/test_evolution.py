@@ -66,6 +66,10 @@ class TestConfigs:
         for horizon in (np.inf, np.nan):
             with pytest.raises(ConfigurationError, match="horizon must be finite and > 0"):
                 PicardConfig(horizon=horizon)
+        # an infinite end time is not a step size that fails to divide it
+        for t_end in (np.inf, np.nan, 0.0):
+            with pytest.raises(ConfigurationError, match="end time must be finite and > 0"):
+                ImexConfig(dt=1e-3, t_end=t_end)
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_picard_max_iterations_below_one_rejected(self, iterations):

@@ -272,7 +272,7 @@ G8 = Grid(8, 8, 4)
 
 class TestLibraryErrors:
     @pytest.mark.parametrize("call, message", [
-        (lambda: ImexConfig(dt=1e-3, t_end=0), "end time must be > 0"),
+        (lambda: ImexConfig(dt=1e-3, t_end=0), "end time must be finite and > 0"),
         (lambda: eigenmode(G8, (5, 0), 0), "outside grid 8x8"),
         (lambda: StokesOperator(G8).to_eigen(zeros_spectral(G8, components=1)),
          "acts on 2-component velocities"),

@@ -1,9 +1,7 @@
 """Transport nonlinearity: polarization, energy neutrality, hand examples, node sets.
 
-reference_advect is the test oracle for advect, as
-test_stokes.oracle_eigenvalues is for the Stokes operator: five
-full-spectrum syntheses and one complex FFT back, with none of advect's
-half-spectrum or mode truncation.
+advect is checked against oracles.reference_advect, its full-spectrum
+oracle on 6 nz + 40 vertical nodes.
 """
 
 import tracemalloc
@@ -31,24 +29,7 @@ from hydropde.nonlinear import (
     F,
 )
 from hydropde.projection import constrain, divergence_of_average
-from oracles import dealias_mask
-
-
-def reference_advect(v, v_adv):
-    """advect's coefficients from Re(ifft2) of each full (comp, kx, ky, m) input."""
-    g = v.grid
-    mask = dealias_mask(g)
-    cv, ca = v.coeffs * mask, v_adv.coeffs * mask
-    ikx, iky = 2j * np.pi * g.kx[:, None, None], 2j * np.pi * g.ky[None, :, None]
-
-    def nodes(c, table):
-        return np.fft.ifft2(c, axes=(1, 2), norm="forward").real @ table
-
-    va = nodes(ca, g.nodes.cos)
-    w = nodes((ikx * ca[0] + iky * ca[1])[None], g.nodes.wint)[0]
-    prod = (va[0] * nodes(ikx * cv, g.nodes.cos) + va[1] * nodes(iky * cv, g.nodes.cos)
-            + w * nodes(cv, g.nodes.dz))
-    return np.fft.fft2(g.vertical_to_modes(prod), axes=(1, 2), norm="forward") * mask
+from oracles import OddGrid, dealias_mask, reference_advect
 
 
 def dealias(v):
@@ -164,23 +145,11 @@ class TestAdvect:
             advect(bad)
 
 
-class OddGrid(Grid):
-    """A Grid without the even-count check.
-
-    The transforms do not assume even counts, and an odd ny is the one case
-    where the ky >= 0 half has no Nyquist column to leave out of the -ky
-    mirror fill.
-    """
-
-    def __post_init__(self):
-        pass
-
-
-# 20x18 has 360 horizontal points: one full tile of advect's vertical stage
-# (nonlinear.TILE = 256) and a partial one.
+# 26x24 has 624 horizontal points: one full tile of advect's vertical stage
+# (nonlinear.TILE = 512) and a partial one.
 ORACLE_GRIDS = [OddGrid(10, 9, 4, 0.7, f) for f in (0.5, 2.0 / 3.0, 1.0)] + [
     Grid(nx, ny, nz, h, f)
-    for nx, ny, nz, h in ((8, 12, 5, 1.3), (12, 8, 4, 0.4), (20, 18, 5, 1.3))
+    for nx, ny, nz, h in ((8, 12, 5, 1.3), (12, 8, 4, 0.4), (20, 18, 5, 1.3), (26, 24, 5, 1.3))
     for f in (2.0 / 3.0, 1.0)]
 GRID_IDS = dict(ids=lambda g: f"{g.nx}x{g.ny}x{g.nz}-f{g.dealias_fraction:.2f}")
 
@@ -231,38 +200,25 @@ class TestAdvectOracle:
         assert n > TILE and n % TILE
 
 
-class OracleNodes(OddGrid):
-    """A grid with 6 nz + 40 vertical nodes, far more than triple products need."""
-
-    nzq = property(lambda self: 6 * self.nz + 40)
-
-
 class TestAdvectNodes:
-    """advect's own node set, sized for its modes m < mk, loses nothing.
-
-    At f = 1 advect uses the grid's set, which is itself 2-5e-13 off the
-    reference on more nodes (see Grid.nzq); 3 mk + 8 nodes would fail here.
-    """
+    """advect's own node set, ceil((3 mk - 1) / 2) nodes for its modes m < mk,
+    projects exactly: it matches the reference on 6 nz + 40 nodes at every f."""
 
     @pytest.mark.parametrize("grid", [g for g in ORACLE_GRIDS if g.dealias_fraction < 1]
-                             + [Grid(32, 32, 16)], **GRID_IDS)
+                             + [Grid(32, 32, 16, 1.0, f) for f in (2.0 / 3.0, 1.0)],
+                             **GRID_IDS)
     def test_matches_reference_on_more_nodes(self, grid):
-        fine = OracleNodes(grid.nx, grid.ny, grid.nz, grid.h, grid.dealias_fraction)
         rng = np.random.default_rng(5)
         for kind in ("hermitian", "non-hermitian", "constrained"):
             v = nyquist_velocity(grid, kind, rng)
-            ref = reference_advect(SpectralField(fine, v.coeffs), SpectralField(fine, v.coeffs))
+            ref = reference_advect(v, v)
             assert np.max(np.abs(advect(v).coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("grid", [g for g in ORACLE_GRIDS if g.dealias_fraction == 1]
-                             + [Grid(32, 32, 16, 1.0, 1.0)], **GRID_IDS)
-    def test_full_fraction_uses_the_grids_nodes(self, grid):
-        assert grid.advect_nodes is grid.nodes
-
     def test_node_count(self):
-        # 78 instead of 104 nodes at 64^2x32, 45 instead of 56 at 32^2x16
-        for nz, n in ((32, 78), (16, 45)):
-            g = Grid(8, 8, nz)
+        # ceil((3 mk - 1) / 2) for mk = 22, 11, 6 and 16
+        for nz, f, n in ((32, 2.0 / 3.0, 33), (16, 2.0 / 3.0, 16), (8, 2.0 / 3.0, 9),
+                         (16, 1.0, 24)):
+            g = Grid(8, 8, nz, dealias_fraction=f)
             assert g.advect_nodes.z.shape == (n,) and g.nzq == 3 * nz + 8
             assert g.advect_nodes.cos.shape == (g.dealias_modes, n)
 

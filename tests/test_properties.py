@@ -6,7 +6,8 @@ per-wavenumber oracle and the vertical synthesis of to_physical, and the
 operator's coordinate norm against the L^2 norm of the field.  The
 transform pair (synthesize, to_spectral) is checked against the direct sum
 of the basis functions at the collocation nodes and against the complex
-FFT, and advect against its full-spectrum oracle, also with dealiasing;
+FFT, and advect against its full-spectrum oracle, also with dealiasing, and
+its node set against the integrals of the products it projects;
 F is -constrain(advect) bit for bit.  Checkpoints round-trip bit for bit,
 and constrain is idempotent.
 """
@@ -15,7 +16,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydropde.fields import (
@@ -32,8 +33,7 @@ from hydropde.io import load_checkpoint, save_checkpoint
 from hydropde.nonlinear import F, advect
 from hydropde.projection import constrain
 from hydropde.stokes import StokesOperator
-from oracles import averaged_to_physical
-from test_nonlinear import reference_advect
+from oracles import averaged_to_physical, reference_advect
 from test_stokes import oracle_eigenvalues
 
 grids = st.builds(
@@ -203,6 +203,22 @@ def test_to_physical_is_the_real_part_of_ifft2(grid, comps, seed):
     ref = np.fft.ifft2(c, axes=(1, 2), norm="forward").real @ grid.nodes.cos
     got = to_physical(SpectralField(grid, c)).values
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@few
+@given(dealiased_grids)
+@example(Grid(4, 4, 4, 1.3, 0.2))  # mk = 1: one node
+def test_advect_nodes_are_exact_on_the_projected_products(grid):
+    # projected onto phi_m, a product of two modes m < mk is a sum of
+    # cos((j + 1/2) pi z / h), j <= 3 mk - 2, whose integral over (-h, 0) is
+    # h (-1)^j / ((j + 1/2) pi)
+    nodes, mk = grid.advect_nodes, grid.dealias_modes
+    assert nodes.z.shape == (3 * mk // 2,)  # ceil((3 mk - 1) / 2)
+    j = np.arange(3 * mk - 1)
+    a = (j + 0.5) * np.pi
+    exact = grid.h * (-1.0) ** j / a
+    got = np.cos(np.outer(a / grid.h, nodes.z)) @ nodes.w
+    assert np.max(np.abs(got - exact)) <= 1e-14 * grid.h
 
 
 @few
