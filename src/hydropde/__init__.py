@@ -8,7 +8,6 @@ from .fields import (
     PhysicalField,
     SpectralField,
     to_physical,
-    to_spectral,
 )
 from .projection import SurfacePressure, constrain, project, solve_surface_poisson
 from .stokes import StokesOperator, eigenmode
@@ -53,5 +52,4 @@ __all__ = [
     "project",
     "solve_surface_poisson",
     "to_physical",
-    "to_spectral",
 ]

@@ -9,11 +9,11 @@ Three containers share a Grid:
 A coefficient c at wavenumber k multiplies exp(2*pi*i*k.x) directly
 (forward normalization), and the physical field of any c is the real part of
 that sum.  The horizontal transforms run on a block of the Hermitian ky >= 0
-half (all of it, or Grid.dealias_block): zero-fill along kx, ifft along x
-and irfft along y one way, rfft along y and fft along x back, and the ky < 0
-half follows from conjugate symmetry.  The vertical transform evaluates or
-projects onto the cosine basis phi_m(z); its forward direction goes through a
-Gram solve, so round trips are exact to rounding at any quadrature resolution.
+half (all of it in synthesize, Grid.dealias_block in advect): zero-fill along
+kx, ifft along x and irfft along y, and the ky < 0 half by conjugate symmetry.
+The vertical synthesis evaluates phi_m(z) at the grid's nodes.  The one forward
+transform is advect's: Grid.vertical_to_modes projects its node products onto
+m < mk exactly, then planes_to_coeffs takes rfft along y and fft along x.
 
 Norm conventions: for vector fields the pointwise magnitude is the Euclidean
 norm over components, then the L^p quadrature is taken over the box; the
@@ -141,13 +141,13 @@ def half_to_planes(grid, half):
     return np.fft.irfft(half, grid.ny, norm="forward")
 
 
-def planes_to_coeffs(grid, planes, block):
-    """Coefficients (..., kx, ky, nz) on a block of real planes (..., m, x_i, y_j).
+def planes_to_coeffs(grid, planes):
+    """Coefficients (..., kx, ky, nz) on Grid.dealias_block of real planes (..., m, x_i, y_j).
 
     One rfft along y, one fft along x on its first K columns; c is 0 outside
     the block and its ky < 0 mirror c(-k) = conj(c(k)).
     """
-    (ix, iy), (rows, K), nyh, m = grid.neg_k, block, grid.ny // 2 + 1, planes.shape[-3]
+    (ix, iy), (rows, K), nyh, m = grid.neg_k, grid.dealias_block, grid.ny // 2 + 1, planes.shape[-3]
     half = np.fft.fft(np.fft.rfft(planes, norm="forward")[..., :K], axis=-2, norm="forward")
     c = np.zeros(half.shape[:-3] + (grid.nx, grid.ny, grid.nz), complex)
     c[..., rows, :K, :m] = np.moveaxis(half[..., rows, :], -3, -1)
@@ -171,18 +171,6 @@ def synthesize(grid, coeffs, table) -> PhysicalField:
 
 def to_physical(f: SpectralField) -> PhysicalField:
     return synthesize(f.grid, f.coeffs, f.grid.nodes.cos)
-
-
-def to_spectral(g: PhysicalField) -> SpectralField:
-    """Cosine-Fourier coefficients of collocation values.
-
-    The inverse of synthesize with grid.nodes.cos: the real node values are
-    projected onto the vertical modes first (Grid.vertical_to_modes), then
-    the nz mode planes go through the forward transform (planes_to_coeffs).
-    """
-    modes = g.grid.vertical_to_modes(g.values)
-    block = slice(None), g.grid.ny // 2 + 1
-    return SpectralField(g.grid, planes_to_coeffs(g.grid, np.moveaxis(modes, -1, -3), block))
 
 
 def hermitize(f: SpectralField) -> SpectralField:
@@ -239,7 +227,7 @@ def fluctuation(f: SpectralField, out=None) -> SpectralField:
 
 def lp_norm(f: PhysicalField, p) -> float:
     """L^p(Omega) norm by quadrature; p = inf takes the max over nodes."""
-    if p != np.inf and p < 1:
+    if not p >= 1:
         raise DomainError(f"lp_norm requires p >= 1, got {p}")
     mag2 = np.einsum("c...,c...->...", f.values, f.values)
     if p == np.inf:

@@ -9,7 +9,7 @@ vertical direction uses the cosine family
 which satisfies phi_m'(0) = 0 and phi_m(-h) = 0 exactly, so the rigid-lid /
 no-slip-bottom boundary conditions are built into the basis.  Vertical
 quadrature is Gauss-Legendre on (-h, 0); the node count is chosen so that
-triple products of basis functions integrate to near machine precision.
+triple products of basis functions integrate to within ~1e-12 h.
 The advection term projects its products of the dealiased modes exactly on
 a smaller set, Gauss-Legendre in t = -sin(pi z / 2h).
 """
@@ -27,17 +27,33 @@ class VerticalNodes:
 
     cos, dz and wint: phi_m, dz phi_m = -lam_m sin(lam_m z) and int_z^0 phi_m =
     -sin(lam_m z) / lam_m at the nodes, shape (modes, nodes).  to_modes, shape
-    (nodes, modes): the quadrature projection (2/h) w cos, or with gram its
-    product with the inverse of the ~identity quadrature Gram matrix, so that
-    it inverts the cos synthesis exactly.
+    (nodes, modes): the quadrature projection (2/h) w cos onto the modes.
     """
 
-    def __init__(self, lam, h, z, w, gram=False):
+    def __init__(self, lam, h, z, w):
         self.z, self.w = z, w
         self.cos, sin = np.cos(np.outer(lam, z)), np.sin(np.outer(lam, z))
         self.dz, self.wint = -lam[:, None] * sin, -sin / lam[:, None]
-        B = (2.0 / h) * self.cos * w
-        self.to_modes = (np.linalg.solve(B @ self.cos.T, B) if gram else B).T
+        self.to_modes = ((2.0 / h) * self.cos * w).T
+
+
+def _gauss_half(n):
+    """s = 1 - t and the weights W of the n-point Gauss-Legendre rule at its nodes t >= 0.
+
+    leggauss leaves s near t = 1 only ~1e-13 relative and its weights up to
+    ~1e-12 off, so Newton steps on P_n(1 - s), formed in s, refine s, and the
+    weight W = 2 / ((1 - t^2) P_n'(t)^2) is taken there.
+    """
+    s = 1 - np.polynomial.legendre.leggauss(n)[0][n // 2:]
+    for _ in range(3):
+        P, d = np.ones_like(s), np.zeros_like(s)  # P_j(1 - s) and P_j - P_(j-1)
+        for j in range(n):
+            d = (j * d - (2 * j + 1) * s * P) / (j + 1)
+            P = P + d
+        dP = n * (d - s * P) / (s * (s - 2))  # P_n'(t)
+        s = s + P / dP
+    q = s * (2 - s)  # 1 - t^2
+    return s, 2 / (q * dP**2)
 
 
 @dataclass(frozen=True)
@@ -83,18 +99,19 @@ class Grid:
 
     @cached_property
     def nzq(self):
-        """Vertical quadrature node count of the grid (the L^p norms use it).
+        """Node count of the grid's vertical set: to_physical's values, the L^p norms' quadrature.
 
-        3*nz + 8 integrates products of three basis functions to ~1e-13.
+        3*nz + 8 integrates products of three basis functions to within ~1e-12 h.
         """
         return 3 * self.nz + 8
 
     @cached_property
     def nodes(self):
-        """The grid's vertical node set: nzq Gauss-Legendre nodes, the tables of all nz modes."""
-        x, w = np.polynomial.legendre.leggauss(self.nzq)
-        return VerticalNodes(self.lam, self.h, -self.h / 2 + (self.h / 2) * x, w * (self.h / 2),
-                             gram=True)
+        """The grid's vertical set: nzq Gauss-Legendre nodes z = -(h/2)(1 - t), all nz modes."""
+        s, W = _gauss_half(self.nzq)
+        r = slice(self.nzq % 2, None)  # the node t = 0 of an odd rule appears once
+        one_minus_t, W = np.concatenate([2 - s[r][::-1], s]), np.concatenate([W[r][::-1], W])
+        return VerticalNodes(self.lam, self.h, -(self.h / 2) * one_minus_t, (self.h / 2) * W)
 
     @cached_property
     def advect_nodes(self):
@@ -104,22 +121,12 @@ class Grid:
         j <= 3 mk - 2, which z = -(2h/pi) arcsin t turns into even polynomials of
         degree 2j in t: the ceil(n/2) nodes t >= 0 of the n = 3 mk - 1 point
         Gauss-Legendre rule integrate them exactly, and to_modes is the plain
-        projection.  leggauss leaves s = 1 - t near t = 1 only ~1e-13 relative, so
-        Newton steps on P_n(1 - s), formed in s, refine s, and the weight
-        W = 2 / ((1 - t^2) P_n'(t)^2) is taken there.
+        projection.
         """
         mk = self.dealias_modes
         n = 3 * mk - 1
-        s = 1 - np.polynomial.legendre.leggauss(n)[0][n // 2:]
-        for _ in range(3):
-            P, d = np.ones_like(s), np.zeros_like(s)  # P_j(1 - s) and P_j - P_(j-1)
-            for j in range(n):
-                d = (j * d - (2 * j + 1) * s * P) / (j + 1)
-                P = P + d
-            dP = n * (d - s * P) / (s * (s - 2))  # P_n'(t)
-            s = s + P / dP
+        s, W = _gauss_half(n)
         q = s * (2 - s)  # 1 - t^2
-        W = 2 / (q * dP**2)
         c = np.where(np.arange(len(s)) == 0, 2 - n % 2, 2)  # symmetric rule: t > 0 counts twice
         z = -self.h + (4 * self.h / np.pi) * np.arcsin(np.sqrt(s / 2))
         return VerticalNodes(self.lam[:mk], self.h, z, (self.h / np.pi) * c * W / np.sqrt(q))
@@ -130,16 +137,9 @@ class Grid:
         signs = np.where(np.arange(self.nz) % 2 == 0, 1.0, -1.0)
         return signs / (self.lam * self.h)
 
-    def vertical_to_modes(self, values, modes=None, z_major=False):
-        """Project node values onto the cosine coefficients m < modes (all).
-
-        The nodes are the last axis, (..., nodes) -> (..., modes), or with
-        z_major the second to last, (..., nodes, n) -> (..., modes, n).  Its
-        length picks the node set: nzq nodes are the grid's, others advect's.
-        """
-        n = values.shape[-2 if z_major else -1]
-        M = (self.nodes if n == self.nzq else self.advect_nodes).to_modes[:, :modes]
-        return M.T @ values if z_major else values @ M
+    def vertical_to_modes(self, values):
+        """Project advect's node values onto the modes m < mk, (..., nodes, n) -> (..., mk, n)."""
+        return self.advect_nodes.to_modes.T @ values
 
     # -- horizontal wavenumbers -----------------------------------------
 

@@ -76,7 +76,7 @@ def advect(v: SpectralField) -> SpectralField:
     del hv
     planes = half_to_planes(g, buf).reshape(6, mk, n)
     del buf
-    C, Dz, W = (t[:mk].T for t in (nodes.cos, nodes.dz, nodes.wint))
+    C, Dz, W = nodes.cos.T, nodes.dz.T, nodes.wint.T
     modes = np.empty((2, mk, n))
     for s in range(0, n, TILE):
         p = planes[..., s:s + TILE]
@@ -88,9 +88,9 @@ def advect(v: SpectralField) -> SpectralField:
         np.matmul(Dz, p[:2], out=term)
         term *= W @ (p[2] + p[5])  # w from div_H v = dx u + dy v
         prod += term
-        modes[..., s:s + TILE] = g.vertical_to_modes(prod, mk, z_major=True)
+        modes[..., s:s + TILE] = g.vertical_to_modes(prod)
     del planes, p  # the node planes go before the forward transform's arrays come
-    return SpectralField(g, planes_to_coeffs(g, modes.reshape(2, mk, g.nx, g.ny), block))
+    return SpectralField(g, planes_to_coeffs(g, modes.reshape(2, mk, g.nx, g.ny)))
 
 
 def F(v: SpectralField, ws: NonlinearWorkspace | None = None) -> SpectralField:

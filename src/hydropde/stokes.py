@@ -231,12 +231,14 @@ class StokesOperator:
 
     def semigroup_apply(self, t, f: SpectralField) -> SpectralField:
         """exp(-tA) applied to the constrained part of f."""
-        if t < 0:
-            raise DomainError(f"semigroup time must be >= 0, got {t}")
+        if not t >= 0:
+            raise DomainError(f"semigroup time t must be >= 0, got {t}")
         return self._spectral_map(lambda mu: np.exp(-t * mu), f)
 
     def solve_shifted(self, c, f: SpectralField) -> SpectralField:
         """(I + c A)^{-1} f for c > -1/max eigenvalue (f projected internally)."""
+        if not c > -1 / self.eigenvalues.max():
+            raise DomainError(f"shift c must be > -1/max eigenvalue, got {c}")
         return self._spectral_map(lambda mu: 1 / (1 + c * mu), f)
 
     # -- resolvent ---------------------------------------------------------
@@ -249,6 +251,8 @@ class StokesOperator:
         """
         g = self.grid
         lam = complex(lam)
+        if not np.isfinite(lam):
+            raise DomainError(f"resolvent lam must be finite, got {lam}")
         dist = np.abs(lam + self.eigenvalues)
         if dist.min() <= 1e-12 * max(1.0, abs(lam)):
             raise SingularResolventError(

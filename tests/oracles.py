@@ -88,8 +88,7 @@ class OracleNodes(OddGrid):
             p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
         dp = n * (x * p1 - p0) / ((x - 1) * (x + 1))
         w = 2 / ((1 - x) * (1 + x) * dp**2)
-        return VerticalNodes(self.lam, self.h, -self.h / 2 + (self.h / 2) * x,
-                             w * (self.h / 2), gram=True)
+        return VerticalNodes(self.lam, self.h, -self.h / 2 + (self.h / 2) * x, w * (self.h / 2))
 
 
 def reference_advect(v, v_adv):
@@ -113,7 +112,7 @@ def reference_advect(v, v_adv):
     w = nodes((ikx * ca[0] + iky * ca[1])[None], fine.nodes.wint)[0]
     prod = (va[0] * nodes(ikx * cv, fine.nodes.cos) + va[1] * nodes(iky * cv, fine.nodes.cos)
             + w * nodes(cv, fine.nodes.dz))
-    return np.fft.fft2(fine.vertical_to_modes(prod), axes=(1, 2), norm="forward") * mask
+    return np.fft.fft2(prod @ fine.nodes.to_modes, axes=(1, 2), norm="forward") * mask
 
 
 def eigenmode_eigenvalue(grid: Grid, k, m) -> float:

@@ -1,12 +1,16 @@
-"""Every imported name is read in its module: package sources and tests alike."""
+"""Every imported name is read in its module: package sources and tests alike.
+
+The package's __init__ imports names only to re-export them, so there the
+check is that the names it imports are exactly its __all__.
+"""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the package's __init__ imports names to re-export them, not to read them
+INIT = ROOT / "src" / "hydropde" / "__init__.py"
 MODULES = sorted(p for p in (ROOT / "src" / "hydropde").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+                 if p != INIT) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _annotations(tree):
@@ -41,3 +45,15 @@ def test_no_unread_imports():
     unread = [f"{path.relative_to(ROOT)}:{line}: {name}"
               for path in MODULES for line, name in _unread_imports(path.read_text())]
     assert not unread, "imported but never read:\n" + "\n".join(unread)
+
+
+def test_init_imports_exactly_all():
+    tree = ast.parse(INIT.read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"]
+    assert len(exported) == len(set(exported)), "__all__ lists a name twice"
+    assert imported == set(exported), (
+        f"imported, not in __all__: {sorted(imported - set(exported))}; "
+        f"in __all__, not imported: {sorted(set(exported) - imported)}")

@@ -78,7 +78,7 @@ class TestAdvect:
         g = grid16
         v = sine_x_mode(g)
         out = advect(v)
-        ones = g.vertical_to_modes(np.ones(g.nzq))
+        ones = 2 * g.avg_factor
         expected = np.zeros_like(out.coeffs)
         expected[0, list(g.kx).index(2), 0, :] = -0.5j * np.pi * ones
         expected[0, list(g.kx).index(-2), 0, :] = 0.5j * np.pi * ones
@@ -91,7 +91,7 @@ class TestAdvect:
         g = grid16
         v = sine_x_mode(g)
         out = to_physical(advect(v))
-        ones = g.vertical_to_modes(np.ones(g.nzq)) * dealias_mask(g)[0, 0]
+        ones = 2 * g.avg_factor * dealias_mask(g)[0, 0]
         profile = ones @ g.nodes.cos
         x = np.arange(g.nx) / g.nx
         exact = np.pi * np.sin(4 * np.pi * x)[:, None, None] * profile[None, None, :]

@@ -1,13 +1,12 @@
 """Property tests on random non-square grids with h != 1 and no dealiasing.
 
-The eigen-coordinates of the Stokes operator and the vertical transform are
-checked against the projection, the operator's direct application, the dense
-per-wavenumber oracle and the vertical synthesis of to_physical, and the
-operator's coordinate norm against the L^2 norm of the field.  The
-transform pair (synthesize, to_spectral) is checked against the direct sum
-of the basis functions at the collocation nodes and against the complex
-FFT, and advect against its full-spectrum oracle, also with dealiasing, and
-its node set against the integrals of the products it projects;
+The eigen-coordinates of the Stokes operator are checked against the
+projection, the operator's direct application and the dense per-wavenumber
+oracle, and the operator's coordinate norm against the L^2 norm of the field.
+The synthesis (synthesize, to_physical) is checked against the direct sum of
+the basis functions at the collocation nodes and against the complex FFT,
+and advect against its full-spectrum oracle, also with dealiasing, and its
+node set against the integrals of the products it projects;
 F is -constrain(advect) bit for bit.  Checkpoints round-trip bit for bit,
 and constrain is idempotent.
 """
@@ -26,7 +25,6 @@ from hydropde.fields import (
     random_spectral,
     synthesize,
     to_physical,
-    to_spectral,
 )
 from hydropde.grid import Grid
 from hydropde.io import load_checkpoint, save_checkpoint
@@ -136,14 +134,6 @@ def test_checkpoint_round_trip_is_bit_exact(grid, comps, seed):
     assert back.coeffs.tobytes() == c.tobytes()
 
 
-@few
-@given(grids, seeds)
-def test_vertical_to_modes_inverts_synthesis(grid, seed):
-    c = np.random.default_rng(seed).standard_normal((3, grid.nz))
-    back = grid.vertical_to_modes(c @ grid.nodes.cos)
-    assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
-
-
 def random_coeffs(shape, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -176,15 +166,6 @@ def test_averaged_synthesis_is_the_broadcast_sum(grid, comps, seed):
     got = averaged_to_physical(AveragedField(grid, c)).values
     assert got.shape == plane.shape + (grid.nzq,)
     assert np.max(np.abs(got - plane[..., None])) <= 1e-12 * np.sum(np.abs(c))
-
-
-@few
-@given(grids, components, seeds)
-def test_to_spectral_inverts_to_physical(grid, comps, seed):
-    f = random_spectral(grid, comps, np.random.default_rng(seed),
-                        kmax=grid.nx // 2, mmax=grid.nz)
-    back = to_spectral(to_physical(f))
-    assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
 
 
 @few

@@ -14,8 +14,10 @@ from hydropde.errors import ConfigurationError, DomainError, SingularResolventEr
 from hydropde.fields import (
     SpectralField,
     l2_norm,
+    lp_norm,
     random_spectral,
     sobolev_norm,
+    to_physical,
 )
 from hydropde.grid import Grid
 from hydropde.projection import constrain
@@ -253,6 +255,20 @@ class TestSemigroup:
         # (I + cA) v = f
         resid = v.coeffs + c * op16.apply(v).coeffs - f.coeffs
         assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(f.coeffs))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("t", lambda op, f: op.semigroup_apply(np.nan, f)),
+    ("c", lambda op, f: op.solve_shifted(np.nan, f)),
+    ("c", lambda op, f: op.solve_shifted(-1 / op.eigenvalues.max(), f)),
+    ("lam", lambda op, f: op.resolvent_solve(np.nan, f)),
+    ("p", lambda op, f: lp_norm(to_physical(f), np.nan)),
+], ids=["semigroup-t-nan", "shifted-c-nan", "shifted-c-singular", "resolvent-lam-nan", "lp-p-nan"])
+def test_nan_or_singular_scalar_rejected(grid16, op16, name, call):
+    # each returned a NaN field or norm instead of raising
+    f = constrain(random_spectral(grid16, 2, np.random.default_rng(0)))
+    with pytest.raises(DomainError, match=rf"\b{name} (must|>=)"):
+        call(op16, f)
 
 
 class TestBlockMachineryConsistency:
