@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NanAbort
-from .fields import SpectralField, hermitize, to_physical
+from .fields import SpectralField, to_physical
 from .nonlinear import F
 from .projection import constrain
 from .stokes import StokesOperator
@@ -268,7 +268,7 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
     s = (1 + op.eigenvalues) ** 0.75
     budget = _Budget(op, dt)
     f_at = _forcing_coords(op, f_ext)
-    acat = op.to_eigen_flat(hermitize(a))
+    acat = op.to_eigen_flat(a)
 
     def forcing(i):
         return f_at(times[i]) if f_at else 0.0
@@ -339,7 +339,7 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
     nsteps = round(cfg.t_end / cfg.dt)
     # march in the A-eigenbasis: the implicit solve is a diagonal division
     # and the energy norms are plain weighted sums of the coordinates
-    y = op.to_eigen_flat(hermitize(a))
+    y = op.to_eigen_flat(a)
 
     vmax = float(np.max(np.abs(to_physical(op.from_eigen_flat(y)).values), initial=0.0))
     if cfg.dt * vmax * max(a.grid.nx, a.grid.ny) > cfg.cfl_limit:

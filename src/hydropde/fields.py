@@ -15,6 +15,9 @@ The vertical synthesis evaluates phi_m(z) at the grid's nodes.  The one forward
 transform is advect's: Grid.vertical_to_modes projects its node products onto
 m < mk exactly, then planes_to_coeffs takes rfft along y and fft along x.
 
+A real field on the march and Picard paths is held by its half (see
+SpectralField); its full plane is formed, in the same block, only when read.
+
 Norm conventions: for vector fields the pointwise magnitude is the Euclidean
 norm over components, then the L^p quadrature is taken over the box; the
 L^p norms raise the squared magnitude |f|^2 to the power p/2.  With
@@ -62,17 +65,40 @@ class _Linear:
         return type(self)(self.grid, -self.coeffs)
 
 
-@dataclass(frozen=True)
 class SpectralField(_Linear):
-    """Coefficient tensor c[comp, kx, ky, m] of sum c exp(2 pi i k.x) phi_m(z)."""
+    """Coefficient tensor c[comp, kx, ky, m] of sum c exp(2 pi i k.x) phi_m(z).
 
-    grid: Grid
-    coeffs: np.ndarray
+    Built from a full plane, or, in the package only, as SpectralField(grid,
+    half=half_array(...)) from a real field's half: the columns ky = 0 ..
+    (ny + 1) // 2 - 1, Nyquist row zero, at the front of a full-plane-sized
+    block.  Reading .coeffs unfolds it there in place (ky < 0 by c(-k) =
+    conj(c(k)), Nyquist column zero) and keeps it; .half is then its view.
+    From a full plane, .half is the Hermitian part on those columns, formed
+    on each read.  Only F (on advect's fresh half) and fluctuation(r,
+    out=r.coeffs) write into a field.
+    """
 
-    def __post_init__(self):
-        _check_shape(self.coeffs, (self.grid.nx, self.grid.ny, self.grid.nz), "SpectralField")
-        if not np.iscomplexobj(self.coeffs):
-            object.__setattr__(self, "coeffs", self.coeffs.astype(complex))
+    def __init__(self, grid: Grid, coeffs=None, *, half=None):
+        self.grid, self._half, self._coeffs = grid, half, coeffs
+        if half is None:
+            _check_shape(coeffs, (grid.nx, grid.ny, grid.nz), "SpectralField")
+            self._coeffs = coeffs if np.iscomplexobj(coeffs) else coeffs.astype(complex)
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = _unfold(self.grid, self._half)
+            self._half = self._coeffs[:, :, :self._half.shape[2]]
+        return self._coeffs
+
+    components = property(lambda self: len(self._coeffs if self._half is None else self._half))
+
+    @property
+    def half(self):
+        if self._half is not None:
+            return self._half
+        c, (ix, iy), n = self._coeffs, self.grid.neg_k, (self.grid.ny + 1) // 2
+        return 0.5 * (c[:, :, :n] + np.conj(c[:, ix, iy[:, :n]]))
 
 
 @dataclass(frozen=True)
@@ -110,26 +136,34 @@ def _require_same_grid(a, b, cls):
         raise ConfigurationError("fields live on different grids")
 
 
-def zeros_spectral(grid, components=2):
-    return SpectralField(grid, np.zeros((components, grid.nx, grid.ny, grid.nz), complex))
+def half_array(grid, components, zero=False):
+    """The one allocator of halves: (components, nx, (ny + 1) // 2, nz), C-contiguous at
+    the front of a block the size of the full plane; zero clears the half only."""
+    shape = (components, grid.nx, (grid.ny + 1) // 2, grid.nz)
+    block = np.empty((components, grid.nx, grid.ny, grid.nz), complex)
+    half = block.reshape(-1)[:np.prod(shape)].reshape(shape)
+    if zero:
+        half.fill(0.0)
+    return half
+
+
+def _unfold(grid, half):
+    """The full plane of a half from half_array, formed in place in its block, half.base."""
+    c, (comp, nx, n, nz), ny = half.base, half.shape, grid.ny
+    dst, src, hi = c.reshape(comp * nx, ny, nz), half.reshape(comp * nx, n, nz), comp * nx
+    while hi > 1:  # last rows first, each group onto memory no unmoved row holds
+        lo = min(-(-hi * n // ny), hi - 1)
+        dst[lo:hi, :n] = src[lo:hi]
+        hi = lo
+    # ky < 0 from ky > 0 at -kx: row 0 from itself, rows 1 .. nx - 1 reversed
+    neg, pos = slice(ny - n + 1, None), slice(n - 1, 0, -1)
+    np.conjugate(c[:, :1, pos], out=c[:, :1, neg])
+    np.conjugate(c[:, :0:-1, pos], out=c[:, 1:, neg])
+    c[:, :, n:ny - n + 1] = c[:, nx - nx // 2:nx // 2 + 1] = 0.0  # Nyquist column, row if even
+    return c
 
 
 # -- transforms ----------------------------------------------------------
-
-
-def hermitian_block(grid, coeffs, modes, block):
-    """(c(k) + conj(c(-k))) / 2 of coeffs[..., :modes] on a block, a new array.
-
-    block is (rows, K), the whole half or Grid.dealias_block; coeffs is
-    (..., kx, ky, m) and the result is mode-major, (..., m, rows, K).  On the
-    whole half it is the spectrum of the real field Re(sum c exp(2 pi i k.x)).
-    """
-    (ix, iy), (rows, K) = grid.neg_k, block
-    c = np.moveaxis(coeffs[..., :modes], -1, -3)
-    herm = np.conj(c[..., ix[rows], iy[:, :K]])
-    herm += c[..., rows, :K]
-    herm *= 0.5
-    return herm
 
 
 def half_to_planes(grid, half):
@@ -142,16 +176,15 @@ def half_to_planes(grid, half):
 
 
 def planes_to_coeffs(grid, planes):
-    """Coefficients (..., kx, ky, nz) on Grid.dealias_block of real planes (..., m, x_i, y_j).
+    """The half (comp, kx, ky, nz) on Grid.dealias_block of real planes (comp, m, x_i, y_j).
 
-    One rfft along y, one fft along x on its first K columns; c is 0 outside
-    the block and its ky < 0 mirror c(-k) = conj(c(k)).
+    One rfft along y, one fft along x on its first K columns; the half from
+    half_array is 0 outside the block.
     """
-    (ix, iy), (rows, K), nyh, m = grid.neg_k, grid.dealias_block, grid.ny // 2 + 1, planes.shape[-3]
+    (rows, K), m = grid.dealias_block, planes.shape[-3]
     half = np.fft.fft(np.fft.rfft(planes, norm="forward")[..., :K], axis=-2, norm="forward")
-    c = np.zeros(half.shape[:-3] + (grid.nx, grid.ny, grid.nz), complex)
-    c[..., rows, :K, :m] = np.moveaxis(half[..., rows, :], -3, -1)
-    c[..., nyh:, :m] = np.conj(c[..., ix, iy[:, nyh:], :m])
+    c = half_array(grid, len(planes), zero=True)
+    c[:, rows, :K, :m] = np.moveaxis(half[:, :, rows], -3, -1)
     return c
 
 
@@ -164,8 +197,11 @@ def synthesize(grid, coeffs, table) -> PhysicalField:
     inverse transform and the real table is applied to the real planes, so
     the result is Re(sum c exp(2 pi i k.x) phi_m) for any c.
     """
-    block = slice(None), grid.ny // 2 + 1
-    herm = hermitian_block(grid, coeffs, table.shape[0], block)
+    (ix, iy), K = grid.neg_k, grid.ny // 2 + 1
+    c = np.moveaxis(coeffs[..., :table.shape[0]], -1, -3)
+    herm = np.conj(c[..., ix, iy[:, :K]])
+    herm += c[..., :K]
+    herm *= 0.5
     return PhysicalField(grid, np.tensordot(half_to_planes(grid, herm), table, (1, 0)))
 
 
@@ -242,12 +278,6 @@ def lp_norm(f: PhysicalField, p) -> float:
 def l2_norm(f: SpectralField) -> float:
     """L^2(Omega) norm via Parseval: ||f||^2 = (h/2) sum |c|^2."""
     return float(np.sqrt(f.grid.h / 2 * np.sum(np.abs(f.coeffs) ** 2)))
-
-
-def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    """Real L^2(Omega) inner product of two real (Hermitian) fields."""
-    _require_same_grid(f, g, SpectralField)
-    return float(f.grid.h / 2 * np.sum(f.coeffs.conj() * g.coeffs).real)
 
 
 def sobolev_norm(f: SpectralField, s) -> float:

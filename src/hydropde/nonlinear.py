@@ -8,10 +8,11 @@ evolution equation.
 
 Only Grid.dealias_block (kept kx rows, ky >= 0 columns) and m < mk are
 transformed: the six input plane groups (v, dx v, dy v) form one Hermitian
-stack on the block, zero-filled along kx for one ifft along x and one irfft
-along y; the product's rfft along y and fft along x on the kept columns fill
-the block and its -ky mirror.  dz v takes v's planes through the dz table,
-w the dx u + dy v planes through the sine antiderivative table.
+stack on the block of v's half, zero-filled along kx for one ifft along x
+and one irfft along y; the product's rfft along y and fft along x on the
+kept columns fill the block of the result's half.  dz v takes v's planes
+through the dz table, w the dx u + dy v planes through the sine
+antiderivative table.
 
 The vertical stage runs on Grid.advect_nodes, ceil((3 mk - 1) / 2) nodes on
 which the products of the modes m < mk project exactly (33 at 64^2x32),
@@ -31,7 +32,6 @@ from .errors import ConfigurationError
 from .fields import (
     SpectralField,
     half_to_planes,
-    hermitian_block,
     l2_norm,
     planes_to_coeffs,
     random_spectral,
@@ -66,7 +66,11 @@ def advect(v: SpectralField) -> SpectralField:
     if v.components != 2:
         raise ConfigurationError("advect needs a 2-component velocity")
     mk, n, block, nodes = g.dealias_modes, g.nx * g.ny, g.dealias_block, g.advect_nodes
-    hv, (dx, dy), (rows, K) = hermitian_block(g, v.coeffs, mk, block), g.half_ik, block
+    (dx, dy), (rows, K) = g.half_ik, block
+    hv = np.moveaxis(v.half[:, rows, :K, :mk], -1, -3)
+    col = hv[..., 0]  # ky = 0 holds both k and -k: their Hermitian average
+    col += np.conj(col[..., -np.arange(len(rows)) % len(rows)])
+    col *= 0.5
     # v, dx v and dy v go straight onto the block rows of one zero-filled
     # transform buffer, which the inverse transform then consumes
     buf = np.zeros((6, mk, g.nx, K), complex)
@@ -90,13 +94,14 @@ def advect(v: SpectralField) -> SpectralField:
         prod += term
         modes[..., s:s + TILE] = g.vertical_to_modes(prod)
     del planes, p  # the node planes go before the forward transform's arrays come
-    return SpectralField(g, planes_to_coeffs(g, modes.reshape(2, mk, g.nx, g.ny)))
+    return SpectralField(g, half=planes_to_coeffs(g, modes.reshape(2, mk, g.nx, g.ny)))
 
 
 def F(v: SpectralField, ws: NonlinearWorkspace | None = None) -> SpectralField:
-    """Constrained nonlinearity -P(v . grad_H v + w dz v), formed in place (ws is ignored)."""
-    c = constrain_coeffs(v.grid, advect(v).coeffs)
-    return SpectralField(v.grid, np.negative(c, out=c))
+    """Constrained nonlinearity -P(v . grad_H v + w dz v), in place on advect's half (ws unused)."""
+    f = advect(v)
+    np.negative(constrain_coeffs(v.grid, f.half), out=f.half)
+    return f
 
 
 @dataclass(frozen=True)

@@ -98,12 +98,13 @@ def constrain(v: SpectralField) -> SpectralField:
 def constrain_coeffs(g: Grid, c: np.ndarray) -> np.ndarray:
     """constrain's projection of velocity coefficients c, in place; returns c.
 
-    For a caller that owns a fresh array, such as F with advect's output.
+    c is a full plane or a real field's half, the first c.shape[2] columns.
+    For a caller that owns a fresh array, such as F with advect's half.
     """
-    a = g.avg_factor
+    a, n = g.avg_factor, c.shape[2]
     kx = g.kx[:, None].astype(float)
-    ky = g.ky[None, :].astype(float)
-    c *= g.off_nyquist[:, :, None]
+    ky = g.ky[None, :n].astype(float)
+    c *= g.off_nyquist[:, :n, None]
     s = kx * (c[0] @ a) + ky * (c[1] @ a)
     k2i = kx**2 + ky**2
     k2i[0, 0] = 1.0

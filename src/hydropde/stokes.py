@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularResolventError
-from .fields import SpectralField, hermitize, sobolev_norm, vertical_average
+from .fields import SpectralField, half_array, hermitize, sobolev_norm, vertical_average
 from .grid import Grid
 from .projection import constrain, solve_surface_poisson
 
@@ -92,9 +92,10 @@ class StokesOperator:
 
     The eigen-coordinates hold a real field by one Hermitian half: k = (0, 0),
     the stacked (u, v) coefficients, then one row [across k (nz) | along k in
-    the columns of W (nz - 1)] per wavenumber of `rows`.  from_eigen fills the
-    ky < 0 entries by the mirror c(-k) = conj(c(k)) and leaves the Nyquist
-    lines zero, and `weights` counts the rows it mirrors twice.
+    the columns of W (nz - 1)] per wavenumber of `rows`.  to_eigen reads and
+    from_eigen writes the field's half (SpectralField.half), whose ky < 0
+    mirror c(-k) = conj(c(k)) only SpectralField.coeffs forms, and `weights`
+    counts the rows it mirrors twice.
     """
 
     def __init__(self, grid: Grid):
@@ -106,6 +107,11 @@ class StokesOperator:
         0 .. ny/2 - 1 of every kx row off the Nyquist lines."""
         g = self.grid
         return np.nonzero(g.off_nyquist & (g.ky >= 0) & (g.k2 > 0))
+
+    @cached_property
+    def _flat(self):
+        """The rows as flat indices into a half's (nx, (ny + 1) // 2) plane."""
+        return self.rows[0] * ((self.grid.ny + 1) // 2) + self.rows[1]
 
     @cached_property
     def _khat(self):
@@ -169,37 +175,32 @@ class StokesOperator:
     def to_eigen(self, f: SpectralField):
         """Coordinates of the constrained part of the real field f in the A-eigenbasis.
 
-        Only k = 0 and the rows are read, so f is taken to be Hermitian.  The
-        basis is orthogonal to the constraint normal: no projection is needed.
+        Only f.half is read, the Hermitian part of a field built from a full
+        plane.  The basis is orthogonal to the constraint normal: no
+        projection is needed.
         """
         if f.components != 2:
             raise ConfigurationError("the Stokes operator acts on 2-component velocities")
         nz = self.grid.nz
-        u, v = f.coeffs[:, self.rows[0], self.rows[1]]
+        h = f.half.reshape(2, -1, nz)
+        u, v = np.take(h, self._flat, axis=1)
         kx, ky = self._khat
         y = np.empty((len(kx), 2 * nz - 1), complex)
         np.subtract(kx * v, ky * u, out=y[:, :nz])
         np.matmul(kx * u + ky * v, self._along_basis[1], out=y[:, nz:])
-        return f.coeffs[:, 0, 0].flatten(), y
+        return h[:, 0].flatten(), y
 
     def from_eigen(self, y0, y) -> SpectralField:
-        """The real field with coordinates (y0, y), zero on the Nyquist lines."""
-        g = self.grid
-        nz, h, ix, iy = g.nz, g.nx // 2, *self.rows
-        kx, ky = self._khat
-        across = y[:, :nz]
-        along = y[:, nz:] @ self._along_basis[1].T
-        c = np.empty((2, g.nx, g.ny, nz), complex)
-        c[:, 0, 0] = np.reshape(y0, (2, nz))
-        c[0, ix, iy] = kx * along - ky * across
-        c[1, ix, iy] = ky * along + kx * across
-        c[:, ~g.off_nyquist] = 0.0
-        # ky < 0: conj of -k, rows reversed and rolled by one
-        neg, pos = slice(g.ny // 2 + 1, None), slice(g.ny // 2 - 1, 0, -1)
-        np.conjugate(c[:, :1, pos], out=c[:, :1, neg])
-        np.conjugate(c[:, :h:-1, pos], out=c[:, 1:h, neg])
-        np.conjugate(c[:, h - 1:0:-1, pos], out=c[:, h + 1:, neg])
-        return SpectralField(g, c)
+        """The real field with coordinates (y0, y), zero on the Nyquist lines, as a half."""
+        g, nz, (kx, ky) = self.grid, self.grid.nz, self._khat
+        across, along = y[:, :nz], y[:, nz:] @ self._along_basis[1].T
+        half = half_array(g, 2)
+        half[:, ~g.off_nyquist[:, 0]] = 0.0
+        h = half.reshape(2, -1, nz)
+        h[:, 0] = np.reshape(y0, (2, nz))
+        h[0, self._flat] = kx * along - ky * across
+        h[1, self._flat] = ky * along + kx * across
+        return SpectralField(g, half=half)
 
     def to_eigen_flat(self, f: SpectralField):
         """to_eigen's coordinates as one flat vector, in the order of eigenvalues."""
@@ -222,7 +223,7 @@ class StokesOperator:
         fn = p + i q acts as (p(A) H1 - q(A) H2) + i (q(A) H1 + p(A) H2).
         """
         p = fn(self.eigenvalues)
-        h1, h2 = (self.to_eigen_flat(hermitize(x)) for x in (f, -1j * f))
+        h1, h2 = (self.to_eigen_flat(x) for x in (f, -1j * f))
         re = self.from_eigen_flat(p.real * h1 - p.imag * h2)
         im = self.from_eigen_flat(p.imag * h1 + p.real * h2)
         return re + 1j * im
@@ -288,14 +289,17 @@ class StokesOperator:
         evs = self.eigenvalues
         rows = []
         for lam in lambdas:
+            if not np.isfinite(lam):
+                raise DomainError(f"sector sweep lambda must be finite, got {lam}")
             m = float(np.max(np.abs(lam) / np.abs(lam + evs)))
             rows.append((complex(lam), m))
         return SectorSweepReport(eps=eps, rows=tuple(rows), sup_m=max(m for _, m in rows))
 
     def smoothing_probe(self, theta1, theta2, t_samples, f: SpectralField) -> SmoothingReport:
         """sup_t t^theta1 e^(beta t) ||exp(-tA) f||_{H^{2(theta1+theta2)}} / ||f||_{H^{2 theta2}}."""
-        if theta1 < 0 or theta2 < 0 or theta1 + theta2 > 1:
-            raise DomainError("need theta1, theta2 >= 0 with theta1 + theta2 <= 1")
+        if not (theta1 >= 0 and theta2 >= 0 and theta1 + theta2 <= 1):
+            raise DomainError("need theta1, theta2 >= 0 with theta1 + theta2 <= 1, "
+                              f"got theta1 = {theta1}, theta2 = {theta2}")
         fc = constrain(f)
         denom = sobolev_norm(fc, 2 * theta2)
         beta = self.beta

@@ -2,7 +2,8 @@
 
 Each oracle is the plain, field-form, whole-list or full-plane version of
 something the package computes a faster way, kept here rather than in
-`src/` because only the tests call it.  `reference_advect` is the oracle of
+`src/` because only the tests call it; so are the zero field and the L^2
+inner product.  `reference_advect` is the oracle of
 the transport term.  The dense oracle of the Stokes operator's eigenvalues
 is `test_stokes.oracle_eigenvalues`.
 """
@@ -29,13 +30,21 @@ from hydropde.fields import (
     SpectralField,
     hermitize,
     synthesize,
-    zeros_spectral,
 )
 from hydropde.grid import Grid, VerticalNodes
 from hydropde.nonlinear import F
 from hydropde.projection import constrain
 from hydropde.errors import ConfigurationError
 from hydropde.stokes import StokesOperator
+
+
+def zeros_spectral(grid, components=2):
+    return SpectralField(grid, np.zeros((components, grid.nx, grid.ny, grid.nz), complex))
+
+
+def l2_inner(f: SpectralField, g: SpectralField) -> float:
+    """Real L^2(Omega) inner product of two real (Hermitian) fields."""
+    return float(f.grid.h / 2 * np.sum(f.coeffs.conj() * g.coeffs).real)
 
 
 def averaged_to_physical(f: AveragedField) -> PhysicalField:

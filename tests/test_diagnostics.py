@@ -35,14 +35,13 @@ from hydropde.fields import (
     random_spectral,
     to_physical,
     vertical_average,
-    zeros_spectral,
 )
 from hydropde.grid import Grid
 from hydropde.io import LEDGER_COLUMNS
 from hydropde.nonlinear import advect
 from hydropde.projection import SurfacePressure, constrain
 from hydropde.stokes import StokesOperator, eigenmode
-from oracles import averaged_to_physical, eigenmode_eigenvalue, grad_norm
+from oracles import averaged_to_physical, eigenmode_eigenvalue, grad_norm, zeros_spectral
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from hydropde.evolution import (
     make_manufactured,
     picard_solve,
 )
-from hydropde.fields import hermitize, l2_inner, l2_norm, random_spectral, zeros_spectral
+from hydropde.fields import hermitize, l2_norm, random_spectral
 from hydropde.grid import Grid
 from hydropde.nonlinear import F
 from hydropde.projection import constrain, divergence_of_average
@@ -27,8 +27,10 @@ from oracles import (
     eigenmode_eigenvalue,
     grad_norm,
     imex_step,
+    l2_inner,
     picard_whole_lists,
     reference_march,
+    zeros_spectral,
 )
 
 

@@ -10,24 +10,34 @@ import pytest
 
 from hydropde.config import InitialConditionSpec, make_initial
 from hydropde.errors import ConfigurationError, DomainError
-from hydropde.evolution import ImexConfig
+from hydropde import fields
+from hydropde.evolution import ImexConfig, imex_run
 from hydropde.fields import (
     AveragedField,
     PhysicalField,
     SpectralField,
     fluctuation,
-    l2_inner,
+    half_array,
+    hermitize,
     l2_norm,
     lp_norm,
     random_spectral,
     sobolev_norm,
     to_physical,
     vertical_average,
-    zeros_spectral,
 )
 from hydropde.grid import Grid
+from hydropde.nonlinear import advect
+from hydropde.projection import constrain
 from hydropde.stokes import StokesOperator, eigenmode
-from oracles import averaged_to_physical
+from oracles import (
+    OddGrid,
+    averaged_to_physical,
+    full_plane_from_eigen,
+    full_plane_to_eigen,
+    l2_inner,
+    zeros_spectral,
+)
 
 
 def single_mode(grid, comp, kx, ky, m, value=1.0, components=2):
@@ -300,3 +310,59 @@ class TestRandomSpectral:
         f = random_spectral(grid16, 2, np.random.default_rng(1))
         g = random_spectral(grid16, 2, np.random.default_rng(1), kmax=4)
         assert np.array_equal(f.coeffs, g.coeffs)
+
+
+# odd ny: the half (ny + 1) // 2 columns wide, with no Nyquist column
+HALF_GRIDS = [Grid(8, 8, 4), Grid(16, 16, 8, dealias_fraction=1.0), OddGrid(10, 9, 4)]
+HALF_IDS = ["8x8x4", "16x16x8-f1", "10x9x4-odd"]
+
+
+class TestHalfLayout:
+    """A real field held by its half, the columns ky = 0 .. (ny + 1) // 2 - 1,
+    and unfolded into its full plane in place."""
+
+    @staticmethod
+    def real_field(grid, seed=0):
+        # Hermitian in every mode, zero on the Nyquist lines, as a half-built field is
+        f = random_spectral(grid, 2, np.random.default_rng(seed), kmax=grid.nx // 2, mmax=grid.nz)
+        return SpectralField(grid, f.coeffs * grid.off_nyquist[:, :, None])
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
+    def test_half_full_half_is_exact(self, grid):
+        f = self.real_field(grid)
+        half = half_array(grid, 2)
+        half[...] = f.half
+        g = SpectralField(grid, half=half)
+        assert np.array_equal(g.half, f.coeffs[:, :, :(grid.ny + 1) // 2])
+        assert np.array_equal(g.coeffs, f.coeffs)
+        assert np.shares_memory(g.coeffs, half) and np.array_equal(g.half, f.half)
+        assert np.array_equal(SpectralField(grid, g.coeffs).half, g.half)
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
+    def test_from_eigen_matches_full_plane_oracle(self, grid):
+        op = StokesOperator(grid)
+        f = constrain(self.real_field(grid, seed=1))
+        got = op.from_eigen(*op.to_eigen(f)).coeffs
+        want = full_plane_from_eigen(op, *full_plane_to_eigen(op, f)).coeffs
+        want *= grid.off_nyquist[:, :, None]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
+    def test_advect_reads_the_hermitian_part(self, grid):
+        rng = np.random.default_rng(2)
+        shape = (2, grid.nx, grid.ny, grid.nz)
+        f = SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert np.array_equal(advect(f).coeffs, advect(hermitize(f)).coeffs)
+
+    def test_march_unfolds_only_the_cfl_checks_plane(self, monkeypatch):
+        calls = []
+
+        def counted(grid, half):
+            calls.append(half.shape)
+            return unfold(grid, half)
+
+        unfold = fields._unfold
+        monkeypatch.setattr(fields, "_unfold", counted)
+        a = constrain(random_spectral(G8, 2, np.random.default_rng(3), amplitude=1e-2))
+        imex_run(a, None, ImexConfig(dt=1e-3, t_end=5e-3, sample_every=1))
+        assert calls == [(2, 8, 4, 4)]

@@ -13,11 +13,9 @@ from hydropde.errors import ConfigurationError
 from hydropde.fields import (
     SpectralField,
     hermitize,
-    l2_inner,
     l2_norm,
     random_spectral,
     to_physical,
-    zeros_spectral,
 )
 from hydropde.grid import Grid
 from hydropde.nonlinear import (
@@ -29,7 +27,7 @@ from hydropde.nonlinear import (
     F,
 )
 from hydropde.projection import constrain, divergence_of_average
-from oracles import OddGrid, dealias_mask, reference_advect
+from oracles import OddGrid, dealias_mask, l2_inner, reference_advect, zeros_spectral
 
 
 def dealias(v):

@@ -8,7 +8,6 @@ from hydropde.fields import (
     AveragedField,
     SpectralField,
     hermitize,
-    l2_inner,
     l2_norm,
     lp_norm,
     random_spectral,
@@ -23,6 +22,7 @@ from hydropde.projection import (
     solve_surface_poisson,
     total_average,
 )
+from oracles import l2_inner
 
 
 def averaged(grid, values):

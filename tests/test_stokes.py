@@ -358,6 +358,11 @@ class TestSectorSweep:
         with pytest.raises(DomainError):
             op16.sector_sweep(np.pi / 2)
 
+    @pytest.mark.parametrize("lams", [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf]])
+    def test_rejects_non_finite_lambda(self, op16, lams):
+        with pytest.raises(DomainError, match=r"lambda must be finite, got \(?(nan|inf)"):
+            op16.sector_sweep(0.3, lams)
+
 
 class TestSmoothing:
     def test_trivial_exponents_bounded_by_one(self, grid16, op16, rng):
@@ -382,6 +387,12 @@ class TestSmoothing:
             op16.smoothing_probe(0.7, 0.7, [0.1], f)
         with pytest.raises(DomainError):
             op16.smoothing_probe(-0.1, 0.0, [0.1], f)
+
+    @pytest.mark.parametrize("theta1, theta2", [(np.nan, 0.0), (0.0, np.nan)])
+    def test_nan_exponent_is_named(self, grid16, op16, rng, theta1, theta2):
+        f = random_spectral(grid16, 2, rng)
+        with pytest.raises(DomainError, match=r"got theta1 = \S+, theta2 = \S+"):
+            op16.smoothing_probe(theta1, theta2, [0.1], f)
 
 
 class TestThreading:
