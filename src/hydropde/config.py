@@ -70,6 +70,10 @@ class RunConfig:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.forcing not in ("zero", "single-mode", "mms"):
             raise ConfigurationError(f"unknown forcing {self.forcing!r}")
+        for f in fields(self):  # cfl_limit = inf switches the CFL check off
+            v = getattr(self, f.name)
+            if f.type is float and not (math.isfinite(v) or f.name == "cfl_limit" and v > 0):
+                raise ConfigurationError(f"{f.name} must be finite, got {v}")
         self.grid()  # validates grid parameters
 
     def grid(self) -> Grid:
@@ -145,9 +149,7 @@ def make_initial(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
         c[1, ix, 0, spec.m] = -0.5j * spec.amplitude
         c[1, jx, 0, spec.m] = 0.5j * spec.amplitude
         return SpectralField(grid, c)
-    if spec.kind == "manufactured":
-        return manufactured_profile(grid, spec)
-    raise ConfigurationError(f"unknown initial condition kind {spec.kind!r}")
+    return manufactured_profile(grid, spec)  # InitialConditionSpec admits no other kind
 
 
 def keyed_eigenmode(grid: Grid, prefix, kx, ky, m, amplitude) -> SpectralField:

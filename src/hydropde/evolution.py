@@ -163,6 +163,10 @@ class ForcingSpec:
     base: SpectralField
     rate: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.rate):  # at rate = inf, exp(-rate t) is nan at t = 0
+            raise ConfigurationError(f"forcing rate must be finite, got {self.rate}")
+
 
 Forcing = ForcingSpec | ManufacturedSolution
 
@@ -188,12 +192,19 @@ def forcing_eval(spec: Forcing, t) -> SpectralField:
     return _combine(*_terms(spec, t))
 
 
+def _finite(y, what):
+    """y, the A-eigen-coordinates of what; ConfigurationError naming it if one is not finite."""
+    if not np.all(np.isfinite(y)):
+        raise ConfigurationError(f"{what} is not finite: its coordinates hold nan or inf")
+    return y
+
+
 def _forcing_coords(op: StokesOperator, spec: Forcing | None):
     """t -> the A-eigen-coordinates of P f(t), None for no forcing: the
     forcing's fixed parts are transformed once and each time rescales them."""
     if spec is None:
         return None
-    parts = [op.to_eigen_flat(p) for p in _terms(spec, 0.0)[1]]
+    parts = [_finite(op.to_eigen_flat(p), "forcing") for p in _terms(spec, 0.0)[1]]
     return lambda t: _combine(_terms(spec, t)[0], parts)
 
 
@@ -268,7 +279,7 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
     s = (1 + op.eigenvalues) ** 0.75
     budget = _Budget(op, dt)
     f_at = _forcing_coords(op, f_ext)
-    acat = op.to_eigen_flat(a)
+    acat = _finite(op.to_eigen_flat(a), "initial data")
 
     def forcing(i):
         return f_at(times[i]) if f_at else 0.0
@@ -339,7 +350,7 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
     nsteps = round(cfg.t_end / cfg.dt)
     # march in the A-eigenbasis: the implicit solve is a diagonal division
     # and the energy norms are plain weighted sums of the coordinates
-    y = op.to_eigen_flat(a)
+    y = _finite(op.to_eigen_flat(a), "initial data")
 
     vmax = float(np.max(np.abs(to_physical(op.from_eigen_flat(y)).values), initial=0.0))
     if cfg.dt * vmax * max(a.grid.nx, a.grid.ny) > cfg.cfl_limit:

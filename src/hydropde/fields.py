@@ -16,7 +16,8 @@ transform is advect's: Grid.vertical_to_modes projects its node products onto
 m < mk exactly, then planes_to_coeffs takes rfft along y and fft along x.
 
 A real field on the march and Picard paths is held by its half (see
-SpectralField); its full plane is formed, in the same block, only when read.
+SpectralField).  One mirror maps k to -k, by reversed slices: hermitian_part
+reads c(-k), and _unfold writes it when a half's full plane is formed.
 
 Norm conventions: for vector fields the pointwise magnitude is the Euclidean
 norm over components, then the L^p quadrature is taken over the box; the
@@ -73,8 +74,8 @@ class SpectralField(_Linear):
     (ny + 1) // 2 - 1, Nyquist row zero, at the front of a full-plane-sized
     block.  Reading .coeffs unfolds it there in place (ky < 0 by c(-k) =
     conj(c(k)), Nyquist column zero) and keeps it; .half is then its view.
-    From a full plane, .half is the Hermitian part on those columns, formed
-    on each read.  Only F (on advect's fresh half) and fluctuation(r,
+    From a full plane, .half is hermitian_part on those columns, formed on
+    each read.  Only F (on advect's fresh half) and fluctuation(r,
     out=r.coeffs) write into a field.
     """
 
@@ -97,8 +98,7 @@ class SpectralField(_Linear):
     def half(self):
         if self._half is not None:
             return self._half
-        c, (ix, iy), n = self._coeffs, self.grid.neg_k, (self.grid.ny + 1) // 2
-        return 0.5 * (c[:, :, :n] + np.conj(c[:, ix, iy[:, :n]]))
+        return hermitian_part(self._coeffs, (self.grid.ny + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -136,15 +136,27 @@ def _require_same_grid(a, b, cls):
         raise ConfigurationError("fields live on different grids")
 
 
-def half_array(grid, components, zero=False):
+def half_array(grid, components):
     """The one allocator of halves: (components, nx, (ny + 1) // 2, nz), C-contiguous at
-    the front of a block the size of the full plane; zero clears the half only."""
+    the front of a block the size of the full plane, its Nyquist row zero."""
     shape = (components, grid.nx, (grid.ny + 1) // 2, grid.nz)
     block = np.empty((components, grid.nx, grid.ny, grid.nz), complex)
     half = block.reshape(-1)[:np.prod(shape)].reshape(shape)
-    if zero:
-        half.fill(0.0)
+    half[:, grid.nx - grid.nx // 2:grid.nx // 2 + 1] = 0.0
     return half
+
+
+def hermitian_part(c, n):
+    """(c(k) + conj(c(-k))) / 2 on the first n ky columns of full planes c (comp, kx, ky, ...).
+
+    -k by reversed slices: row 0 and column 0 are their own -k, the others run in reverse."""
+    ny, h = c.shape[2], np.empty(c.shape[:2] + (n,) + c.shape[3:], complex)
+    for dst, src in ((h[:, :1], c[:, :1]), (h[:, 1:], c[:, :0:-1])):
+        np.conjugate(src[:, :, :1], out=dst[:, :, :1])
+        np.conjugate(src[:, :, :ny - n:-1], out=dst[:, :, 1:])
+    h += c[:, :, :n]
+    h *= 0.5
+    return h
 
 
 def _unfold(grid, half):
@@ -183,7 +195,8 @@ def planes_to_coeffs(grid, planes):
     """
     (rows, K), m = grid.dealias_block, planes.shape[-3]
     half = np.fft.fft(np.fft.rfft(planes, norm="forward")[..., :K], axis=-2, norm="forward")
-    c = half_array(grid, len(planes), zero=True)
+    c = half_array(grid, len(planes))
+    c.fill(0.0)
     c[:, rows, :K, :m] = np.moveaxis(half[:, :, rows], -3, -1)
     return c
 
@@ -193,15 +206,11 @@ def synthesize(grid, coeffs, table) -> PhysicalField:
 
     table maps the modes to the nodes, shape (modes, nzq): grid.nodes.cos for
     the field itself, .dz for its z-derivative, .wint for its integral from
-    z to 0.  The Hermitian half of the mode planes goes through the
-    inverse transform and the real table is applied to the real planes, so
-    the result is Re(sum c exp(2 pi i k.x) phi_m) for any c.
+    z to 0.  hermitian_part of c on the columns ky >= 0, mode axis first,
+    goes through the inverse transform and the real table is applied to the
+    real planes, so the result is Re(sum c exp(2 pi i k.x) phi_m) for any c.
     """
-    (ix, iy), K = grid.neg_k, grid.ny // 2 + 1
-    c = np.moveaxis(coeffs[..., :table.shape[0]], -1, -3)
-    herm = np.conj(c[..., ix, iy[:, :K]])
-    herm += c[..., :K]
-    herm *= 0.5
+    herm = np.moveaxis(hermitian_part(coeffs[..., :table.shape[0]], grid.ny // 2 + 1), -1, -3)
     return PhysicalField(grid, np.tensordot(half_to_planes(grid, herm), table, (1, 0)))
 
 
@@ -215,12 +224,13 @@ def hermitize(f: SpectralField) -> SpectralField:
     Done in coefficient space, c(k) -> (c(k) + conj(c(-k))) / 2, so modes
     outside the support of f stay exactly zero.
     """
-    ix, iy = f.grid.neg_k
-    return SpectralField(f.grid, 0.5 * (f.coeffs + np.conj(f.coeffs[:, ix, iy])))
+    return SpectralField(f.grid, hermitian_part(f.coeffs, f.grid.ny))
 
 
 def random_spectral(grid, components, rng, kmax=None, mmax=None, amplitude=1.0):
     """Random Hermitian field on |kx|, |ky| <= kmax (nx/4, ny/4), m < mmax (nz/2), from rng."""
+    if not np.isfinite(amplitude):
+        raise ConfigurationError(f"random_spectral amplitude must be finite, got {amplitude}")
     kx_max, ky_max = (grid.nx // 4, grid.ny // 4) if kmax is None else (kmax, kmax)
     mmax = max(grid.nz // 2, 1) if mmax is None else mmax
     shape = (components, grid.nx, grid.ny, grid.nz)

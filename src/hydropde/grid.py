@@ -160,11 +160,6 @@ class Grid:
         )
 
     @cached_property
-    def neg_k(self):
-        """Index arrays (ix (nx, 1), iy (1, ny)) of -k: c[..., ix, iy] is c(-k)."""
-        return (-np.arange(self.nx))[:, None] % self.nx, (-np.arange(self.ny))[None, :] % self.ny
-
-    @cached_property
     def off_nyquist(self):
         """(nx, ny) mask of the velocity space's wavenumbers: all but the Nyquist
         row kx = -nx/2 and column ky = -ny/2, whose -k is on the same line."""

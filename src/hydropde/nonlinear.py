@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .fields import (
     SpectralField,
     half_to_planes,
+    hermitian_part,
     l2_norm,
     planes_to_coeffs,
     random_spectral,
@@ -67,10 +68,9 @@ def advect(v: SpectralField) -> SpectralField:
         raise ConfigurationError("advect needs a 2-component velocity")
     mk, n, block, nodes = g.dealias_modes, g.nx * g.ny, g.dealias_block, g.advect_nodes
     (dx, dy), (rows, K) = g.half_ik, block
-    hv = np.moveaxis(v.half[:, rows, :K, :mk], -1, -3)
-    col = hv[..., 0]  # ky = 0 holds both k and -k: their Hermitian average
-    col += np.conj(col[..., -np.arange(len(rows)) % len(rows)])
-    col *= 0.5
+    hv = v.half[:, rows, :K, :mk]
+    hv[:, :, :1] = hermitian_part(hv, 1)  # ky = 0 holds both k and -k; the rows are symmetric
+    hv = np.moveaxis(hv, -1, -3)
     # v, dx v and dy v go straight onto the block rows of one zero-filled
     # transform buffer, which the inverse transform then consumes
     buf = np.zeros((6, mk, g.nx, K), complex)
@@ -119,6 +119,8 @@ def bilinear_estimate_probe(grid: Grid, samples=20, seed=0) -> BilinearProbeRepo
     cutoff of every probed grid (16^2x8 and finer), so estimates on refined
     grids probe the same family of fields and stay comparable.
     """
+    if not 2 <= samples < np.inf:  # the Lipschitz ratios need a pair
+        raise DomainError(f"bilinear_estimate_probe needs samples >= 2, got {samples}")
     rng = np.random.default_rng(seed)
     ratios = []
     lip = []

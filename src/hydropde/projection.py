@@ -52,8 +52,7 @@ def solve_surface_poisson(f: AveragedField) -> SurfacePressure:
         raise ConfigurationError("solve_surface_poisson needs a 2-vector field")
     kdotf = g.kx[:, None] * f.coeffs[0] + g.ky[None, :] * f.coeffs[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        pihat = -2j * np.pi * kdotf / g.k2
-    pihat[0, 0] = 0.0
+        pihat = -2j * np.pi * kdotf / g.k2  # k = 0 is 0/0, which the zero-mean gauge overwrites
     return SurfacePressure(g, pihat)
 
 

@@ -59,6 +59,8 @@ def eigenmode(grid: Grid, k, m, amplitude=1.0) -> SpectralField:
     ix, iy = list(grid.kx).index(kx), list(grid.ky).index(ky)
     if not grid.off_nyquist[ix, iy]:
         raise ConfigurationError(f"wavenumber {k} lies on a Nyquist line")
+    if not np.isfinite(amplitude):
+        raise ConfigurationError(f"eigenmode amplitude must be finite, got {amplitude}")
     d = np.array([1.0, 0.0]) if kx == 0 and ky == 0 else np.array([-ky, kx], float)
     d = d / np.linalg.norm(d)
     c = np.zeros((2, grid.nx, grid.ny, grid.nz), complex)
@@ -191,11 +193,10 @@ class StokesOperator:
         return h[:, 0].flatten(), y
 
     def from_eigen(self, y0, y) -> SpectralField:
-        """The real field with coordinates (y0, y), zero on the Nyquist lines, as a half."""
+        """The real field with coordinates (y0, y), as a half: half_array zeroes its Nyquist row."""
         g, nz, (kx, ky) = self.grid, self.grid.nz, self._khat
         across, along = y[:, :nz], y[:, nz:] @ self._along_basis[1].T
         half = half_array(g, 2)
-        half[:, ~g.off_nyquist[:, 0]] = 0.0
         h = half.reshape(2, -1, nz)
         h[:, 0] = np.reshape(y0, (2, nz))
         h[0, self._flat] = kx * along - ky * across
@@ -232,14 +233,14 @@ class StokesOperator:
 
     def semigroup_apply(self, t, f: SpectralField) -> SpectralField:
         """exp(-tA) applied to the constrained part of f."""
-        if not t >= 0:
-            raise DomainError(f"semigroup time t must be >= 0, got {t}")
+        if not 0 <= t < np.inf:
+            raise DomainError(f"semigroup time t must be finite and >= 0, got {t}")
         return self._spectral_map(lambda mu: np.exp(-t * mu), f)
 
     def solve_shifted(self, c, f: SpectralField) -> SpectralField:
         """(I + c A)^{-1} f for c > -1/max eigenvalue (f projected internally)."""
-        if not c > -1 / self.eigenvalues.max():
-            raise DomainError(f"shift c must be > -1/max eigenvalue, got {c}")
+        if not -1 / self.eigenvalues.max() < c < np.inf:
+            raise DomainError(f"shift c must be finite and > -1/max eigenvalue, got {c}")
         return self._spectral_map(lambda mu: 1 / (1 + c * mu), f)
 
     # -- resolvent ---------------------------------------------------------
@@ -293,6 +294,8 @@ class StokesOperator:
                 raise DomainError(f"sector sweep lambda must be finite, got {lam}")
             m = float(np.max(np.abs(lam) / np.abs(lam + evs)))
             rows.append((complex(lam), m))
+        if not rows:
+            raise DomainError("sector sweep lambdas must hold at least one lambda, got none")
         return SectorSweepReport(eps=eps, rows=tuple(rows), sup_m=max(m for _, m in rows))
 
     def smoothing_probe(self, theta1, theta2, t_samples, f: SpectralField) -> SmoothingReport:
@@ -300,8 +303,12 @@ class StokesOperator:
         if not (theta1 >= 0 and theta2 >= 0 and theta1 + theta2 <= 1):
             raise DomainError("need theta1, theta2 >= 0 with theta1 + theta2 <= 1, "
                               f"got theta1 = {theta1}, theta2 = {theta2}")
+        if not (len(t_samples) and all(0 <= t < np.inf for t in t_samples)):
+            raise DomainError(f"t_samples must hold one or more finite t >= 0, got {t_samples}")
         fc = constrain(f)
         denom = sobolev_norm(fc, 2 * theta2)
+        if not denom > 0:
+            raise DomainError("smoothing_probe needs f with a nonzero constrained part")
         beta = self.beta
         rows = []
         for t in t_samples:

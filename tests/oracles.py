@@ -47,6 +47,13 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
     return float(f.grid.h / 2 * np.sum(f.coeffs.conj() * g.coeffs).real)
 
 
+def index_map_hermitian_part(c, n):
+    """fields.hermitian_part by an index map: c(-k) is c[:, (-i) % nx, (-j) % ny]."""
+    nx, ny = c.shape[1:3]
+    ix, iy = (-np.arange(nx)) % nx, (-np.arange(ny)) % ny
+    return 0.5 * (c[:, :, :n] + np.conj(c[:, ix][:, :, iy])[:, :, :n])
+
+
 def averaged_to_physical(f: AveragedField) -> PhysicalField:
     """Broadcast a z-independent field onto the 3D collocation grid."""
     g = f.grid

@@ -18,6 +18,7 @@ from hydropde.fields import (
     SpectralField,
     fluctuation,
     half_array,
+    hermitian_part,
     hermitize,
     l2_norm,
     lp_norm,
@@ -35,6 +36,7 @@ from oracles import (
     averaged_to_physical,
     full_plane_from_eigen,
     full_plane_to_eigen,
+    index_map_hermitian_part,
     l2_inner,
     zeros_spectral,
 )
@@ -366,3 +368,39 @@ class TestHalfLayout:
         a = constrain(random_spectral(G8, 2, np.random.default_rng(3), amplitude=1e-2))
         imex_run(a, None, ImexConfig(dt=1e-3, t_end=5e-3, sample_every=1))
         assert calls == [(2, 8, 4, 4)]
+
+
+class TestHermitianPart:
+    """The one reader of c(-k): reversed slices, checked bit for bit against the index map."""
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("modes", ["nz", "below-nz"])
+    def test_matches_the_index_map(self, grid, components, modes):
+        nz = grid.nz if modes == "nz" else grid.nz // 2
+        rng = np.random.default_rng(4)
+        shape = (components, grid.nx, grid.ny, nz)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ny = grid.ny
+        for n in sorted({1, (ny + 1) // 2, ny // 2 + 1, ny}):
+            got, want = hermitian_part(c, n), index_map_hermitian_part(c, n)
+            assert got.shape == want.shape == (components, grid.nx, n, nz)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_half_array_nyquist_row_is_zero(self, grid, components, monkeypatch):
+        # every block comes filled with nan, so only half_array's own write zeroes a row
+        empty = np.empty
+
+        def poisoned(shape, dtype):
+            block = empty(shape, dtype)
+            block.fill(np.nan)
+            return block
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        half = half_array(grid, components)
+        nyquist = grid.kx == -grid.nx // 2
+        assert half.shape == (components, grid.nx, (grid.ny + 1) // 2, grid.nz)
+        assert np.count_nonzero(nyquist) == 1 and not np.any(half[:, nyquist])
+        assert np.all(np.isnan(half[:, ~nyquist]))
