@@ -35,6 +35,10 @@ class InitialConditionSpec:
         if not (math.isfinite(self.amplitude) and self.amplitude > 0):
             raise ConfigurationError(
                 f"initial amplitude must be finite and > 0, got {self.amplitude}")
+        for f in fields(self):
+            if f.type is int and not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(
+                    f"initial condition {f.name} must be finite, got {getattr(self, f.name)}")
         if self.seed < 0:
             raise ConfigurationError(f"initial condition seed must be >= 0, got {self.seed}")
 
@@ -72,7 +76,7 @@ class RunConfig:
             raise ConfigurationError(f"unknown forcing {self.forcing!r}")
         for f in fields(self):  # cfl_limit = inf switches the CFL check off
             v = getattr(self, f.name)
-            if f.type is float and not (math.isfinite(v) or f.name == "cfl_limit" and v > 0):
+            if f.type in (int, float) and not (math.isfinite(v) or f.name == "cfl_limit" and v > 0):
                 raise ConfigurationError(f"{f.name} must be finite, got {v}")
         self.grid()  # validates grid parameters
 

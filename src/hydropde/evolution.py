@@ -35,16 +35,15 @@ class PicardConfig:
     nodes: int = 33
     max_iterations: int = 12
     tolerance: float = 1e-12
-    nonlinear: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ConfigurationError(f"Picard horizon must be finite and > 0, got {self.horizon}")
-        if self.nodes < 4:
-            raise ConfigurationError(f"Picard needs >= 4 nodes, got {self.nodes}")
-        if self.max_iterations < 1:
+        if not 4 <= self.nodes < math.inf:
+            raise ConfigurationError(f"Picard needs finite nodes >= 4, got {self.nodes}")
+        if not 1 <= self.max_iterations < math.inf:
             raise ConfigurationError(
-                f"Picard needs max_iterations >= 1, got {self.max_iterations}")
+                f"Picard needs finite max_iterations >= 1, got {self.max_iterations}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ConfigurationError(
                 f"Picard tolerance must be finite and > 0, got {self.tolerance}")
@@ -57,7 +56,6 @@ class ImexConfig:
     order: int = 2
     sample_every: int = 10
     cfl_limit: float = 50.0
-    nonlinear: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -66,8 +64,9 @@ class ImexConfig:
             raise ConfigurationError(f"end time must be finite and > 0, got {self.t_end}")
         if self.order not in (1, 2):
             raise ConfigurationError(f"scheme order must be 1 or 2, got {self.order}")
-        if self.sample_every < 1:
-            raise ConfigurationError(f"sample_every must be >= 1, got {self.sample_every}")
+        if not 1 <= self.sample_every < math.inf:
+            raise ConfigurationError(
+                f"sample_every must be finite and >= 1, got {self.sample_every}")
         # inf switches the CFL check off; nan would do so silently
         if not self.cfl_limit > 0:
             raise ConfigurationError(f"cfl_limit must be > 0, got {self.cfl_limit}")
@@ -113,8 +112,11 @@ class TrajectoryLedger:
 
     def append(self, t, y, e2, d2, d2_int, fwork_int):
         times = self.columns["t"]
+        if not math.isfinite(t):
+            raise ConfigurationError(f"ledger time t must be finite, got {t}")
         if times and not t > times[-1]:
-            raise ConfigurationError("ledger times must be strictly increasing")
+            raise ConfigurationError(
+                f"ledger times must be strictly increasing, got t = {t} after {times[-1]}")
         self.coords.append(y)
         for col, val in zip(self.columns.values(), (t, e2, d2, d2_int, fwork_int)):
             col.append(float(val))
@@ -223,7 +225,7 @@ class _Budget:
         self.d2_int = self.fwork_int = 0.0
         self.prev = None
 
-    def __call__(self, y, f=None):
+    def __call__(self, y, f):
         p2 = np.abs(y) ** 2
         d2 = self.h2 * float(self.wmu @ p2)
         fw = 0.0 if f is None else self.h2 * float(self.w @ (np.conj(f) * y).real)
@@ -264,14 +266,13 @@ class PicardReport:
 
 
 def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
-                 op: StokesOperator | None = None):
+                 op: StokesOperator):
     """Iterate the Duhamel integral on a uniform node grid.
 
     Returns (TrajectoryLedger, PicardReport).  Non-convergence within
     max_iterations, or an iterate norm passing the divergence ceiling, is
     reported in the PicardReport rather than raised.
     """
-    op = op or StokesOperator(a.grid)
     times = np.linspace(0.0, cfg.horizon, cfg.nodes)
     dt = times[1] - times[0]
     decay = np.exp(-dt * op.eigenvalues)
@@ -302,19 +303,15 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
     # an iterate is its node coordinates alone; node 0 is a's in every
     # iterate, so its F is formed once
     vm = [acat, *(y for _, y in sweep(forcing(0), forcing))]
-    src0 = forcing(0) + op.to_eigen_flat(F(op.from_eigen_flat(acat))) if cfg.nonlinear else None
+    src0 = forcing(0) + op.to_eigen_flat(F(op.from_eigen_flat(acat)))
 
     def source(i):
         # node i's field is formed from the old node just before F reads it
         return forcing(i) + op.to_eigen_flat(F(op.from_eigen_flat(vm[i])))
 
-    k_hist = [k_of(vm)]
-    change_hist = []
-    converged = not cfg.nonlinear
-    diverged = False
-    for _ in range(cfg.max_iterations):
-        if converged or diverged:
-            break
+    k_hist, change_hist = [k_of(vm)], []
+    converged = diverged = False
+    while not (converged or diverged) and len(change_hist) < cfg.max_iterations:
         # the sweep streams over the nodes: the new node replaces the old
         # one in place, so vm holds one trajectory and two sources are live
         changes, scales = [0.0], [op.norm(acat)]  # node 0 is a in every iterate
@@ -344,9 +341,8 @@ def picard_solve(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfig,
 
 
 def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
-             op: StokesOperator | None = None) -> TrajectoryLedger:
+             op: StokesOperator) -> TrajectoryLedger:
     """March from t = 0 to t_end; raises NanAbort (with .ledger) on blow-up."""
-    op = op or StokesOperator(a.grid)
     nsteps = round(cfg.t_end / cfg.dt)
     # march in the A-eigenbasis: the implicit solve is a diagonal division
     # and the energy norms are plain weighted sums of the coordinates
@@ -369,7 +365,7 @@ def imex_run(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(nsteps):
             t = n * dt
-            gn = op.to_eigen_flat(F(op.from_eigen_flat(y))) if cfg.nonlinear else 0.0
+            gn = op.to_eigen_flat(F(op.from_eigen_flat(y)))
             # backward Euler at order 1 and on the first step, else CN/AB2;
             # c is the implicit weight
             euler = cfg.order == 1 or n == 0

@@ -2,7 +2,7 @@
 
 Three containers share a Grid:
 
-  SpectralField  complex coefficients over (component, kx, ky, m)
+  SpectralField  velocity (u, v): complex coefficients over (component, kx, ky, m)
   PhysicalField  real values over (component, x_i, y_j, z_q)
   AveragedField  complex coefficients over (component, kx, ky), z-independent
 
@@ -33,18 +33,22 @@ from .errors import ConfigurationError, DomainError
 from .grid import Grid
 
 
-def _check_shape(array, tail, what):
-    if array.shape[1:] != tail or array.shape[0] not in (1, 2):
-        raise ConfigurationError(
-            f"{what}: expected shape (1 or 2 components,) + {tail}, got {array.shape}"
-        )
+def _check_shape(array, tail, what, counts=(1, 2)):
+    if array.shape[1:] != tail or array.shape[0] not in counts:
+        n = " or ".join(map(str, counts))
+        raise ConfigurationError(f"{what}: expected shape ({n} components,) + {tail}, "
+                                 f"got {array.shape}")
 
 
 class _Linear:
     """Vector-space operations of a coefficient field on its coeffs."""
 
     def _other(self, other):
-        _require_same_grid(self, other, type(self))
+        if not isinstance(other, type(self)):
+            raise ConfigurationError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.grid != other.grid:
+            raise ConfigurationError("fields live on different grids")
         return other.coeffs
 
     @property
@@ -67,10 +71,11 @@ class _Linear:
 
 
 class SpectralField(_Linear):
-    """Coefficient tensor c[comp, kx, ky, m] of sum c exp(2 pi i k.x) phi_m(z).
+    """The velocity (u, v): coefficients c[comp, kx, ky, m], comp = 0, 1, of
+    sum c exp(2 pi i k.x) phi_m(z); any other component count is refused.
 
     Built from a full plane, or, in the package only, as SpectralField(grid,
-    half=half_array(...)) from a real field's half: the columns ky = 0 ..
+    half=half_array(grid)) from a real field's half: the columns ky = 0 ..
     (ny + 1) // 2 - 1, Nyquist row zero, at the front of a full-plane-sized
     block.  Reading .coeffs unfolds it there in place (ky < 0 by c(-k) =
     conj(c(k)), Nyquist column zero) and keeps it; .half is then its view.
@@ -82,7 +87,7 @@ class SpectralField(_Linear):
     def __init__(self, grid: Grid, coeffs=None, *, half=None):
         self.grid, self._half, self._coeffs = grid, half, coeffs
         if half is None:
-            _check_shape(coeffs, (grid.nx, grid.ny, grid.nz), "SpectralField")
+            _check_shape(coeffs, (grid.nx, grid.ny, grid.nz), "SpectralField", (2,))
             self._coeffs = coeffs if np.iscomplexobj(coeffs) else coeffs.astype(complex)
 
     @property
@@ -92,7 +97,7 @@ class SpectralField(_Linear):
             self._half = self._coeffs[:, :, :self._half.shape[2]]
         return self._coeffs
 
-    components = property(lambda self: len(self._coeffs if self._half is None else self._half))
+    components = 2
 
     @property
     def half(self):
@@ -129,18 +134,11 @@ class AveragedField(_Linear):
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
 
-def _require_same_grid(a, b, cls):
-    if not isinstance(b, cls):
-        raise ConfigurationError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
-    if a.grid != b.grid:
-        raise ConfigurationError("fields live on different grids")
-
-
-def half_array(grid, components):
-    """The one allocator of halves: (components, nx, (ny + 1) // 2, nz), C-contiguous at
+def half_array(grid):
+    """The one allocator of halves: (2, nx, (ny + 1) // 2, nz), C-contiguous at
     the front of a block the size of the full plane, its Nyquist row zero."""
-    shape = (components, grid.nx, (grid.ny + 1) // 2, grid.nz)
-    block = np.empty((components, grid.nx, grid.ny, grid.nz), complex)
+    shape = (2, grid.nx, (grid.ny + 1) // 2, grid.nz)
+    block = np.empty((2, grid.nx, grid.ny, grid.nz), complex)
     half = block.reshape(-1)[:np.prod(shape)].reshape(shape)
     half[:, grid.nx - grid.nx // 2:grid.nx // 2 + 1] = 0.0
     return half
@@ -195,7 +193,7 @@ def planes_to_coeffs(grid, planes):
     """
     (rows, K), m = grid.dealias_block, planes.shape[-3]
     half = np.fft.fft(np.fft.rfft(planes, norm="forward")[..., :K], axis=-2, norm="forward")
-    c = half_array(grid, len(planes))
+    c = half_array(grid)
     c.fill(0.0)
     c[:, rows, :K, :m] = np.moveaxis(half[:, :, rows], -3, -1)
     return c

@@ -73,12 +73,12 @@ class Grid:
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if self.nx < 4 or self.nx % 2 or self.ny < 4 or self.ny % 2:
-            raise ConfigurationError(
-                f"horizontal mode counts must be even and >= 4, got {self.nx}x{self.ny}"
-            )
-        if self.nz < 2:
-            raise ConfigurationError(f"nz must be >= 2, got {self.nz}")
+        for name in ("nx", "ny"):  # nan and inf fail the first test or have no parity
+            n = getattr(self, name)
+            if n < 4 or n % 2:
+                raise ConfigurationError(f"{name} must be even and >= 4, got {n}")
+        if not 2 <= self.nz < np.inf:
+            raise ConfigurationError(f"nz must be finite and >= 2, got {self.nz}")
         # below hmin the top mode's lam = (nz - 1/2) pi / h passes 1e77: its H^2
         # weight (1 + 4 pi^2 |k|^2 + lam^2)^2 and the vertical eigenproblem overflow
         hmin = (self.nz - 0.5) * np.pi * 1e-77
@@ -164,12 +164,6 @@ class Grid:
         """(nx, ny) mask of the velocity space's wavenumbers: all but the Nyquist
         row kx = -nx/2 and column ky = -ny/2, whose -k is on the same line."""
         return (self.kx != -self.nx // 2)[:, None] & (self.ky != -self.ny // 2)
-
-    @cached_property
-    def half_ik(self):
-        """2 pi i kx (rows, 1) and 2 pi i ky (1, K) on dealias_block."""
-        rows, K = self.dealias_block
-        return 2j * np.pi * self.kx[rows, None], 2j * np.pi * self.ky[None, :K]
 
     # -- dealiasing ------------------------------------------------------
 

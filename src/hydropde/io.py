@@ -4,10 +4,10 @@ Checkpoint layout: one ASCII header line
 
     HYDROPDE1 nx ny nz h components
 
-followed by the coefficients as little-endian complex128 (real and
-imaginary float64 parts interleaved) in (component, kx, ky, m) row-major
-order.  The depth h is written with repr so a save/load round trip is
-bit-exact.
+with components = 2, the velocity's (u, v), followed by the coefficients as
+little-endian complex128 (real and imaginary float64 parts interleaved) in
+(component, kx, ky, m) row-major order.  The depth h is written with repr so
+a save/load round trip is bit-exact.
 
 Ledger CSV: the ledger table ({column name: list of floats}, as
 diagnostics.build_records returns it) written as a version comment
@@ -57,7 +57,9 @@ def load_checkpoint(path, grid: Grid | None = None) -> SpectralField:
             raise ValueError("not a HYDROPDE1 checkpoint")
         nx, ny, nz, comp = (int(header[i]) for i in (1, 2, 3, 5))
         h = float(header[4])
-        if comp not in (1, 2) or len(raw) != 16 * comp * nx * ny * nz:
+        if comp != 2:
+            raise ValueError(f"{comp} components, a velocity has 2")
+        if len(raw) != 16 * comp * nx * ny * nz:
             raise ValueError(f"{len(raw)} bytes for a {comp}x{nx}x{ny}x{nz} complex field")
         if grid is None:
             grid = Grid(nx, ny, nz, h)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .fields import (
     SpectralField,
     half_to_planes,
@@ -64,10 +64,8 @@ TILE = 512
 def advect(v: SpectralField) -> SpectralField:
     """Unprojected transport term v . grad_H v + w dz v."""
     g = v.grid
-    if v.components != 2:
-        raise ConfigurationError("advect needs a 2-component velocity")
-    mk, n, block, nodes = g.dealias_modes, g.nx * g.ny, g.dealias_block, g.advect_nodes
-    (dx, dy), (rows, K) = g.half_ik, block
+    mk, n, (rows, K), nodes = g.dealias_modes, g.nx * g.ny, g.dealias_block, g.advect_nodes
+    dx, dy = 2j * np.pi * g.kx[rows, None], 2j * np.pi * g.ky[None, :K]
     hv = v.half[:, rows, :K, :mk]
     hv[:, :, :1] = hermitian_part(hv, 1)  # ky = 0 holds both k and -k; the rows are symmetric
     hv = np.moveaxis(hv, -1, -3)

@@ -68,8 +68,6 @@ def project(v: SpectralField, mean: AveragedField | None = None):
     Returns (v_out, mean_out, pi) with v_out - here identical to v, since the
     subtracted gradient is z-independent - and mean_out = mean - grad_H pi.
     """
-    if v.components != 2:
-        raise ConfigurationError("project needs a 2-component velocity")
     pi = solve_surface_poisson(total_average(v, mean))
     grad = pi.gradient()
     mean_out = -grad if mean is None else mean - grad
@@ -89,8 +87,6 @@ def constrain(v: SpectralField) -> SpectralField:
     kx = -nx/2 and the column ky = -ny/2, +n/2 aliases to -n/2, so -k lies on
     the same line, and the projection sets both lines to zero.
     """
-    if v.components != 2:
-        raise ConfigurationError("constrain needs a 2-component velocity")
     return SpectralField(v.grid, constrain_coeffs(v.grid, v.coeffs.copy()))
 
 

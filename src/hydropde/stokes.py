@@ -52,8 +52,8 @@ def eigenmode(grid: Grid, k, m, amplitude=1.0) -> SpectralField:
     (Grid.off_nyquist), where the velocity space has no modes.
     """
     kx, ky = int(k[0]), int(k[1])
-    if m < 0 or m >= grid.nz:
-        raise ConfigurationError(f"vertical mode {m} outside 0..{grid.nz - 1}")
+    if not 0 <= m < grid.nz:
+        raise ConfigurationError(f"vertical mode m = {m} outside 0..{grid.nz - 1}")
     if kx not in grid.kx or ky not in grid.ky:
         raise ConfigurationError(f"wavenumber {k} outside grid {grid.nx}x{grid.ny}")
     ix, iy = list(grid.kx).index(kx), list(grid.ky).index(ky)
@@ -181,8 +181,6 @@ class StokesOperator:
         plane.  The basis is orthogonal to the constraint normal: no
         projection is needed.
         """
-        if f.components != 2:
-            raise ConfigurationError("the Stokes operator acts on 2-component velocities")
         nz = self.grid.nz
         h = f.half.reshape(2, -1, nz)
         u, v = np.take(h, self._flat, axis=1)
@@ -196,7 +194,7 @@ class StokesOperator:
         """The real field with coordinates (y0, y), as a half: half_array zeroes its Nyquist row."""
         g, nz, (kx, ky) = self.grid, self.grid.nz, self._khat
         across, along = y[:, :nz], y[:, nz:] @ self._along_basis[1].T
-        half = half_array(g, 2)
+        half = half_array(g)
         h = half.reshape(2, -1, nz)
         h[:, 0] = np.reshape(y0, (2, nz))
         h[0, self._flat] = kx * along - ky * across

@@ -34,7 +34,6 @@ from hydropde.fields import (
 from hydropde.grid import Grid, VerticalNodes
 from hydropde.nonlinear import F
 from hydropde.projection import constrain
-from hydropde.errors import ConfigurationError
 from hydropde.stokes import StokesOperator
 
 
@@ -144,7 +143,7 @@ def imex_step(v, f_prev, t, cfg: ImexConfig, op: StokesOperator,
     scheme written with the operator's apply and shifted solve.
     """
     dt = cfg.dt
-    fn = F(v) if cfg.nonlinear else zeros_spectral(v.grid)
+    fn = F(v)
     if cfg.order == 1 or first:
         rhs = v + dt * fn
         if forcing is not None:
@@ -196,11 +195,10 @@ def picard_whole_lists(a: SpectralField, f_ext: Forcing | None, cfg: PicardConfi
     vm = duhamel(fcat)
     vs = [op.from_eigen_flat(y) for y in vm]
     v0 = vs[0]
-    src0 = fcat[0] + op.to_eigen_flat(F(v0)) if cfg.nonlinear else None
+    src0 = fcat[0] + op.to_eigen_flat(F(v0))
     k_hist = [k_of(vm)]
     change_hist = []
-    converged = not cfg.nonlinear
-    diverged = False
+    converged = diverged = False
     iterations = 0
     for _ in range(cfg.max_iterations):
         if converged or diverged:
@@ -270,8 +268,6 @@ def full_plane_to_eigen(op: StokesOperator, f: SpectralField):
     The basis is orthogonal to the constraint normal, so the normal
     component of f drops out without a projection.
     """
-    if f.components != 2:
-        raise ConfigurationError("the Stokes operator acts on 2-component velocities")
     g = op.grid
     nz = g.nz
     c = f.coeffs.reshape(2, g.nx * g.ny, nz)
@@ -342,7 +338,7 @@ def reference_march(a: SpectralField, f_ext: Forcing | None, cfg: ImexConfig,
     for n in range(nsteps):
         t = n * dt
         fn, fnext = fnext, f_eig(t + dt)
-        gn = eig(F(uneig(y))) if cfg.nonlinear else 0.0
+        gn = eig(F(uneig(y)))
         if cfg.order == 1 or n == 0:
             y = (y + dt * gn + dt * fnext) / (1 + dt * mu)
         else:

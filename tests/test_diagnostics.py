@@ -104,7 +104,7 @@ class TestEnergyBudget:
     def test_linear_run_closes(self, grid8, op8):
         # slow mode: the trapezoid closure error scales like dt^2 mu^3
         a = eigenmode(grid8, (0, 0), 0, amplitude=0.1)
-        led = imex_run(a, None, ImexConfig(dt=2e-4, t_end=0.3, sample_every=50, nonlinear=False), op8)
+        led = imex_run(a, None, ImexConfig(dt=2e-4, t_end=0.3, sample_every=50), op8)
         rep = energy_budget(led.columns)
         assert rep.max_relative_residual < 1e-6
         assert rep.monotone

@@ -92,7 +92,7 @@ class TestConfigs:
         a = eigenmode(grid8, (1, 0), 0, amplitude=1e6)
         with pytest.raises(ConfigurationError, match="too large"):
             imex_run(a, None, ImexConfig(dt=1e-3, t_end=1e-3), op8)
-        cfg = ImexConfig(dt=1e-3, t_end=1e-3, cfl_limit=np.inf, nonlinear=False)
+        cfg = ImexConfig(dt=1e-3, t_end=1e-3, cfl_limit=np.inf)
         assert imex_run(a, None, cfg, op8).columns["t"] == [0.0, 1e-3]
 
     def test_sample_every_below_one_rejected(self, grid8, op8):
@@ -110,6 +110,17 @@ class TestConfigs:
         led.append(0.0, None, 1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ConfigurationError):
             led.append(0.0, None, 1.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_ledger_refuses_a_non_finite_time(self, op8, t):
+        # also as the first time, which no order check sees
+        for times in ([], [0.0]):
+            led = TrajectoryLedger(op8, None)
+            for s in times:
+                led.append(s, None, 1.0, 1.0, 0.0, 0.0)
+            with pytest.raises(ConfigurationError, match=rf"ledger time t must be finite, got {t}"):
+                led.append(t, None, 1.0, 1.0, 0.0, 0.0)
+            assert led.columns["t"] == times and len(led.coords) == len(times)
 
 
 class TestForcing:
@@ -146,11 +157,14 @@ class TestPicard:
         assert report.iterations == 1
         assert max(ledger.columns["e2"]) == 0.0
 
-    def test_linear_problem_matches_semigroup(self, grid8, op8, rng):
+    def test_linear_problem_matches_semigroup(self, grid8, op8, rng, monkeypatch):
+        # F = 0: the first iterate is the semigroup orbit, and the sweep
+        # after it changes nothing
+        monkeypatch.setattr(evolution, "F", lambda v: 0 * v)
         a = constrain(random_spectral(grid8, 2, rng))
-        cfg = PicardConfig(horizon=0.4, nodes=17, nonlinear=False)
+        cfg = PicardConfig(horizon=0.4, nodes=17)
         ledger, report = picard_solve(a, None, cfg, op8)
-        assert report.converged
+        assert report.converged and report.iterations == 1
         for t, state in zip(ledger.columns["t"], ledger.states):
             exact = op8.semigroup_apply(t, a)
             assert l2_norm(state - exact) < 1e-10 * l2_norm(a)
@@ -241,8 +255,6 @@ def _picard_case(name, grid, op):
         psi = random_spectral(grid, 2, np.random.default_rng(3), kmax=2, mmax=2, amplitude=1e-2)
         mms = make_manufactured(op, psi)
         return mms.solution(0.0), mms, cfg
-    if name == "linear":
-        return a, None, PicardConfig(horizon=0.1, nodes=9, nonlinear=False)
     # amplitude 200 passes the ceiling k > 1e6 at the second iteration
     big = constrain(random_spectral(grid, 2, np.random.default_rng(0), amplitude=200.0))
     return big, None, PicardConfig(horizon=0.5, nodes=9, max_iterations=2, tolerance=1e-300)
@@ -253,7 +265,7 @@ class TestStreamedSweep:
     loop it replaced is the oracle, and the two must agree bit for bit."""
 
     @pytest.mark.parametrize(
-        "case", ["unforced", "forcing-spec", "manufactured", "linear", "diverging"])
+        "case", ["unforced", "forcing-spec", "manufactured", "diverging"])
     def test_matches_whole_list_iteration(self, grid8, op8, case):
         a, forcing, cfg = _picard_case(case, grid8, op8)
         ledger, report = picard_solve(a, forcing, cfg, op8)
@@ -265,8 +277,6 @@ class TestStreamedSweep:
             assert np.array_equal(state.coeffs, ref.coeffs)
         if case == "diverging":
             assert report.diverged and report.iterations == 2
-        elif case == "linear":
-            assert report.converged and report.iterations == 0
         else:
             assert report.converged and report.iterations >= 2
 
@@ -298,7 +308,7 @@ class TestImex:
         t_end = 0.1
         errs = []
         for dt in (2e-3, 1e-3, 5e-4):
-            led = imex_run(a, None, ImexConfig(dt=dt, t_end=t_end, nonlinear=False), op8)
+            led = imex_run(a, None, ImexConfig(dt=dt, t_end=t_end), op8)
             exact = np.exp(-mu * t_end)
             e2 = led.columns["e2"]
             errs.append(abs(np.sqrt(e2[-1]) / np.sqrt(e2[0]) - exact))
@@ -312,7 +322,7 @@ class TestImex:
         t_end = 0.1
         errs = []
         for dt in (2e-3, 1e-3):
-            led = imex_run(a, None, ImexConfig(dt=dt, t_end=t_end, order=1, nonlinear=False), op8)
+            led = imex_run(a, None, ImexConfig(dt=dt, t_end=t_end, order=1), op8)
             e2 = led.columns["e2"]
             errs.append(abs(np.sqrt(e2[-1]) / np.sqrt(e2[0]) - np.exp(-mu * t_end)))
         assert 1.7 < errs[0] / errs[1] < 2.3

@@ -42,8 +42,8 @@ from oracles import (
 )
 
 
-def single_mode(grid, comp, kx, ky, m, value=1.0, components=2):
-    c = np.zeros((components, grid.nx, grid.ny, grid.nz), complex)
+def single_mode(grid, comp, kx, ky, m, value=1.0):
+    c = np.zeros((2, grid.nx, grid.ny, grid.nz), complex)
     c[comp, list(grid.kx).index(kx), list(grid.ky).index(ky), m] = value
     return SpectralField(grid, c)
 
@@ -90,10 +90,11 @@ class TestGrid:
 
 class TestTransforms:
     def test_single_basis_function(self, grid16):
-        f = single_mode(grid16, 0, 0, 0, 0, 1.0, components=1)
+        f = single_mode(grid16, 0, 0, 0, 0, 1.0)
         phys = to_physical(f)
         expected = np.cos(grid16.lam[0] * grid16.nodes.z)
         assert np.max(np.abs(phys.values[0] - expected[None, None, :])) < 1e-13
+        assert np.all(phys.values[1] == 0)
 
     def test_zero_maps_to_zero(self, grid16):
         assert np.all(to_physical(zeros_spectral(grid16)).values == 0)
@@ -101,6 +102,9 @@ class TestTransforms:
     def test_shape_mismatch_rejected(self, grid16):
         with pytest.raises(ConfigurationError):
             SpectralField(grid16, np.zeros((2, 8, 16, 8), complex))
+        for comps in (1, 3):  # a SpectralField is the velocity (u, v)
+            with pytest.raises(ConfigurationError, match=r"SpectralField: expected shape \(2 comp"):
+                SpectralField(grid16, np.zeros((comps, 16, 16, 8), complex))
         with pytest.raises(ConfigurationError):
             PhysicalField(grid16, np.zeros((2, 16, 16, 7)))
         with pytest.raises(ConfigurationError):
@@ -110,9 +114,10 @@ class TestTransforms:
 class TestVerticalAverage:
     def test_single_mode_value(self, grid16):
         # (1/h) int_{-1}^0 cos(pi z / 2) dz = 2 / pi
-        f = single_mode(grid16, 0, 0, 0, 0, 1.0, components=1)
+        f = single_mode(grid16, 0, 0, 0, 0, 1.0)
         avg = vertical_average(f)
         assert abs(avg.coeffs[0, 0, 0] - 2 / np.pi) < 1e-14
+        assert np.all(avg.coeffs[1] == 0)
         # independent midpoint oracle
         zf = -1.0 + (np.arange(20000) + 0.5) / 20000
         oracle = np.mean(np.cos(np.pi * zf / 2))
@@ -121,7 +126,7 @@ class TestVerticalAverage:
     def test_projected_constant_averages_to_one(self, grid16):
         g = grid16
         modes = 2 * g.avg_factor
-        c = np.zeros((1, g.nx, g.ny, g.nz), complex)
+        c = np.zeros((2, g.nx, g.ny, g.nz), complex)
         c[0, 0, 0, :] = modes
         avg = vertical_average(SpectralField(g, c))
         # truncation of a z-constant leaves an O(1/nz) defect
@@ -198,7 +203,9 @@ class TestNorms:
         # oracle: the pointwise magnitude |f| itself, |f|^p summed with the
         # horizontal and vertical quadrature weights (the max at p = inf)
         g = grid16
-        f = to_physical(random_spectral(g, components, rng))
+        # a scalar is the first component of a velocity's values
+        f = to_physical(random_spectral(g, 2, rng))
+        f = PhysicalField(g, f.values[:components])
         mag = np.abs(f.values[0]) if components == 1 else np.sqrt(np.sum(f.values**2, axis=0))
         hw = 1.0 / (g.nx * g.ny)
 
@@ -223,7 +230,7 @@ class TestNorms:
         assert abs(sobolev_norm(f, 0) - lp_norm(to_physical(f), 2)) < 1e-8 * l2_norm(f)
 
     def test_sobolev_single_mode_multiplier(self, grid16):
-        f = single_mode(grid16, 0, 1, 0, 0, 1.0, components=1)
+        f = single_mode(grid16, 0, 1, 0, 0, 1.0)
         base = l2_norm(f)
         expected = np.sqrt(1 + 4 * np.pi**2 + np.pi**2 / 4) * base
         assert abs(sobolev_norm(f, 1) - expected) < 1e-12
@@ -233,7 +240,7 @@ class TestNorms:
         xs = np.arange(16) / 16
         dfdx = (np.exp(2j * np.pi * (xs + eps)) - np.exp(2j * np.pi * (xs - eps))) / (2 * eps)
         assert abs(np.max(np.abs(dfdx)) - 2 * np.pi) < 1e-4
-        assert gphys.values.shape[0] == 1
+        assert np.all(gphys.values[1] == 0)
 
     def test_sobolev_monotone(self, grid16, rng):
         f = random_spectral(grid16, 2, rng)
@@ -279,7 +286,7 @@ class TestLibraryErrors:
         (lambda: ImexConfig(dt=1e-3, t_end=0), "end time must be finite and > 0"),
         (lambda: eigenmode(G8, (5, 0), 0), "outside grid 8x8"),
         (lambda: StokesOperator(G8).to_eigen(zeros_spectral(G8, components=1)),
-         "acts on 2-component velocities"),
+         r"SpectralField: expected shape \(2 components,\)"),
         (lambda: zeros_spectral(G8) + zeros_spectral(Grid(8, 8, 6)),
          "fields live on different grids"),
     ], ids=["imex-t-end", "eigenmode-k", "to-eigen-components", "add-grids"])
@@ -332,7 +339,7 @@ class TestHalfLayout:
     @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
     def test_half_full_half_is_exact(self, grid):
         f = self.real_field(grid)
-        half = half_array(grid, 2)
+        half = half_array(grid)
         half[...] = f.half
         g = SpectralField(grid, half=half)
         assert np.array_equal(g.half, f.coeffs[:, :, :(grid.ny + 1) // 2])
@@ -366,7 +373,7 @@ class TestHalfLayout:
         unfold = fields._unfold
         monkeypatch.setattr(fields, "_unfold", counted)
         a = constrain(random_spectral(G8, 2, np.random.default_rng(3), amplitude=1e-2))
-        imex_run(a, None, ImexConfig(dt=1e-3, t_end=5e-3, sample_every=1))
+        imex_run(a, None, ImexConfig(dt=1e-3, t_end=5e-3, sample_every=1), StokesOperator(G8))
         assert calls == [(2, 8, 4, 4)]
 
 
@@ -388,8 +395,7 @@ class TestHermitianPart:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
-    @pytest.mark.parametrize("components", [1, 2])
-    def test_half_array_nyquist_row_is_zero(self, grid, components, monkeypatch):
+    def test_half_array_nyquist_row_is_zero(self, grid, monkeypatch):
         # every block comes filled with nan, so only half_array's own write zeroes a row
         empty = np.empty
 
@@ -399,8 +405,8 @@ class TestHermitianPart:
             return block
 
         monkeypatch.setattr(np, "empty", poisoned)
-        half = half_array(grid, components)
+        half = half_array(grid)
         nyquist = grid.kx == -grid.nx // 2
-        assert half.shape == (components, grid.nx, (grid.ny + 1) // 2, grid.nz)
+        assert half.shape == (2, grid.nx, (grid.ny + 1) // 2, grid.nz)
         assert np.count_nonzero(nyquist) == 1 and not np.any(half[:, nyquist])
         assert np.all(np.isnan(half[:, ~nyquist]))

@@ -31,7 +31,7 @@ from hydropde.io import (
     write_report_json,
 )
 from hydropde.projection import SurfacePressure, divergence_of_average
-from hydropde.stokes import eigenmode
+from hydropde.stokes import StokesOperator, eigenmode
 
 
 class TestCheckpoint:
@@ -75,7 +75,7 @@ class TestCheckpoint:
         # a wrong magic word, the nz = 0 header surface pressures once had, a
         # field that is not a number, data shorter than the header says, data
         # that is not a whole number of complex values (half a value short,
-        # one byte too long), and three components
+        # one byte too long), and one or three components
         n = 2 * 8 * 8 * 4
         for header, size in ((b"NOTACKPT 1 2 3 4 5\n", 16 * 16 * 16),
                              (b"HYDROPDE1 16 16 0 1.0 1\n", 16 * 16 * 16),
@@ -83,6 +83,7 @@ class TestCheckpoint:
                              (b"HYDROPDE1 8 8 4 1.0 2\n", 64),
                              (b"HYDROPDE1 8 8 4 1.0 2\n", 16 * n - 8),
                              (b"HYDROPDE1 8 8 4 1.0 2\n", 16 * n + 1),
+                             (b"HYDROPDE1 8 8 4 1.0 1\n", 8 * 8 * 4 * 16),
                              (b"HYDROPDE1 8 8 4 1.0 3\n", 3 * 8 * 8 * 4 * 16)):
             p.write_bytes(header + bytes(size))
             for grid in (None, grid16):
@@ -99,7 +100,7 @@ class TestCheckpoint:
 def short_ledger():
     g = Grid(8, 8, 4)
     a = eigenmode(g, (1, 0), 0, amplitude=1e-2)
-    led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=0.05, sample_every=10))
+    led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=0.05, sample_every=10), StokesOperator(g))
     return led, build_records(led)
 
 

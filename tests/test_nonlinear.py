@@ -27,6 +27,7 @@ from hydropde.nonlinear import (
     F,
 )
 from hydropde.projection import constrain, divergence_of_average
+from hydropde.stokes import StokesOperator, eigenmode
 from oracles import OddGrid, dealias_mask, l2_inner, reference_advect, zeros_spectral
 
 
@@ -138,9 +139,9 @@ class TestAdvect:
         assert peak < 4 * v.coeffs.nbytes
 
     def test_wrong_component_count_rejected(self, grid16):
-        bad = SpectralField(grid16, np.zeros((1, 16, 16, 8), complex))
-        with pytest.raises(ConfigurationError):
-            advect(bad)
+        # a field advect could be handed is a velocity by construction
+        with pytest.raises(ConfigurationError, match=r"expected shape \(2 components"):
+            advect(SpectralField(grid16, np.zeros((1, 16, 16, 8), complex)))
 
 
 # 26x24 has 624 horizontal points: one full tile of advect's vertical stage
@@ -222,6 +223,17 @@ class TestAdvectNodes:
 
 
 class TestF:
+    @pytest.mark.parametrize("k, m", [((1, 0), 0), ((0, 0), 0), ((1, 1), 1), ((0, 1), 2)])
+    @pytest.mark.parametrize("amplitude", [1e-3, 1.0, 1e6])
+    def test_vanishes_on_an_eigenmode(self, k, m, amplitude):
+        # a cos(2 pi k.x) phi_m with a perpendicular to k: div_H v = 0 and
+        # (v . grad_H) v = 0, with each product's factors zero or cancelling
+        # exactly; the linear march tests start from these modes
+        g = Grid(8, 8, 4)
+        op = StokesOperator(g)
+        y = op.to_eigen_flat(F(eigenmode(g, k, m, amplitude)))
+        assert np.all(y == 0.0)
+
     def test_zero(self, grid16):
         assert np.max(np.abs(F(zeros_spectral(grid16)).coeffs)) == 0.0
 

@@ -1,13 +1,14 @@
 """Non-finite scalars and empty inputs are refused, naming what is wrong.
 
-One table holds every scalar parameter of the public functions and configs:
-the names in hydropde.__all__, the StokesOperator solves and probes, the
-fields norms, eigenmode, random_spectral and ForcingSpec.  Each gets nan,
-+inf and -inf in turn and must raise DomainError or ConfigurationError with a
-message that names it; the table marks the infinities that are documented
-values (cfl_limit = inf switches the CFL check off, lp_norm's p = inf is the
-max norm).  Integer parameters (mode counts, seeds) are left to their type,
-except the probe's sample count.
+One table holds every scalar parameter of the public functions and configs,
+float and integer: the names in hydropde.__all__, the StokesOperator solves
+and probes, the fields norms, eigenmode, random_spectral and ForcingSpec.
+Each gets nan, +inf and -inf in turn and must raise DomainError or
+ConfigurationError with a message that names it; the table marks the
+infinities that are documented values (cfl_limit = inf switches the CFL
+check off, lp_norm's p = inf is the max norm).  An integer parameter takes
+nan and inf only from a caller that passes floats, which the configs and
+the grid refuse as they refuse a non-finite float.
 """
 
 import dataclasses
@@ -36,6 +37,9 @@ MODE = eigenmode(G, (1, 0), 0, amplitude=1e-3)
 # name -> (call with the scalar x, pattern by which the message names it,
 #          the documented infinities)
 SCALARS = {
+    "Grid.nx": (lambda x: Grid(x, 8, 4), r"\bnx\b", ()),
+    "Grid.ny": (lambda x: Grid(8, x, 4), r"\bny\b", ()),
+    "Grid.nz": (lambda x: Grid(8, 8, x), r"\bnz\b", ()),
     "Grid.h": (lambda x: Grid(8, 8, 4, h=x), r"\bh\b", ()),
     "Grid.dealias_fraction": (lambda x: Grid(8, 8, 4, dealias_fraction=x),
                               "dealias_fraction", ()),
@@ -43,15 +47,25 @@ SCALARS = {
     "ImexConfig.t_end": (lambda x: ImexConfig(dt=1e-3, t_end=x), "end time", ()),
     "ImexConfig.cfl_limit": (lambda x: ImexConfig(dt=1e-3, t_end=1.0, cfl_limit=x),
                              "cfl_limit", (math.inf,)),
+    "ImexConfig.order": (lambda x: ImexConfig(dt=1e-3, t_end=1.0, order=x), "order", ()),
+    "ImexConfig.sample_every": (lambda x: ImexConfig(dt=1e-3, t_end=1.0, sample_every=x),
+                                "sample_every", ()),
     "PicardConfig.horizon": (lambda x: PicardConfig(horizon=x), "horizon", ()),
     "PicardConfig.tolerance": (lambda x: PicardConfig(horizon=1.0, tolerance=x),
                                "tolerance", ()),
+    "PicardConfig.nodes": (lambda x: PicardConfig(horizon=1.0, nodes=x), r"\bnodes\b", ()),
+    "PicardConfig.max_iterations": (lambda x: PicardConfig(horizon=1.0, max_iterations=x),
+                                    "max_iterations", ()),
     "InitialConditionSpec.amplitude": (lambda x: InitialConditionSpec(amplitude=x),
                                        "amplitude", ()),
+    **{f"InitialConditionSpec.{name}": (
+        lambda x, name=name: InitialConditionSpec(**{name: x}), rf"\b{name}\b", ())
+       for name in ("kx", "ky", "m", "seed")},
     **{f"RunConfig.{f.name}": (lambda x, name=f.name: RunConfig(**{name: x}), rf"\b{f.name}\b",
                                (math.inf,) if f.name == "cfl_limit" else ())
-       for f in dataclasses.fields(RunConfig) if f.type is float},
+       for f in dataclasses.fields(RunConfig) if f.type in (int, float)},
     "ForcingSpec.rate": (lambda x: ForcingSpec(MODE, rate=x), "rate", ()),
+    "eigenmode.m": (lambda x: eigenmode(G, (1, 0), x), r"\bm\b", ()),
     "eigenmode.amplitude": (lambda x: eigenmode(G, (1, 0), 0, amplitude=x), "amplitude", ()),
     "random_spectral.amplitude": (
         lambda x: random_spectral(G, 2, np.random.default_rng(0), amplitude=x), "amplitude", ()),
@@ -86,19 +100,28 @@ def test_non_finite_scalar_is_refused_by_name(name, x):
     assert re.search(names, str(err.value)), str(err.value)
 
 
-def _float_parameters(obj):
-    """Names of obj's float-typed dataclass fields, or of its parameters with a float default."""
+def _parameters(obj, kind):
+    """Names of obj's kind-typed dataclass fields, or of its parameters with a kind default."""
     if dataclasses.is_dataclass(obj):
-        return [f.name for f in dataclasses.fields(obj) if f.type is float]
+        return [f.name for f in dataclasses.fields(obj) if f.type is kind]
     if inspect.isfunction(obj):
         return [p.name for p in inspect.signature(obj).parameters.values()
-                if isinstance(p.default, float)]
+                if isinstance(p.default, kind) and not isinstance(p.default, bool)]
     return []
 
 
+def _declared(kind):
+    return {f"{name}.{p}" for name in hydropde.__all__
+            for p in _parameters(getattr(hydropde, name), kind)}
+
+
 def test_table_holds_every_float_parameter_of_the_public_names():
-    declared = {f"{name}.{p}" for name in hydropde.__all__
-                for p in _float_parameters(getattr(hydropde, name))}
+    declared = _declared(float)
+    assert declared and declared <= set(SCALARS), sorted(declared - set(SCALARS))
+
+
+def test_table_holds_every_int_parameter_of_the_public_names():
+    declared = _declared(int)
     assert declared and declared <= set(SCALARS), sorted(declared - set(SCALARS))
 
 
