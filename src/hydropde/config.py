@@ -9,6 +9,7 @@ offending line number.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,10 +36,10 @@ class InitialConditionSpec:
         if not (math.isfinite(self.amplitude) and self.amplitude > 0):
             raise ConfigurationError(
                 f"initial amplitude must be finite and > 0, got {self.amplitude}")
-        for f in fields(self):
-            if f.type is int and not math.isfinite(getattr(self, f.name)):
+        for f in fields(self):  # nan, inf and 1.5 alike
+            if f.type is int and not isinstance(getattr(self, f.name), numbers.Integral):
                 raise ConfigurationError(
-                    f"initial condition {f.name} must be finite, got {getattr(self, f.name)}")
+                    f"initial condition {f.name} must be an integer, got {getattr(self, f.name)}")
         if self.seed < 0:
             raise ConfigurationError(f"initial condition seed must be >= 0, got {self.seed}")
 
@@ -136,22 +137,19 @@ def make_initial(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
         return keyed_eigenmode(grid, "ic", spec.kx, spec.ky, spec.m, spec.amplitude)
     if spec.kind == "random-band":
         rng = np.random.default_rng(spec.seed)
-        return constrain(random_spectral(grid, 2, rng, amplitude=spec.amplitude))
+        return constrain(random_spectral(grid, rng, amplitude=spec.amplitude))
     if spec.kind == "shear":
         # (0, u(x) phi_m(z)): y-independent, x-velocity zero, so the
         # averaged divergence vanishes without projection
-        if spec.m < 0 or spec.m >= grid.nz:
-            raise ConfigurationError(f"ic_m = {spec.m}: vertical mode outside 0..{grid.nz - 1}")
+        m, ix, jx = (grid.index(*a) for a in (("ic_m", spec.m, 2), ("ic_kx", spec.kx, 0),
+                                               ("ic_kx", -spec.kx, 0)))
         # the sine needs both +kx and -kx on the grid; at kx = 0 and at the
-        # Nyquist wavenumber -nx/2 it vanishes at every grid point
-        if not 0 < abs(spec.kx) < grid.nx // 2:
-            raise ConfigurationError(
-                f"ic_kx = {spec.kx}: a shear needs 0 < |ic_kx| < {grid.nx // 2}")
+        # Nyquist wavenumber -nx/2, which Grid.index refuses, it vanishes at every grid point
+        if spec.kx == 0:
+            raise ConfigurationError(f"ic_kx = 0: a shear needs 0 < |ic_kx| < {grid.nx // 2}")
         c = np.zeros((2, grid.nx, grid.ny, grid.nz), complex)
-        ix = list(grid.kx).index(spec.kx)
-        jx = list(grid.kx).index(-spec.kx)
-        c[1, ix, 0, spec.m] = -0.5j * spec.amplitude
-        c[1, jx, 0, spec.m] = 0.5j * spec.amplitude
+        c[1, ix, 0, m] = -0.5j * spec.amplitude
+        c[1, jx, 0, m] = 0.5j * spec.amplitude
         return SpectralField(grid, c)
     return manufactured_profile(grid, spec)  # InitialConditionSpec admits no other kind
 
@@ -159,12 +157,8 @@ def make_initial(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
 def keyed_eigenmode(grid: Grid, prefix, kx, ky, m, amplitude) -> SpectralField:
     """eigenmode(grid, (kx, ky), m), rejecting a mode outside the grid or on its
     Nyquist lines by the config key that sets it: prefix_kx, prefix_ky or prefix_m."""
-    off = grid.off_nyquist
-    for key, val, allowed in (("kx", kx, grid.kx[off[:, 0]]), ("ky", ky, grid.ky[off[0]]),
-                              ("m", m, range(grid.nz))):
-        if val not in allowed:
-            raise ConfigurationError(f"{prefix}_{key} = {val} lies outside "
-                                     f"{min(allowed)}..{max(allowed)} on this grid")
+    for axis, (key, val) in enumerate((("kx", kx), ("ky", ky), ("m", m))):
+        grid.index(f"{prefix}_{key}", val, axis)
     return eigenmode(grid, (kx, ky), m, amplitude=amplitude)
 
 
@@ -173,5 +167,5 @@ def manufactured_profile(grid: Grid, spec: InitialConditionSpec) -> SpectralFiel
     rng = np.random.default_rng(spec.seed)
     kmax = min(2, grid.nx // 4)
     mmax = min(2, grid.nz)
-    return constrain(random_spectral(grid, 2, rng, kmax=kmax, mmax=mmax,
+    return constrain(random_spectral(grid, rng, kmax=kmax, mmax=mmax,
                                      amplitude=spec.amplitude))

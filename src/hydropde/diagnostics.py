@@ -97,7 +97,7 @@ def record(state: SpectralField, t, pi, dtv2=0.0) -> dict:
         "vz2": float(np.sum(g.lam**2 * p2)),
         "tilde4": lp_norm(PhysicalField(g, tilde_values(state)), 4) ** 4,
         "grad_pi": float(np.sum(g.k2 * np.abs(pi.coeffs) ** 2)),
-        "vz3": lp_norm(synthesize(g, state.coeffs, g.nodes.dz), 3) ** 3,
+        "vz3": lp_norm(synthesize(g, state.half, g.nodes.dz), 3) ** 3,
         "dtv2": float(dtv2),
         "h1": float(np.sum(g.sobolev_symbol * p2)),
         "h2": float(np.sum(g.sobolev_symbol**2 * p2)),

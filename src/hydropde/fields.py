@@ -8,16 +8,16 @@ Three containers share a Grid:
 
 A coefficient c at wavenumber k multiplies exp(2*pi*i*k.x) directly
 (forward normalization), and the physical field of any c is the real part of
-that sum.  The horizontal transforms run on a block of the Hermitian ky >= 0
-half (all of it in synthesize, Grid.dealias_block in advect): zero-fill along
-kx, ifft along x and irfft along y, and the ky < 0 half by conjugate symmetry.
+that sum.  The horizontal transforms run on a block of the Hermitian half
+(all of it in synthesize, Grid.dealias_block in advect): zero-fill along kx,
+ifft along x and irfft along y, and the ky < 0 half by conjugate symmetry.
 The vertical synthesis evaluates phi_m(z) at the grid's nodes.  The one forward
 transform is advect's: Grid.vertical_to_modes projects its node products onto
 m < mk exactly, then planes_to_coeffs takes rfft along y and fft along x.
 
-A real field on the march and Picard paths is held by its half (see
-SpectralField).  One mirror maps k to -k, by reversed slices: hermitian_part
-reads c(-k), and _unfold writes it when a half's full plane is formed.
+A real field is held by its half, numpy's rfft columns ky = 0 .. ny/2 (see
+SpectralField); neither integrator forms a full plane.  One mirror maps k to
+-k, by reversed slices: hermitian_part reads c(-k), and _unfold writes it.
 
 Norm conventions: for vector fields the pointwise magnitude is the Euclidean
 norm over components, then the L^p quadrature is taken over the box; the
@@ -75,10 +75,10 @@ class SpectralField(_Linear):
     sum c exp(2 pi i k.x) phi_m(z); any other component count is refused.
 
     Built from a full plane, or, in the package only, as SpectralField(grid,
-    half=half_array(grid)) from a real field's half: the columns ky = 0 ..
-    (ny + 1) // 2 - 1, Nyquist row zero, at the front of a full-plane-sized
-    block.  Reading .coeffs unfolds it there in place (ky < 0 by c(-k) =
-    conj(c(k)), Nyquist column zero) and keeps it; .half is then its view.
+    half=half_array(grid)) from a real field's half: the ny // 2 + 1 columns
+    ky = 0 .. ny/2 of np.fft.rfft, the Nyquist column carried at even ny, zero
+    on the Nyquist lines.  Reading .coeffs unfolds it in place in its block
+    (ky < 0 by c(-k) = conj(c(k))) and keeps it; .half is then its view.
     From a full plane, .half is hermitian_part on those columns, formed on
     each read.  Only F (on advect's fresh half) and fluctuation(r,
     out=r.coeffs) write into a field.
@@ -103,7 +103,7 @@ class SpectralField(_Linear):
     def half(self):
         if self._half is not None:
             return self._half
-        return hermitian_part(self._coeffs, (self.grid.ny + 1) // 2)
+        return hermitian_part(self._coeffs, self.grid.ny // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,12 @@ class AveragedField(_Linear):
 
 
 def half_array(grid):
-    """The one allocator of halves: (2, nx, (ny + 1) // 2, nz), C-contiguous at
-    the front of a block the size of the full plane, its Nyquist row zero."""
-    shape = (2, grid.nx, (grid.ny + 1) // 2, grid.nz)
+    """The one allocator of halves: (2, nx, ny // 2 + 1, nz), rfft's ky = 0 .. ny/2, C-contiguous
+    at the front of a full-plane-sized block, zero on the Nyquist row and, at even ny, column."""
+    shape = (2, grid.nx, grid.ny // 2 + 1, grid.nz)
     block = np.empty((2, grid.nx, grid.ny, grid.nz), complex)
     half = block.reshape(-1)[:np.prod(shape)].reshape(shape)
-    half[:, grid.nx - grid.nx // 2:grid.nx // 2 + 1] = 0.0
+    half[:, grid.nx - grid.nx // 2:grid.nx // 2 + 1] = half[:, :, grid.ny - grid.ny // 2:] = 0.0
     return half
 
 
@@ -158,18 +158,14 @@ def hermitian_part(c, n):
 
 
 def _unfold(grid, half):
-    """The full plane of a half from half_array, formed in place in its block, half.base."""
+    """The full plane of a half from half_array, formed in place in its block, half.base: one
+    assignment moves its rows apart, numpy copying the overlapping source first, then the mirror."""
     c, (comp, nx, n, nz), ny = half.base, half.shape, grid.ny
-    dst, src, hi = c.reshape(comp * nx, ny, nz), half.reshape(comp * nx, n, nz), comp * nx
-    while hi > 1:  # last rows first, each group onto memory no unmoved row holds
-        lo = min(-(-hi * n // ny), hi - 1)
-        dst[lo:hi, :n] = src[lo:hi]
-        hi = lo
+    c.reshape(comp * nx, ny, nz)[:, :n] = half.reshape(comp * nx, n, nz)
     # ky < 0 from ky > 0 at -kx: row 0 from itself, rows 1 .. nx - 1 reversed
-    neg, pos = slice(ny - n + 1, None), slice(n - 1, 0, -1)
-    np.conjugate(c[:, :1, pos], out=c[:, :1, neg])
-    np.conjugate(c[:, :0:-1, pos], out=c[:, 1:, neg])
-    c[:, :, n:ny - n + 1] = c[:, nx - nx // 2:nx // 2 + 1] = 0.0  # Nyquist column, row if even
+    np.conjugate(c[:, :1, ny - n:0:-1], out=c[:, :1, n:])
+    np.conjugate(c[:, :0:-1, ny - n:0:-1], out=c[:, 1:, n:])
+    c[:, nx - nx // 2:nx // 2 + 1] = 0.0  # the Nyquist row's mirror, if even: +0, not conj(0)
     return c
 
 
@@ -199,21 +195,23 @@ def planes_to_coeffs(grid, planes):
     return c
 
 
-def synthesize(grid, coeffs, table) -> PhysicalField:
-    """Values at the collocation nodes of coefficients (comp, kx, ky, m).
+def synthesize(grid, half, table) -> PhysicalField:
+    """Values at the collocation nodes of a half (comp, kx, ky, m), ky = 0 .. ny/2.
 
     table maps the modes to the nodes, shape (modes, nzq): grid.nodes.cos for
     the field itself, .dz for its z-derivative, .wint for its integral from
-    z to 0.  hermitian_part of c on the columns ky >= 0, mode axis first,
-    goes through the inverse transform and the real table is applied to the
-    real planes, so the result is Re(sum c exp(2 pi i k.x) phi_m) for any c.
+    z to 0.  Its first modes are copied, as half_to_planes consumes them, and
+    the ky = 0 column, which holds k and -k, becomes its Hermitian part: the
+    half hermitian_part(c, ny // 2 + 1) of any c gives Re(sum c exp(2 pi i k.x) phi_m).
     """
-    herm = np.moveaxis(hermitian_part(coeffs[..., :table.shape[0]], grid.ny // 2 + 1), -1, -3)
-    return PhysicalField(grid, np.tensordot(half_to_planes(grid, herm), table, (1, 0)))
+    h = half[..., :table.shape[0]].copy()
+    h[:, :, :1] = hermitian_part(h, 1)
+    planes = half_to_planes(grid, np.moveaxis(h, -1, -3))
+    return PhysicalField(grid, np.tensordot(planes, table, (1, 0)))
 
 
 def to_physical(f: SpectralField) -> PhysicalField:
-    return synthesize(f.grid, f.coeffs, f.grid.nodes.cos)
+    return synthesize(f.grid, f.half, f.grid.nodes.cos)
 
 
 def hermitize(f: SpectralField) -> SpectralField:
@@ -225,13 +223,13 @@ def hermitize(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, hermitian_part(f.coeffs, f.grid.ny))
 
 
-def random_spectral(grid, components, rng, kmax=None, mmax=None, amplitude=1.0):
-    """Random Hermitian field on |kx|, |ky| <= kmax (nx/4, ny/4), m < mmax (nz/2), from rng."""
+def random_spectral(grid, rng, kmax=None, mmax=None, amplitude=1.0):
+    """Random Hermitian velocity on |kx|, |ky| <= kmax (nx/4, ny/4), m < mmax (nz/2), from rng."""
     if not np.isfinite(amplitude):
         raise ConfigurationError(f"random_spectral amplitude must be finite, got {amplitude}")
     kx_max, ky_max = (grid.nx // 4, grid.ny // 4) if kmax is None else (kmax, kmax)
     mmax = max(grid.nz // 2, 1) if mmax is None else mmax
-    shape = (components, grid.nx, grid.ny, grid.nz)
+    shape = (2, grid.nx, grid.ny, grid.nz)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     keep = (
         (np.abs(grid.kx)[:, None, None] <= kx_max)

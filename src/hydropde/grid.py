@@ -14,6 +14,7 @@ The advection term projects its products of the dealiased modes exactly on
 a smaller set, Gauss-Legendre in t = -sin(pi z / 2h).
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,6 +165,18 @@ class Grid:
         """(nx, ny) mask of the velocity space's wavenumbers: all but the Nyquist
         row kx = -nx/2 and column ky = -ny/2, whose -k is on the same line."""
         return (self.kx != -self.nx // 2)[:, None] & (self.ky != -self.ny // 2)
+
+    def index(self, name, k, axis):
+        """The index along axis 0, 1 or 2 of the integer k: a wavenumber of the
+        velocity space, |k| < n/2, at k % n, or a vertical mode 0 <= k < nz.
+        Anything else, a Nyquist wavenumber or 1.5 or nan, is refused by name."""
+        n = (self.nx, self.ny, self.nz)[axis]
+        lo, hi = (0, n - 1) if axis == 2 else (-((n - 1) // 2), (n - 1) // 2)
+        if not isinstance(k, numbers.Integral):
+            raise ConfigurationError(f"{name} = {k} is not an integer")
+        if not lo <= k <= hi:
+            raise ConfigurationError(f"{name} = {k} lies outside {lo}..{hi} on this grid")
+        return int(k) % n
 
     # -- dealiasing ------------------------------------------------------
 

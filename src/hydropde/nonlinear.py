@@ -124,7 +124,7 @@ def bilinear_estimate_probe(grid: Grid, samples=20, seed=0) -> BilinearProbeRepo
     lip = []
     prev = None
     for _ in range(samples):
-        v = constrain(random_spectral(grid, 2, rng, kmax=3, mmax=3))
+        v = constrain(random_spectral(grid, rng, kmax=3, mmax=3))
         fv, nv = F(v), sobolev_norm(v, 1.5)
         ratios.append(l2_norm(fv) / nv**2)
         if prev is not None:

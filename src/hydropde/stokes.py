@@ -48,17 +48,11 @@ def eigenmode(grid: Grid, k, m, amplitude=1.0) -> SpectralField:
     """Exact eigenfunction: a cos(2 pi k.x) phi_m(z) with a = (-ky, kx)/|k|.
 
     Eigenvalue 4 pi^2 |k|^2 + lam_m^2.  At k = 0 every direction is on the
-    constraint manifold and a = (1, 0).  k must lie off the Nyquist lines
-    (Grid.off_nyquist), where the velocity space has no modes.
+    constraint manifold and a = (1, 0).  k and m are integers of the velocity
+    space (Grid.index): k off the Nyquist lines, where it has no modes.
     """
-    kx, ky = int(k[0]), int(k[1])
-    if not 0 <= m < grid.nz:
-        raise ConfigurationError(f"vertical mode m = {m} outside 0..{grid.nz - 1}")
-    if kx not in grid.kx or ky not in grid.ky:
-        raise ConfigurationError(f"wavenumber {k} outside grid {grid.nx}x{grid.ny}")
-    ix, iy = list(grid.kx).index(kx), list(grid.ky).index(ky)
-    if not grid.off_nyquist[ix, iy]:
-        raise ConfigurationError(f"wavenumber {k} lies on a Nyquist line")
+    ix, iy, m = (grid.index(*a) for a in (("kx", k[0], 0), ("ky", k[1], 1), ("m", m, 2)))
+    kx, ky = grid.kx[ix], grid.ky[iy]
     if not np.isfinite(amplitude):
         raise ConfigurationError(f"eigenmode amplitude must be finite, got {amplitude}")
     d = np.array([1.0, 0.0]) if kx == 0 and ky == 0 else np.array([-ky, kx], float)
@@ -95,9 +89,9 @@ class StokesOperator:
     The eigen-coordinates hold a real field by one Hermitian half: k = (0, 0),
     the stacked (u, v) coefficients, then one row [across k (nz) | along k in
     the columns of W (nz - 1)] per wavenumber of `rows`.  to_eigen reads and
-    from_eigen writes the field's half (SpectralField.half), whose ky < 0
-    mirror c(-k) = conj(c(k)) only SpectralField.coeffs forms, and `weights`
-    counts the rows it mirrors twice.
+    from_eigen writes the field's half (SpectralField.half, rfft's ny // 2 + 1
+    columns), whose ky < 0 mirror c(-k) = conj(c(k)) only SpectralField.coeffs
+    forms, and `weights` counts the rows it mirrors twice.
     """
 
     def __init__(self, grid: Grid):
@@ -112,8 +106,8 @@ class StokesOperator:
 
     @cached_property
     def _flat(self):
-        """The rows as flat indices into a half's (nx, (ny + 1) // 2) plane."""
-        return self.rows[0] * ((self.grid.ny + 1) // 2) + self.rows[1]
+        """The rows as flat indices into a half's (nx, ny // 2 + 1) plane: ky = 0 .. ny/2."""
+        return self.rows[0] * (self.grid.ny // 2 + 1) + self.rows[1]
 
     @cached_property
     def _khat(self):

@@ -28,6 +28,7 @@ from hydropde.fields import (
     AveragedField,
     PhysicalField,
     SpectralField,
+    hermitian_part,
     hermitize,
     synthesize,
 )
@@ -56,7 +57,7 @@ def index_map_hermitian_part(c, n):
 def averaged_to_physical(f: AveragedField) -> PhysicalField:
     """Broadcast a z-independent field onto the 3D collocation grid."""
     g = f.grid
-    return synthesize(g, f.coeffs[..., None], np.ones((1, g.nzq)))
+    return synthesize(g, hermitian_part(f.coeffs[..., None], g.ny // 2 + 1), np.ones((1, g.nzq)))
 
 
 def grad_norm(f: SpectralField) -> float:

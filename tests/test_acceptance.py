@@ -77,7 +77,7 @@ def test_criterion_01_projection_identities(grid):
     rng = np.random.default_rng(101)
     worst_idem = worst_div = 0.0
     for _ in range(200):
-        v = random_spectral(grid, 2, rng)
+        v = random_spectral(grid, rng)
         scale = max(l2_norm(v), 1e-300)
         pv = constrain(v)
         ppv = constrain(pv)
@@ -129,12 +129,12 @@ def test_criterion_04_semigroup_decay_and_law(grid, op):
     beta = op.beta
     worst_decay = -np.inf
     for _ in range(50):
-        f = constrain(random_spectral(grid, 2, rng))
+        f = constrain(random_spectral(grid, rng))
         base = l2_norm(f)
         for t in (0.01, 0.1, 1.0, 5.0):
             slack = l2_norm(op.semigroup_apply(t, f)) - np.exp(-beta * t) * base
             worst_decay = max(worst_decay, slack / base)
-    f = constrain(random_spectral(grid, 2, rng))
+    f = constrain(random_spectral(grid, rng))
     law = l2_norm(
         op.semigroup_apply(0.3, op.semigroup_apply(0.2, f)) - op.semigroup_apply(0.5, f)
     ) / l2_norm(f)
@@ -152,7 +152,7 @@ def test_criterion_05_smoothing_estimate():
         rng = np.random.default_rng(105)
         worst = 0.0
         for _ in range(5):
-            f = constrain(random_spectral(g, 2, rng, kmax=3, mmax=3))
+            f = constrain(random_spectral(g, rng, kmax=3, mmax=3))
             rep = o.smoothing_probe(0.5, 0.0, ts, f)
             worst = max(worst, rep.sup_g)
         sups.append(worst)
@@ -166,10 +166,10 @@ def test_criterion_06_nonlinearity_structure(grid):
     rng = np.random.default_rng(106)
     worst_neutral = 0.0
     for _ in range(100):
-        v = constrain(random_spectral(grid, 2, rng))
+        v = constrain(random_spectral(grid, rng))
         worst_neutral = max(worst_neutral,
                             abs(l2_inner(F(v), v)) / max(l2_norm(v) ** 3, 1e-300))
-    v = constrain(random_spectral(grid, 2, rng))
+    v = constrain(random_spectral(grid, rng))
     worst_scale = 0.0
     for c in (2.0, -3.0, 0.25):
         diff = F(c * v).coeffs - c**2 * F(v).coeffs
@@ -220,7 +220,7 @@ def test_criterion_10_manufactured_convergence():
     g = Grid(8, 8, 4)
     o = StokesOperator(g)
     rng = np.random.default_rng(110)
-    psi = constrain(random_spectral(g, 2, rng, kmax=2, mmax=2, amplitude=1e-2))
+    psi = constrain(random_spectral(g, rng, kmax=2, mmax=2, amplitude=1e-2))
     mms = make_manufactured(o, psi)
     t_end = 0.25
     errors = []
@@ -259,7 +259,7 @@ def test_criterion_11_reproducibility_and_failure_modes(grid, tmp_path):
 
     # bit-exact checkpoint round trip
     rng = np.random.default_rng(111)
-    v = constrain(random_spectral(grid, 2, rng))
+    v = constrain(random_spectral(grid, rng))
     p = tmp_path / "state.ckpt"
     save_checkpoint(p, v)
     round_trip = np.array_equal(load_checkpoint(p).coeffs, v.coeffs)

@@ -57,7 +57,7 @@ def op8(grid8):
 @pytest.fixture(scope="module")
 def short_run(grid8, op8):
     rng = np.random.default_rng(11)
-    a = constrain(random_spectral(grid8, 2, rng, kmax=2, mmax=2, amplitude=1e-2))
+    a = constrain(random_spectral(grid8, rng, kmax=2, mmax=2, amplitude=1e-2))
     cfg = ImexConfig(dt=5e-4, t_end=0.5, sample_every=20)
     return imex_run(a, None, cfg, op8)
 
@@ -80,7 +80,7 @@ class TestRecord:
         # ||grad v||^2 = horizontal part + vertical part; vz2 is the vertical
         # part and for a z-independent-average field the horizontal part of
         # the average is grad_h_bar
-        v = constrain(random_spectral(grid8, 2, rng))
+        v = constrain(random_spectral(grid8, rng))
         r = record(v, 0.0, trajectory_pressure(v))
         g = grid8
         horiz = float(g.h / 2 * np.sum(g.k2[None, :, :, None] * np.abs(v.coeffs) ** 2))
@@ -88,7 +88,7 @@ class TestRecord:
         assert abs(d2 - (horiz + r["vz2"])) < 1e-10 * max(d2, 1.0)
 
     def test_tilde4_against_direct_quadrature(self, grid8, rng):
-        v = constrain(random_spectral(grid8, 2, rng))
+        v = constrain(random_spectral(grid8, rng))
         r = record(v, 0.0, trajectory_pressure(v))
         g = grid8
         # oracle: the exact vertical average lifted to the nodes, where record
@@ -185,7 +185,7 @@ class TestDecayFit:
 
 class TestSplitResiduals:
     def test_semi_discrete_residuals_vanish(self, grid8, rng):
-        v = constrain(random_spectral(grid8, 2, rng, amplitude=0.1))
+        v = constrain(random_spectral(grid8, rng, amplitude=0.1))
         m = momentum_balance(v)
         s = split_residuals(v, trajectory_pressure(v, m), m)
         assert s["bar_residual"] < 1e-10
@@ -201,7 +201,7 @@ class TestSplitResiduals:
         f = forcing_eval(spec, 0.3) if forced else zeros_spectral(grid8)
         lap = -grid8.laplace_symbol[None]
         for _ in range(4):
-            v = constrain(random_spectral(grid8, 2, rng, amplitude=0.1))
+            v = constrain(random_spectral(grid8, rng, amplitude=0.1))
             adv = advect(v)
             dt_v = -op8.apply(v) - constrain(adv) + constrain(f)
             r = dt_v + adv - SpectralField(grid8, lap * v.coeffs) - f
@@ -304,7 +304,7 @@ class TestBuildRecords:
         # balance m before record's syntheses; keeping both through record
         # peaks near 7.9 field sizes at 32^2x16, this near 5.7
         g = Grid(32, 32, 16)
-        a = constrain(random_spectral(g, 2, rng, amplitude=1e-3))
+        a = constrain(random_spectral(g, rng, amplitude=1e-3))
         led = imex_run(a, None, ImexConfig(dt=1e-5, t_end=3e-5, sample_every=1),
                        StokesOperator(g))
         ledger_sample(led, 1)  # fill the grid's lazy tables before measuring

@@ -136,7 +136,7 @@ class TestForcing:
         # f(t) must equal d/dt v_exact + A v_exact - F(v_exact) for the
         # manufactured trajectory, with the time derivative checked by
         # central differences
-        psi = constrain(random_spectral(grid8, 2, rng, kmax=2, mmax=2, amplitude=1e-2))
+        psi = constrain(random_spectral(grid8, rng, kmax=2, mmax=2, amplitude=1e-2))
         mms = make_manufactured(op8, psi)
         t, delta = 0.37, 1e-5
         vp = mms.solution(t + delta)
@@ -161,7 +161,7 @@ class TestPicard:
         # F = 0: the first iterate is the semigroup orbit, and the sweep
         # after it changes nothing
         monkeypatch.setattr(evolution, "F", lambda v: 0 * v)
-        a = constrain(random_spectral(grid8, 2, rng))
+        a = constrain(random_spectral(grid8, rng))
         cfg = PicardConfig(horizon=0.4, nodes=17)
         ledger, report = picard_solve(a, None, cfg, op8)
         assert report.converged and report.iterations == 1
@@ -228,7 +228,7 @@ class TestPicard:
         # k = sup_t t^(1/4) ||(1 + A)^(3/4) v(t)||, the time-weighted norm of
         # the mild-solution iteration; (1 + A)^(3/4) applied to the field is
         # the reference for the weight picard_solve puts on the coordinates
-        a = random_spectral(grid8, 2, np.random.default_rng(6), kmax=4, amplitude=0.05)
+        a = random_spectral(grid8, np.random.default_rng(6), kmax=4, amplitude=0.05)
         ledger, report = picard_solve(a, None, PicardConfig(horizon=1e-2, nodes=9), op8)
         want = max(t ** 0.25 * l2_norm(op8._spectral_map(lambda mu: (1 + mu) ** 0.75, v))
                    for t, v in zip(ledger.columns["t"], ledger.states) if t > 0)
@@ -236,7 +236,7 @@ class TestPicard:
 
     def test_non_convergence_reported_not_raised(self, grid8, op8):
         # huge data on a short budget: the iteration must report failure
-        a = 200.0 * constrain(random_spectral(grid8, 2, np.random.default_rng(5)))
+        a = 200.0 * constrain(random_spectral(grid8, np.random.default_rng(5)))
         cfg = PicardConfig(horizon=0.5, nodes=9, max_iterations=3, tolerance=1e-15)
         ledger, report = picard_solve(a, None, cfg, op8)
         assert not report.converged
@@ -252,11 +252,11 @@ def _picard_case(name, grid, op):
     if name == "forcing-spec":
         return a, ForcingSpec(eigenmode(grid, (1, 0), 0, amplitude=0.05), rate=0.5), cfg
     if name == "manufactured":
-        psi = random_spectral(grid, 2, np.random.default_rng(3), kmax=2, mmax=2, amplitude=1e-2)
+        psi = random_spectral(grid, np.random.default_rng(3), kmax=2, mmax=2, amplitude=1e-2)
         mms = make_manufactured(op, psi)
         return mms.solution(0.0), mms, cfg
     # amplitude 200 passes the ceiling k > 1e6 at the second iteration
-    big = constrain(random_spectral(grid, 2, np.random.default_rng(0), amplitude=200.0))
+    big = constrain(random_spectral(grid, np.random.default_rng(0), amplitude=200.0))
     return big, None, PicardConfig(horizon=0.5, nodes=9, max_iterations=2, tolerance=1e-300)
 
 
@@ -286,7 +286,7 @@ class TestStreamedSweep:
         # node's field beside its coordinates near 60; holding the old
         # trajectory, shrinking, and the new one, growing, as coordinates
         # alone (0.47 of a field's bytes per node at 16^2x8) peaks near 28
-        a = constrain(random_spectral(grid16, 2, np.random.default_rng(3), amplitude=1e-3))
+        a = constrain(random_spectral(grid16, np.random.default_rng(3), amplitude=1e-3))
         # fill the operator's and the grid's lazy tables before measuring
         picard_solve(a, None, PicardConfig(horizon=1e-2, nodes=4, max_iterations=1), op16)
         cfg = PicardConfig(horizon=1e-2, nodes=33, max_iterations=3, tolerance=1e-300)
@@ -339,7 +339,7 @@ class TestImex:
         assert 3.0 < errs[1] / errs[2] < 5.0
 
     def test_states_stay_constrained(self, grid8, op8, rng):
-        a = constrain(random_spectral(grid8, 2, rng, amplitude=1e-2))
+        a = constrain(random_spectral(grid8, rng, amplitude=1e-2))
         led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=0.05, sample_every=10), op8)
         for state in led.states:
             div = divergence_of_average(state)
@@ -356,7 +356,7 @@ class TestImex:
         assert l2_norm(v - led.states[-1]) < 1e-12 * l2_norm(v)
 
     def test_energy_dissipates_without_forcing(self, grid8, op8, rng):
-        a = constrain(random_spectral(grid8, 2, rng, amplitude=1e-2))
+        a = constrain(random_spectral(grid8, rng, amplitude=1e-2))
         led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=0.2, sample_every=20), op8)
         assert all(b < a_ for a_, b in zip(led.columns["e2"], led.columns["e2"][1:]))
 
@@ -378,7 +378,7 @@ class TestImex:
         assert resid < 1e-6 * c["e2"][0]
 
     def test_nan_abort_carries_partial_ledger(self, grid8, op8):
-        a = 40.0 * constrain(random_spectral(grid8, 2, np.random.default_rng(9)))
+        a = 40.0 * constrain(random_spectral(grid8, np.random.default_rng(9)))
         cfg = ImexConfig(dt=0.05, t_end=10.0, sample_every=1, cfl_limit=1e9)
         with pytest.raises(NanAbort) as exc:
             imex_run(a, None, cfg, op8)
@@ -388,19 +388,19 @@ class TestImex:
         assert all(np.isfinite(e) for e in led.columns["e2"])
 
     def test_cfl_precheck(self, grid8, op8):
-        a = 40.0 * constrain(random_spectral(grid8, 2, np.random.default_rng(9)))
+        a = 40.0 * constrain(random_spectral(grid8, np.random.default_rng(9)))
         with pytest.raises(ConfigurationError):
             imex_run(a, None, ImexConfig(dt=1.0, t_end=2.0), op8)
 
 
 def _forcing_case(kind, grid, op):
     """(initial data with Nyquist content, forcing) of a half-plane march case."""
-    a = random_spectral(grid, 2, np.random.default_rng(4), kmax=grid.nx // 2,
+    a = random_spectral(grid, np.random.default_rng(4), kmax=grid.nx // 2,
                         mmax=grid.nz, amplitude=0.05)
     if kind == "single-mode":
         return a, ForcingSpec(eigenmode(grid, (1, -1), 1, amplitude=0.5), rate=0.5)
     if kind == "manufactured":
-        psi = random_spectral(grid, 2, np.random.default_rng(5), kmax=grid.nx // 2,
+        psi = random_spectral(grid, np.random.default_rng(5), kmax=grid.nx // 2,
                               mmax=grid.nz, amplitude=0.02)
         mms = make_manufactured(op, psi)
         return mms.solution(0.0), mms
@@ -436,7 +436,7 @@ class TestHalfPlaneMarch:
         # kmax = 4 fills the Nyquist lines of 8^2x4, which the velocity space drops
         g = Grid(8, 8, 4, dealias_fraction=f)
         op = StokesOperator(g)
-        a = random_spectral(g, 2, np.random.default_rng(0), kmax=4)
+        a = random_spectral(g, np.random.default_rng(0), kmax=4)
         led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=2e-2, sample_every=5), op)
         pled, _ = picard_solve(a, None, PicardConfig(horizon=2e-2, nodes=9), op)
         for v in [*led.states, *pled.states]:
@@ -493,7 +493,7 @@ class TestCoordinateLedger:
 
     @pytest.fixture(scope="class")
     def ledgers(self, grid8, op8):
-        a = random_spectral(grid8, 2, np.random.default_rng(6), kmax=4, amplitude=0.05)
+        a = random_spectral(grid8, np.random.default_rng(6), kmax=4, amplitude=0.05)
         led = imex_run(a, None, ImexConfig(dt=1e-3, t_end=1e-2, sample_every=5), op8)
         pled, _ = picard_solve(a, None, PicardConfig(horizon=1e-2, nodes=9), op8)
         return a, led, pled
@@ -541,7 +541,7 @@ class TestPicardVsImex:
 
 class TestManufactured:
     def test_imex_reproduces_manufactured_solution(self, grid8, op8, rng):
-        psi = constrain(random_spectral(grid8, 2, rng, kmax=2, mmax=2, amplitude=1e-2))
+        psi = constrain(random_spectral(grid8, rng, kmax=2, mmax=2, amplitude=1e-2))
         mms = make_manufactured(op8, psi)
         t_end = 0.25
         errs = []

@@ -11,7 +11,7 @@ import pytest
 from hydropde.config import InitialConditionSpec, make_initial
 from hydropde.errors import ConfigurationError, DomainError
 from hydropde import fields
-from hydropde.evolution import ImexConfig, imex_run
+from hydropde.evolution import ImexConfig, PicardConfig, imex_run, picard_solve
 from hydropde.fields import (
     AveragedField,
     PhysicalField,
@@ -68,6 +68,25 @@ class TestGrid:
         g = Grid(8, 8, 4, h=1.2e-76)
         assert np.all(np.isfinite(g.sobolev_symbol**2))
         assert np.all(np.isfinite(StokesOperator(g).eigenvalues))
+
+    @pytest.mark.parametrize("grid", [Grid(8, 6, 4), OddGrid(9, 7, 3)], ids=["even", "odd"])
+    def test_index_maps_the_velocity_space_to_fft_indices(self, grid):
+        # every wavenumber off the Nyquist lines and every mode, at its place in FFT order
+        m = np.arange(grid.nz)
+        off = grid.off_nyquist
+        for axis, (ks, kept) in enumerate(((grid.kx, off[:, 0]), (grid.ky, off[0]), (m, m >= 0))):
+            got = [grid.index("k", int(k), axis) for k in ks[kept]]
+            assert got == list(np.flatnonzero(kept))
+
+    @pytest.mark.parametrize("k, axis, message", [
+        (1.5, 0, r"kx = 1\.5 is not an integer"), (np.nan, 1, "ky = nan is not an integer"),
+        (np.inf, 0, "kx = inf is not an integer"), (1.0, 2, r"m = 1\.0 is not an integer"),
+        (-4, 0, r"kx = -4 lies outside -3\.\.3 on this grid"),
+        (4, 1, r"ky = 4 lies outside -3\.\.3 on this grid"),
+        (4, 2, r"m = 4 lies outside 0\.\.3 on this grid"), (-1, 2, "m = -1 lies outside")])
+    def test_index_refuses_by_name(self, k, axis, message):
+        with pytest.raises(ConfigurationError, match=message):
+            G8.index(("kx", "ky", "m")[axis], k, axis)
 
     def test_vertical_basis_boundary_conditions(self, grid16):
         # phi_m'(0) = 0 and phi_m(-h) = 0 exactly
@@ -157,7 +176,7 @@ class TestFluctuation:
         assert np.max(np.abs(fl.coeffs)) < 1e-12
 
     def test_average_of_fluctuation_vanishes(self, grid16, rng):
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         avg = vertical_average(fluctuation(f))
         assert np.max(np.abs(avg.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
 
@@ -165,7 +184,7 @@ class TestFluctuation:
         assert np.all(fluctuation(zeros_spectral(grid16)).coeffs == 0)
 
     def test_in_place_matches(self, grid16, rng):
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         ref = fluctuation(f).coeffs
         out = fluctuation(f, out=f.coeffs)
         assert out.coeffs is f.coeffs and np.array_equal(out.coeffs, ref)
@@ -174,7 +193,7 @@ class TestFluctuation:
         # lift(avg f) + fluctuation(f) = f, with the lift the in-basis
         # representative of the z-constant average
         g = grid16
-        f = random_spectral(g, 2, rng)
+        f = random_spectral(g, rng)
         a = g.avg_factor
         lift = SpectralField(g, vertical_average(f).coeffs[..., None] * (a / np.sum(a**2)))
         assert l2_norm(lift + fluctuation(f) - f) < 1e-12 * l2_norm(f)
@@ -192,7 +211,7 @@ class TestNorms:
             assert abs(lp_norm(f, 2) - np.sqrt(h / 2)) < 1e-12
 
     def test_parseval(self, grid16, rng):
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         quad = lp_norm(to_physical(f), 2)
         spectral = l2_norm(f)
         assert abs(quad - spectral) < 1e-8 * spectral
@@ -204,7 +223,7 @@ class TestNorms:
         # horizontal and vertical quadrature weights (the max at p = inf)
         g = grid16
         # a scalar is the first component of a velocity's values
-        f = to_physical(random_spectral(g, 2, rng))
+        f = to_physical(random_spectral(g, rng))
         f = PhysicalField(g, f.values[:components])
         mag = np.abs(f.values[0]) if components == 1 else np.sqrt(np.sum(f.values**2, axis=0))
         hw = 1.0 / (g.nx * g.ny)
@@ -225,7 +244,7 @@ class TestNorms:
             lp_norm(f, 0.5)
 
     def test_sobolev_s0_is_l2(self, grid16, rng):
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         assert abs(sobolev_norm(f, 0) - l2_norm(f)) < 1e-12 * l2_norm(f)
         assert abs(sobolev_norm(f, 0) - lp_norm(to_physical(f), 2)) < 1e-8 * l2_norm(f)
 
@@ -243,15 +262,15 @@ class TestNorms:
         assert np.all(gphys.values[1] == 0)
 
     def test_sobolev_monotone(self, grid16, rng):
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         norms = [sobolev_norm(f, s) for s in (0, 0.5, 1, 1.5, 2)]
         assert all(a <= b * (1 + 1e-13) for a, b in zip(norms, norms[1:]))
         with pytest.raises(DomainError):
             sobolev_norm(f, 2.5)
 
     def test_inner_product_matches_quadrature(self, grid16, rng):
-        f = random_spectral(grid16, 2, rng)
-        g = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
+        g = random_spectral(grid16, rng)
         quad = float(
             np.sum(
                 np.sum(to_physical(f).values * to_physical(g).values, axis=0)
@@ -264,14 +283,14 @@ class TestNorms:
 
 class TestAveragedField:
     def test_broadcast_is_z_independent(self, grid16, rng):
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         avg = vertical_average(f)
         phys = averaged_to_physical(avg)
         assert np.max(np.abs(phys.values - phys.values[..., :1])) == 0.0
 
     def test_algebra(self, grid16, rng):
-        f = random_spectral(grid16, 2, rng)
-        g = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
+        g = random_spectral(grid16, rng)
         s = 2 * f - g
         assert np.allclose(s.coeffs, 2 * f.coeffs - g.coeffs)
         with pytest.raises(ConfigurationError):
@@ -284,7 +303,7 @@ G8 = Grid(8, 8, 4)
 class TestLibraryErrors:
     @pytest.mark.parametrize("call, message", [
         (lambda: ImexConfig(dt=1e-3, t_end=0), "end time must be finite and > 0"),
-        (lambda: eigenmode(G8, (5, 0), 0), "outside grid 8x8"),
+        (lambda: eigenmode(G8, (5, 0), 0), r"kx = 5 lies outside -3\.\.3 on this grid"),
         (lambda: StokesOperator(G8).to_eigen(zeros_spectral(G8, components=1)),
          r"SpectralField: expected shape \(2 components,\)"),
         (lambda: zeros_spectral(G8) + zeros_spectral(Grid(8, 8, 6)),
@@ -309,31 +328,31 @@ class TestRandomSpectral:
         # |kx| <= nx/4 and |ky| <= ny/4: on 32x8 that is |ky| <= 2, so the
         # Nyquist column ky = -4 stays empty, also for random-band data
         g = Grid(32, 8, 4)
-        f = random_spectral(g, 2, np.random.default_rng(0))
+        f = random_spectral(g, np.random.default_rng(0))
         a = make_initial(InitialConditionSpec("random-band", 1e-3, seed=0), g)
         for c in (f.coeffs, a.coeffs):
             assert np.any(c[:, np.abs(g.kx) == 8]) and np.any(c[:, :, np.abs(g.ky) == 2])
             assert not np.any(c[:, np.abs(g.kx) > 8]) and not np.any(c[:, :, np.abs(g.ky) > 2])
 
     def test_square_grid_default_unchanged(self, grid16):
-        f = random_spectral(grid16, 2, np.random.default_rng(1))
-        g = random_spectral(grid16, 2, np.random.default_rng(1), kmax=4)
+        f = random_spectral(grid16, np.random.default_rng(1))
+        g = random_spectral(grid16, np.random.default_rng(1), kmax=4)
         assert np.array_equal(f.coeffs, g.coeffs)
 
 
-# odd ny: the half (ny + 1) // 2 columns wide, with no Nyquist column
+# odd ny: the half has no Nyquist column
 HALF_GRIDS = [Grid(8, 8, 4), Grid(16, 16, 8, dealias_fraction=1.0), OddGrid(10, 9, 4)]
 HALF_IDS = ["8x8x4", "16x16x8-f1", "10x9x4-odd"]
 
 
 class TestHalfLayout:
-    """A real field held by its half, the columns ky = 0 .. (ny + 1) // 2 - 1,
+    """A real field held by its half, the columns ky = 0 .. ny/2 of np.fft.rfft,
     and unfolded into its full plane in place."""
 
     @staticmethod
     def real_field(grid, seed=0):
         # Hermitian in every mode, zero on the Nyquist lines, as a half-built field is
-        f = random_spectral(grid, 2, np.random.default_rng(seed), kmax=grid.nx // 2, mmax=grid.nz)
+        f = random_spectral(grid, np.random.default_rng(seed), kmax=grid.nx // 2, mmax=grid.nz)
         return SpectralField(grid, f.coeffs * grid.off_nyquist[:, :, None])
 
     @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
@@ -342,10 +361,17 @@ class TestHalfLayout:
         half = half_array(grid)
         half[...] = f.half
         g = SpectralField(grid, half=half)
-        assert np.array_equal(g.half, f.coeffs[:, :, :(grid.ny + 1) // 2])
+        assert np.array_equal(g.half, f.coeffs[:, :, :grid.ny // 2 + 1])
         assert np.array_equal(g.coeffs, f.coeffs)
         assert np.shares_memory(g.coeffs, half) and np.array_equal(g.half, f.half)
         assert np.array_equal(SpectralField(grid, g.coeffs).half, g.half)
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
+    def test_unfolded_nyquist_lines_are_positive_zeros(self, grid):
+        # as a checkpoint holds them: +0.0, not the -0.0 that conj(0) would mirror
+        op = StokesOperator(grid)
+        z = op.from_eigen(*op.to_eigen(self.real_field(grid))).coeffs[:, ~grid.off_nyquist]
+        assert not np.any(z) and not np.any(np.signbit(z.view(float)))
 
     @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
     def test_from_eigen_matches_full_plane_oracle(self, grid):
@@ -363,18 +389,38 @@ class TestHalfLayout:
         f = SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         assert np.array_equal(advect(f).coeffs, advect(hermitize(f)).coeffs)
 
-    def test_march_unfolds_only_the_cfl_checks_plane(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def count_unfolds(monkeypatch):
+        calls, unfold = [], fields._unfold
 
         def counted(grid, half):
             calls.append(half.shape)
             return unfold(grid, half)
 
-        unfold = fields._unfold
         monkeypatch.setattr(fields, "_unfold", counted)
-        a = constrain(random_spectral(G8, 2, np.random.default_rng(3), amplitude=1e-2))
-        imex_run(a, None, ImexConfig(dt=1e-3, t_end=5e-3, sample_every=1), StokesOperator(G8))
-        assert calls == [(2, 8, 4, 4)]
+        return calls
+
+    def test_integrators_unfold_nothing(self, monkeypatch):
+        calls = self.count_unfolds(monkeypatch)
+        a = constrain(random_spectral(G8, np.random.default_rng(3), amplitude=1e-2))
+        op = StokesOperator(G8)
+        imex_run(a, None, ImexConfig(dt=1e-3, t_end=5e-3, sample_every=1), op)
+        assert calls == []
+        picard_solve(a, None, PicardConfig(horizon=1e-2, nodes=9), op)
+        assert calls == []
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
+    def test_to_physical_reads_the_half(self, grid, monkeypatch):
+        # any half: ky = 0 need not hold conj(c(-kx, 0)) at kx, the Nyquist lines are zero
+        rng = np.random.default_rng(5)
+        half = half_array(grid)
+        half[...] = rng.standard_normal(half.shape) + 1j * rng.standard_normal(half.shape)
+        half *= grid.off_nyquist[:, :half.shape[2], None]
+        f = SpectralField(grid, half=half)
+        calls = self.count_unfolds(monkeypatch)
+        got = to_physical(f).values
+        assert calls == []
+        assert got.tobytes() == to_physical(SpectralField(grid, f.coeffs)).values.tobytes()
 
 
 class TestHermitianPart:
@@ -396,7 +442,7 @@ class TestHermitianPart:
 
     @pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
     def test_half_array_nyquist_row_is_zero(self, grid, monkeypatch):
-        # every block comes filled with nan, so only half_array's own write zeroes a row
+        # every block comes filled with nan, so only half_array's own writes zero a line
         empty = np.empty
 
         def poisoned(shape, dtype):
@@ -406,7 +452,8 @@ class TestHermitianPart:
 
         monkeypatch.setattr(np, "empty", poisoned)
         half = half_array(grid)
-        nyquist = grid.kx == -grid.nx // 2
-        assert half.shape == (2, grid.nx, (grid.ny + 1) // 2, grid.nz)
-        assert np.count_nonzero(nyquist) == 1 and not np.any(half[:, nyquist])
-        assert np.all(np.isnan(half[:, ~nyquist]))
+        assert half.shape == (2, grid.nx, grid.ny // 2 + 1, grid.nz)
+        nyquist = ~grid.off_nyquist[:, :grid.ny // 2 + 1]
+        assert np.count_nonzero(nyquist[:, 0]) == 1
+        assert np.count_nonzero(nyquist[0]) == 1 - grid.ny % 2  # the column ky = ny/2
+        assert not np.any(half[:, nyquist]) and np.all(np.isnan(half[:, ~nyquist]))

@@ -12,6 +12,7 @@ from hydropde.config import (
     _IC_KEYS,
     InitialConditionSpec,
     RunConfig,
+    keyed_eigenmode,
     make_initial,
     manufactured_profile,
     parse_config,
@@ -36,7 +37,7 @@ from hydropde.stokes import StokesOperator, eigenmode
 
 class TestCheckpoint:
     def test_field_round_trip_bit_exact(self, grid16, rng, tmp_path):
-        v = random_spectral(grid16, 2, rng)
+        v = random_spectral(grid16, rng)
         p = tmp_path / "state.ckpt"
         save_checkpoint(p, v)
         back = load_checkpoint(p)
@@ -51,7 +52,7 @@ class TestCheckpoint:
 
     def test_header_layout(self, tmp_path, rng):
         g = Grid(8, 4, 6, h=2.0)
-        v = random_spectral(g, 2, rng)
+        v = random_spectral(g, rng)
         p = tmp_path / "h.ckpt"
         save_checkpoint(p, v)
         head = p.read_bytes().split(b"\n", 1)[0].decode()
@@ -64,7 +65,7 @@ class TestCheckpoint:
         assert first[1] == v.coeffs.flat[0].imag
 
     def test_grid_mismatch(self, grid16, rng, tmp_path):
-        v = random_spectral(grid16, 2, rng)
+        v = random_spectral(grid16, rng)
         p = tmp_path / "state.ckpt"
         save_checkpoint(p, v)
         with pytest.raises(ConfigurationError):
@@ -300,6 +301,16 @@ class TestMakeInitial:
     def test_non_finite_amplitude_rejected(self, amplitude):
         with pytest.raises(ConfigurationError, match="amplitude must be finite"):
             InitialConditionSpec(amplitude=amplitude)
+
+    @pytest.mark.parametrize("name, value", [("kx", 1.5), ("ky", -0.5), ("m", 0.5),
+                                             ("seed", 2.5), ("seed", 2.0)])
+    def test_non_integer_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigurationError, match=rf"\b{name} must be an integer"):
+            InitialConditionSpec(kind="random-band", **{name: value})
+
+    def test_keyed_eigenmode_names_the_key_of_a_non_integer(self, grid16):
+        with pytest.raises(ConfigurationError, match=r"^forcing_ky = 1\.5 is not an integer"):
+            keyed_eigenmode(grid16, "forcing", 1, 1.5, 0, 1e-3)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="seed must be >= 0"):

@@ -59,8 +59,8 @@ class TestAdvect:
     def test_polarization_of_reference_bilinear_form(self, grid16, rng):
         # advect is the quadratic form of the bilinear reference_advect, so
         # its polarization is the symmetrized bilinear form
-        u = random_spectral(grid16, 2, rng)
-        w = random_spectral(grid16, 2, rng)
+        u = random_spectral(grid16, rng)
+        w = random_spectral(grid16, rng)
         lhs = advect(u + w) - advect(u) - advect(w)
         rhs = reference_advect(u, w) + reference_advect(w, u)
         scale = np.max(np.abs(rhs)) + 1.0
@@ -99,7 +99,7 @@ class TestAdvect:
 
     def test_energy_neutral_for_constrained_advecting_field(self, grid16, rng):
         for _ in range(10):
-            v = constrain(random_spectral(grid16, 2, rng))
+            v = constrain(random_spectral(grid16, rng))
             vm = dealias(v)
             ip = l2_inner(advect(v), vm)
             assert abs(ip) < 1e-9 * l2_norm(v) ** 3
@@ -111,7 +111,7 @@ class TestAdvect:
         g = Grid(n, n, 6)
         rng = np.random.default_rng(n)
         for _ in range(3):
-            v = dealias(random_spectral(g, 2, rng, kmax=n // 2, mmax=g.nz))
+            v = dealias(random_spectral(g, rng, kmax=n // 2, mmax=g.nz))
             assert abs(l2_inner(advect(v), v)) < 1e-12 * l2_norm(v) ** 3
 
     @pytest.mark.parametrize("n", [12, 16])
@@ -128,7 +128,7 @@ class TestAdvect:
         # before the forward transform; a concatenated stack with a zero-filled
         # copy beside it peaks near 4.9 field sizes at 32^2x16, this near 3.3
         g = Grid(32, 32, 16)
-        v = constrain(random_spectral(g, 2, rng, amplitude=1e-3))
+        v = constrain(random_spectral(g, rng, amplitude=1e-3))
         advect(v)  # fill the grid's lazy tables before measuring
         tracemalloc.start()
         try:
@@ -158,7 +158,7 @@ def nyquist_velocity(grid, kind, rng):
     if kind == "non-hermitian":
         shape = (2, grid.nx, grid.ny, grid.nz)
         return SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    v = random_spectral(grid, 2, rng, kmax=max(grid.nx, grid.ny) // 2, mmax=grid.nz)
+    v = random_spectral(grid, rng, kmax=max(grid.nx, grid.ny) // 2, mmax=grid.nz)
     return constrain(v) if kind == "constrained" else v
 
 
@@ -238,7 +238,7 @@ class TestF:
         assert np.max(np.abs(F(zeros_spectral(grid16)).coeffs)) == 0.0
 
     def test_quadratic_scaling(self, grid16, rng):
-        v = constrain(random_spectral(grid16, 2, rng))
+        v = constrain(random_spectral(grid16, rng))
         for c in (2.0, -0.5, 10.0):
             lhs = F(c * v)
             rhs = c**2 * F(v)
@@ -246,14 +246,14 @@ class TestF:
             assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-11 * scale
 
     def test_range_on_constraint_manifold(self, grid16, rng):
-        v = constrain(random_spectral(grid16, 2, rng))
+        v = constrain(random_spectral(grid16, rng))
         f = F(v)
         div = divergence_of_average(f)
         assert np.max(np.abs(div.coeffs)) < 1e-12 * max(l2_norm(f), 1.0)
 
     def test_energy_neutral(self, grid16, rng):
         for _ in range(10):
-            v = constrain(random_spectral(grid16, 2, rng))
+            v = constrain(random_spectral(grid16, rng))
             assert abs(l2_inner(F(v), v)) < 1e-9 * l2_norm(v) ** 3
 
     def test_horizontal_refinement_invariance(self, rng):
@@ -261,14 +261,14 @@ class TestF:
         # same F coefficients after horizontal refinement at fixed nz
         coarse = Grid(16, 16, 8)
         fine = Grid(32, 32, 8)
-        v = dealias(constrain(random_spectral(coarse, 2, rng, kmax=2, mmax=2)))
+        v = dealias(constrain(random_spectral(coarse, rng, kmax=2, mmax=2)))
         fc = F(v)
         ff = F(embed(v, fine))
         diff = np.max(np.abs(embed(fc, fine).coeffs - ff.coeffs))
         assert diff < 1e-8 * max(np.max(np.abs(fc.coeffs)), 1e-30)
 
     def test_workspace_reuse_matches(self, grid16, rng):
-        v = constrain(random_spectral(grid16, 2, rng))
+        v = constrain(random_spectral(grid16, rng))
         ws = NonlinearWorkspace(grid16)
         a = F(v, ws)
         b = F(v)

@@ -86,7 +86,7 @@ class TestProject:
     def test_idempotent_and_divergence_free(self, grid16, rng):
         g = grid16
         for _ in range(20):
-            v = random_spectral(g, 2, rng)
+            v = random_spectral(g, rng)
             v1, m1, _ = project(v)
             scale = max(l2_norm(v), 1.0)
             div = divergence_of_average(v1, m1)
@@ -97,7 +97,7 @@ class TestProject:
             assert np.linalg.norm(pi2.coeffs) < 1e-12 * scale
 
     def test_identity_on_constrained_fields(self, grid16, rng):
-        v = constrain(random_spectral(grid16, 2, rng))
+        v = constrain(random_spectral(grid16, rng))
         v1, m1, pi = project(v)
         scale = l2_norm(v)
         assert np.max(np.abs(v1.coeffs - v.coeffs)) == 0.0
@@ -118,7 +118,7 @@ class TestProject:
         # <Pv, v - Pv> = 0 where the inner product is over the composite
         # field; the removed part is a z-independent gradient
         g = grid16
-        v = random_spectral(g, 2, rng)
+        v = random_spectral(g, rng)
         v1, m1, pi = project(v)
         removed = pi.gradient()
         # composite Pv has cosine part v1 and constant part m1 = -grad pi;
@@ -131,7 +131,7 @@ class TestProject:
     def test_l2_bounded(self, grid16, rng):
         g = grid16
         for _ in range(20):
-            v = random_spectral(g, 2, rng)
+            v = random_spectral(g, rng)
             v1, m1, _ = project(v)
             # composite norm^2 = cosine-part norm^2 + cross + constant part
             phys = to_physical(v1).values + np.real(
@@ -151,7 +151,7 @@ class TestProject:
                 r = np.random.default_rng(7)
                 worst = 0.0
                 for _ in range(5):
-                    v = random_spectral(g, 2, r, kmax=4, mmax=4)
+                    v = random_spectral(g, r, kmax=4, mmax=4)
                     v1, m1, _ = project(v)
                     phys = to_physical(v1).values + np.real(
                         np.fft.ifft2(m1.coeffs, axes=(1, 2), norm="forward")
@@ -173,26 +173,26 @@ class TestProject:
 
 class TestConstrain:
     def test_idempotent(self, grid16, rng):
-        v = random_spectral(grid16, 2, rng)
+        v = random_spectral(grid16, rng)
         p1 = constrain(v)
         p2 = constrain(p1)
         scale = l2_norm(v)
         assert np.max(np.abs(p2.coeffs - p1.coeffs)) < 1e-13 * scale
 
     def test_kills_average_divergence(self, grid16, rng):
-        v = constrain(random_spectral(grid16, 2, rng))
+        v = constrain(random_spectral(grid16, rng))
         div = divergence_of_average(v)
         assert np.max(np.abs(div.coeffs)) < 1e-12 * l2_norm(v)
 
     def test_self_adjoint(self, grid16, rng):
-        u = random_spectral(grid16, 2, rng)
-        v = random_spectral(grid16, 2, rng)
+        u = random_spectral(grid16, rng)
+        v = random_spectral(grid16, rng)
         lhs = l2_inner(constrain(u), v)
         rhs = l2_inner(u, constrain(v))
         assert abs(lhs - rhs) < 1e-10 * l2_norm(u) * l2_norm(v)
 
     def test_orthogonal_complement(self, grid16, rng):
-        v = random_spectral(grid16, 2, rng)
+        v = random_spectral(grid16, rng)
         pv = constrain(v)
         assert abs(l2_inner(pv, v - pv)) < 1e-10 * l2_norm(v) ** 2
 
@@ -202,15 +202,15 @@ class TestConstrain:
         # stands for +n/2; the constrained field must still be real, and
         # zero on both lines, which the velocity space drops
         g = Grid(8, 8, 4)
-        v = constrain(random_spectral(g, 2, np.random.default_rng(seed), kmax=4))
+        v = constrain(random_spectral(g, np.random.default_rng(seed), kmax=4))
         assert not np.any(v.coeffs[:, 4]) and not np.any(v.coeffs[:, :, 4])
         assert np.max(np.abs(hermitize(v).coeffs - v.coeffs)) < 1e-15 * l2_norm(v)
         assert np.max(np.abs(divergence_of_average(v).coeffs)) < 1e-12 * l2_norm(v)
         assert np.max(np.abs(constrain(v).coeffs - v.coeffs)) < 1e-13 * l2_norm(v)
-        u = random_spectral(g, 2, np.random.default_rng(seed + 10), kmax=4)
+        u = random_spectral(g, np.random.default_rng(seed + 10), kmax=4)
         assert abs(l2_inner(constrain(u), u - constrain(u))) < 1e-14 * l2_norm(u) ** 2
 
     def test_zero_wavenumber_untouched(self, grid16, rng):
-        v = random_spectral(grid16, 2, rng)
+        v = random_spectral(grid16, rng)
         pv = constrain(v)
         assert np.max(np.abs(pv.coeffs[:, 0, 0, :] - v.coeffs[:, 0, 0, :])) == 0.0

@@ -31,7 +31,7 @@ from hydropde.stokes import StokesOperator, eigenmode
 
 G = Grid(8, 8, 4)
 OP = StokesOperator(G)
-F0 = constrain(random_spectral(G, 2, np.random.default_rng(0)))
+F0 = constrain(random_spectral(G, np.random.default_rng(0)))
 MODE = eigenmode(G, (1, 0), 0, amplitude=1e-3)
 
 # name -> (call with the scalar x, pattern by which the message names it,
@@ -68,7 +68,7 @@ SCALARS = {
     "eigenmode.m": (lambda x: eigenmode(G, (1, 0), x), r"\bm\b", ()),
     "eigenmode.amplitude": (lambda x: eigenmode(G, (1, 0), 0, amplitude=x), "amplitude", ()),
     "random_spectral.amplitude": (
-        lambda x: random_spectral(G, 2, np.random.default_rng(0), amplitude=x), "amplitude", ()),
+        lambda x: random_spectral(G, np.random.default_rng(0), amplitude=x), "amplitude", ()),
     "StokesOperator.semigroup_apply.t": (lambda x: OP.semigroup_apply(x, F0), r"\bt\b", ()),
     "StokesOperator.solve_shifted.c": (lambda x: OP.solve_shifted(x, F0), r"\bc\b", ()),
     "StokesOperator.resolvent_solve.lam": (lambda x: OP.resolvent_solve(x, F0), r"\blam\b", ()),

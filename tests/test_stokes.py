@@ -127,7 +127,7 @@ class TestSpectrum:
 
     def test_flat_eigenvalues_follow_to_eigen_order(self, grid16, op16, rng):
         # scaling the flat to_eigen coordinates by op.eigenvalues applies A
-        v = constrain(random_spectral(grid16, 2, rng))
+        v = constrain(random_spectral(grid16, rng))
         y0, y = op16.to_eigen(v)
         mu = op16.eigenvalues
         av = op16.from_eigen(mu[:y0.size] * y0, mu[y0.size:].reshape(y.shape) * y)
@@ -154,6 +154,13 @@ class TestEigenmodes:
             with pytest.raises(ConfigurationError):
                 eigenmode(grid16, k, m)
 
+    @pytest.mark.parametrize("k, m, name", [
+        ((1.5, 0), 0, "kx"), ((np.nan, 0), 0, "kx"), ((0, np.nan), 0, "ky"),
+        ((np.inf, 0), 0, "kx"), ((1, 0), 1.5, "m")])
+    def test_eigenmode_refuses_a_non_integer_by_name(self, grid16, k, m, name):
+        with pytest.raises(ConfigurationError, match=rf"^{name} = \S+ is not an integer"):
+            eigenmode(grid16, k, m)
+
 
 class TestResolvent:
     def test_lambda_zero_inverts_eigenmode(self, grid16, op16):
@@ -164,13 +171,13 @@ class TestResolvent:
 
     def test_large_imaginary_lambda_bound(self, grid16, op16, rng):
         lam = 1e6j
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         sol, _ = op16.resolvent_solve(lam, f)
         assert abs(lam) * l2_norm(sol) <= l2_norm(f) * (1 + 1e-10)
 
     def test_resolvent_identity(self, grid16, op16, rng):
         # R(a) - R(b) = (b - a) R(a) R(b)
-        f = constrain(random_spectral(grid16, 2, rng))
+        f = constrain(random_spectral(grid16, rng))
         a, b = 1.0 + 2.0j, 5.0
         ra, _ = op16.resolvent_solve(a, f)
         rb, _ = op16.resolvent_solve(b, f)
@@ -183,7 +190,7 @@ class TestResolvent:
         # (lam + Lambda) v + fold(grad pi) = P f in coefficient space
         g = grid16
         lam = 0.5 + 3.0j
-        f = random_spectral(g, 2, rng)
+        f = random_spectral(g, rng)
         v, pi = op16.resolvent_solve(lam, f)
         fc = constrain(f)
         grad = pi.gradient()
@@ -203,20 +210,20 @@ class TestResolvent:
             g = Grid(n, n, 8)
             op = StokesOperator(g)
             r = np.random.default_rng(3)
-            f = constrain(random_spectral(g, 2, r, kmax=3, mmax=3))
+            f = constrain(random_spectral(g, r, kmax=3, mmax=3))
             v, _ = op.resolvent_solve(1.0, f)
             ratios.append(sobolev_norm(v, 2) / l2_norm(f))
         assert max(ratios) < 2.0 * min(ratios)
 
     def test_singular_at_eigenvalue(self, grid16, op16, rng):
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         with pytest.raises(SingularResolventError):
             op16.resolvent_solve(-op16.beta, f)
 
 
 class TestSemigroup:
     def test_identity_at_t_zero(self, grid16, op16, rng):
-        f = constrain(random_spectral(grid16, 2, rng))
+        f = constrain(random_spectral(grid16, rng))
         out = op16.semigroup_apply(0.0, f)
         assert np.max(np.abs(out.coeffs - f.coeffs)) < 1e-13 * np.max(np.abs(f.coeffs))
 
@@ -228,7 +235,7 @@ class TestSemigroup:
             assert np.max(np.abs(out.coeffs - np.exp(-mu * t) * v.coeffs)) < 1e-12
 
     def test_semigroup_law(self, grid16, op16, rng):
-        f = constrain(random_spectral(grid16, 2, rng))
+        f = constrain(random_spectral(grid16, rng))
         one = op16.semigroup_apply(0.3, op16.semigroup_apply(0.2, f))
         two = op16.semigroup_apply(0.5, f)
         assert l2_norm(one - two) < 1e-11 * l2_norm(f)
@@ -236,7 +243,7 @@ class TestSemigroup:
     def test_exponential_decay_bound(self, grid16, op16, rng):
         beta = op16.beta
         for _ in range(10):
-            f = constrain(random_spectral(grid16, 2, rng))
+            f = constrain(random_spectral(grid16, rng))
             base = l2_norm(f)
             for t in (0.01, 0.1, 1.0, 5.0):
                 assert l2_norm(op16.semigroup_apply(t, f)) <= np.exp(-beta * t) * base * (
@@ -249,7 +256,7 @@ class TestSemigroup:
             op16.semigroup_apply(-0.1, f)
 
     def test_solve_shifted_is_backward_euler(self, grid16, op16, rng):
-        f = constrain(random_spectral(grid16, 2, rng))
+        f = constrain(random_spectral(grid16, rng))
         c = 0.05
         v = op16.solve_shifted(c, f)
         # (I + cA) v = f
@@ -266,20 +273,20 @@ class TestSemigroup:
 ], ids=["semigroup-t-nan", "shifted-c-nan", "shifted-c-singular", "resolvent-lam-nan", "lp-p-nan"])
 def test_nan_or_singular_scalar_rejected(grid16, op16, name, call):
     # each returned a NaN field or norm instead of raising
-    f = constrain(random_spectral(grid16, 2, np.random.default_rng(0)))
+    f = constrain(random_spectral(grid16, np.random.default_rng(0)))
     with pytest.raises(DomainError, match=rf"\b{name} (must|>=)"):
         call(op16, f)
 
 
 class TestBlockMachineryConsistency:
     def test_eigen_coordinates_round_trip(self, grid16, op16, rng):
-        f = constrain(random_spectral(grid16, 2, rng))
+        f = constrain(random_spectral(grid16, rng))
         y0, y = op16.to_eigen(f)
         back = op16.from_eigen(y0, y)
         assert l2_norm(back - f) < 1e-12 * l2_norm(f)
 
     def test_apply_matches_spectral_form(self, grid16, op16, rng):
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         direct = op16.apply(f)
         mu0, mu = op16.eigenvalues_split()
         y0, y = op16.to_eigen(f)
@@ -295,7 +302,7 @@ class TestHalfPlane:
     @staticmethod
     def nyquist_field(grid, seed=0):
         # Hermitian, with content on both Nyquist lines and in every mode
-        return random_spectral(grid, 2, np.random.default_rng(seed),
+        return random_spectral(grid, np.random.default_rng(seed),
                                kmax=grid.nx // 2, mmax=grid.nz)
 
     @staticmethod
@@ -366,7 +373,7 @@ class TestSectorSweep:
 
 class TestSmoothing:
     def test_trivial_exponents_bounded_by_one(self, grid16, op16, rng):
-        f = constrain(random_spectral(grid16, 2, rng))
+        f = constrain(random_spectral(grid16, rng))
         rep = op16.smoothing_probe(0.0, 0.0, [0.01, 0.1, 1.0], f)
         assert rep.sup_g <= 1.0 + 1e-11
 
@@ -382,7 +389,7 @@ class TestSmoothing:
             assert abs(g - expected) < 1e-9 * expected
 
     def test_exponent_validation(self, grid16, op16, rng):
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         with pytest.raises(DomainError):
             op16.smoothing_probe(0.7, 0.7, [0.1], f)
         with pytest.raises(DomainError):
@@ -390,7 +397,7 @@ class TestSmoothing:
 
     @pytest.mark.parametrize("theta1, theta2", [(np.nan, 0.0), (0.0, np.nan)])
     def test_nan_exponent_is_named(self, grid16, op16, rng, theta1, theta2):
-        f = random_spectral(grid16, 2, rng)
+        f = random_spectral(grid16, rng)
         with pytest.raises(DomainError, match=r"got theta1 = \S+, theta2 = \S+"):
             op16.smoothing_probe(theta1, theta2, [0.1], f)
 
